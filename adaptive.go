@@ -11,8 +11,8 @@ import (
 // GVChange schedules a grouping-value retune at a simulation time
 // (applies to the VMT policies; see Config.GVSchedule).
 type GVChange struct {
-	At time.Duration
-	GV float64
+	At time.Duration `json:"at_ns"`
+	GV float64       `json:"gv"`
 }
 
 // AdaptiveGVStudy closes the operational loop the paper sketches in
@@ -160,7 +160,11 @@ func tuneGVOnTrace(servers int, dayUtil []float64, gvGrid []float64) (float64, e
 	if len(gvGrid) == 0 {
 		return 0, fmt.Errorf("vmt: need a GV grid")
 	}
-	sr, err := RunSpecResults(tuneGVSpec(servers, dayUtil, gvGrid), BatchOptions{})
+	day, err := trace.FromSamples(dayUtil, time.Minute)
+	if err != nil {
+		return 0, err
+	}
+	sr, err := RunSpecResults(tuneGVSpec(servers, day, gvGrid), BatchOptions{})
 	if err != nil {
 		return 0, err
 	}

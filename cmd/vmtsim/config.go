@@ -7,6 +7,7 @@ import (
 
 	"vmt"
 	"vmt/internal/fault"
+	"vmt/internal/stats"
 	"vmt/internal/workload"
 )
 
@@ -76,7 +77,11 @@ func registerConfigFlags(fs *flag.FlagSet) func() (vmt.Config, simOptions, error
 		if *horizonMin < 0 {
 			return vmt.Config{}, simOptions{}, fmt.Errorf("-horizon-min must be non-negative, got %v", *horizonMin)
 		}
-		cfg.Horizon = time.Duration(*horizonMin * float64(time.Minute))
+		horizon, err := stats.Duration("-horizon-min", *horizonMin, time.Minute)
+		if err != nil {
+			return vmt.Config{}, simOptions{}, err
+		}
+		cfg.Horizon = horizon
 		if err := cfg.Validate(); err != nil {
 			return vmt.Config{}, simOptions{}, fmt.Errorf("invalid configuration: %w", err)
 		}

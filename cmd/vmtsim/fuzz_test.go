@@ -31,6 +31,8 @@ func FuzzBuildConfig(f *testing.F) {
 	f.Add(`-source {"kind":"nope"}`)
 	f.Add(`-source notjson`)
 	f.Add("-horizon-min -1")
+	f.Add("-horizon-min 1e300")
+	f.Add("-horizon-min NaN")
 	f.Add(`-faults {"crashes":[{"server":3,"at_min":120,"repair_after_min":60}]}`)
 	f.Add(`-faults {"topology":{"servers_per_rack":6,"racks_per_row":5,"rows_per_zone":1},"domains":[{"kind":"rack","index":1,"at_min":360,"repair_after_min":180}]}`)
 	f.Add(`-faults {"byzantine":[{"server":0,"kind":"melt","start_min":60,"bias":0.5}]}`)
@@ -50,4 +52,17 @@ func FuzzBuildConfig(f *testing.F) {
 			t.Fatalf("buildConfig accepted %q but Validate rejects: %v", argv, verr)
 		}
 	})
+}
+
+// -horizon-min values past time.Duration's range are rejected with an
+// error naming the flag, not converted to a negative horizon.
+func TestBuildConfigHorizonOverflow(t *testing.T) {
+	for _, v := range []string{"1e300", "NaN", "+Inf"} {
+		fs := flag.NewFlagSet("vmtsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, _, err := buildConfig(fs, []string{"-horizon-min", v})
+		if err == nil || !strings.Contains(err.Error(), "-horizon-min") {
+			t.Errorf("-horizon-min %s: got %v, want an error naming the flag", v, err)
+		}
+	}
 }

@@ -22,7 +22,7 @@ type Analyzer struct {
 
 // Analyzers is the registry the driver and the //vmtlint:allow
 // validator share. Order is presentation order for `vmtlint -list`.
-var Analyzers = []*Analyzer{Detrand, MapOrder, FloatEq, FloatKey, CacheKey, Hotpath, KernelParity}
+var Analyzers = []*Analyzer{Detrand, MapOrder, FloatEq, FloatKey, Hotpath, KernelParity}
 
 // AllowAnalyzerName is the pseudo-analyzer that owns diagnostics about
 // the suppression comments themselves (malformed directive, unknown

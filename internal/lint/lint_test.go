@@ -92,8 +92,6 @@ func TestScopes(t *testing.T) {
 		{Detrand, "vmt/internal/telemetry", false},
 		{Detrand, "vmt/cmd/vmtsim", false},
 		{Detrand, "vmtother", false},
-		{CacheKey, "vmt", true},
-		{CacheKey, "vmt/internal/experiment", false},
 	}
 	for _, c := range cases {
 		if got := c.analyzer.Scope(c.path); got != c.want {

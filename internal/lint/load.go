@@ -3,17 +3,14 @@
 // go/types, go/importer — no golang.org/x/tools dependency, matching
 // the repo's no-deps ethos).
 //
-// It exists to enforce the simulator's two load-bearing promises at
-// compile time rather than discovering their violation at golden-test
-// time (or worse, in a silently poisoned result):
+// It exists to enforce the simulator's load-bearing promise at
+// compile time rather than discovering its violation at golden-test
+// time: determinism — a Config bit-identically determines a Run,
+// regardless of worker count, replay order, or wall-clock.
 //
-//   - determinism: a Config bit-identically determines a Run,
-//     regardless of worker count, replay order, or wall-clock;
-//   - cache soundness: the content-addressed run cache's key sees
-//     every Config field that can change a Result.
-//
-// The analyzers (detrand, maporder, floateq, cachekey) encode those
-// invariants; cmd/vmtlint is the CLI driver and scripts/check.sh runs
+// The analyzers (detrand, maporder, floateq, floatkey, hotpath,
+// kernelparity) encode that invariant and the hot-path allocation
+// discipline; cmd/vmtlint is the CLI driver and scripts/check.sh runs
 // it between vet and build.
 //
 // Scope: the loader analyzes non-test files only. _test.go files are

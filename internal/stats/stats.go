@@ -8,8 +8,10 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
+	"time"
 )
 
 // ErrEmpty is returned by reducers that are undefined on empty input.
@@ -134,3 +136,16 @@ func Clamp(x, lo, hi float64) float64 {
 
 // Lerp linearly interpolates between a and b by t in [0,1].
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
+
+// Duration converts x units (time.Second, time.Minute, ...) to a
+// time.Duration, rounded to the nearest nanosecond. NaN, ±Inf and
+// values past Duration's ±292-year range are errors naming key: a bare
+// time.Duration(x * float64(unit)) conversion of them is
+// implementation-defined (a negative duration on amd64).
+func Duration(key string, x float64, unit time.Duration) (time.Duration, error) {
+	ns := math.Round(x * float64(unit))
+	if math.IsNaN(ns) || ns < math.MinInt64 || ns >= math.MaxInt64 {
+		return 0, fmt.Errorf("%s: %v is not finite or overflows time.Duration", key, x)
+	}
+	return time.Duration(ns), nil
+}

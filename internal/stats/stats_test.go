@@ -2,8 +2,10 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMeanEmpty(t *testing.T) {
@@ -162,5 +164,30 @@ func TestClampProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDuration(t *testing.T) {
+	for _, tc := range []struct {
+		x    float64
+		unit time.Duration
+		want time.Duration
+	}{
+		{90, time.Minute, 90 * time.Minute},
+		{0.3, time.Second, 300 * time.Millisecond},
+		{-1.5, time.Second, -1500 * time.Millisecond},
+		{1.5e-9, time.Second, 2}, // nearest nanosecond, not truncated
+		{153722867, time.Minute, 153722867 * time.Minute},
+	} {
+		got, err := Duration("k", tc.x, tc.unit)
+		if err != nil || got != tc.want {
+			t.Errorf("Duration(%v, %v) = %v, %v; want %v", tc.x, tc.unit, got, err, tc.want)
+		}
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 153722868} {
+		_, err := Duration("horizon_min", x, time.Minute)
+		if err == nil || !strings.Contains(err.Error(), "horizon_min") {
+			t.Errorf("Duration(%v min) = %v, want an error naming the key", x, err)
+		}
 	}
 }

@@ -8,6 +8,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -18,32 +20,32 @@ import (
 // Spec parameterizes a synthetic diurnal trace.
 type Spec struct {
 	// Days is the trace length in days.
-	Days int
+	Days int `json:"days"`
 	// PeakUtil is the peak utilization (0..1] reached on each day;
 	// entry i applies to day i (the last entry repeats if Days exceeds
 	// its length).
-	PeakUtil []float64
+	PeakUtil []float64 `json:"peak_util"`
 	// TroughUtil is the overnight minimum utilization.
-	TroughUtil float64
+	TroughUtil float64 `json:"trough_util"`
 	// PeakHours places each day's peak within its 24-hour day; entry i
 	// applies to day i (the last entry repeats). The paper's trace
 	// peaks near hour 20 on day one and hour 46 (= hour 22 of day two)
 	// on day two. Every peak hour must exceed TroughHour.
-	PeakHours []float64
+	PeakHours []float64 `json:"peak_hours"`
 	// TroughHour places the overnight minimum (e.g. hour 5): the
 	// asymmetric long climb and short descent of user-facing load.
-	TroughHour float64
+	TroughHour float64 `json:"trough_hour"`
 	// NoiseAmp adds smoothed, seeded white noise of the given
 	// amplitude (fraction of utilization) to mimic query jitter.
 	// Zero disables noise.
-	NoiseAmp float64
+	NoiseAmp float64 `json:"noise_amp"`
 	// PeakSharpness shapes how pointed the daily peak is: 1 (and 0,
 	// the zero value) gives a plain half-cosine; larger values spend
 	// less time near the peak, matching the spiky profile of real
 	// user-facing load. Must be ≥ 1 (after zero-defaulting).
-	PeakSharpness float64
+	PeakSharpness float64 `json:"peak_sharpness"`
 	// Seed drives the noise generator; same seed, same trace.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 // PaperTwoDay returns the Figure 8 scenario: two consecutive worst-case
@@ -271,4 +273,41 @@ func FromSamples(samples []float64, step time.Duration) (*Trace, error) {
 	out := make([]float64, len(samples))
 	copy(out, samples)
 	return &Trace{step: step, samples: out}, nil
+}
+
+// traceJSON is a Trace's JSON form: {"step_s": seconds, "samples": [...]}.
+type traceJSON struct {
+	StepS   float64   `json:"step_s"`
+	Samples []float64 `json:"samples"`
+}
+
+// MarshalJSON encodes the step and samples, so two traces encode alike
+// exactly when they are the same series.
+func (t *Trace) MarshalJSON() ([]byte, error) {
+	return json.Marshal(traceJSON{StepS: t.step.Seconds(), Samples: t.samples})
+}
+
+// UnmarshalJSON decodes the MarshalJSON form through FromSamples,
+// rejecting unknown keys and a step_s that is not a whole number of
+// nanoseconds (which would not re-encode to itself).
+func (t *Trace) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var j traceJSON
+	if err := dec.Decode(&j); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	step, err := stats.Duration("trace: step_s", j.StepS, time.Second)
+	if err != nil {
+		return err
+	}
+	if math.Float64bits(step.Seconds()) != math.Float64bits(j.StepS) {
+		return fmt.Errorf("trace: step_s %v is not a whole number of nanoseconds", j.StepS)
+	}
+	tr, err := FromSamples(j.Samples, step)
+	if err != nil {
+		return err
+	}
+	*t = *tr
+	return nil
 }

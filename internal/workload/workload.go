@@ -9,6 +9,8 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -108,6 +110,10 @@ func ByName(name string) (Workload, error) {
 // must be positive and are normalized to sum to one.
 type Mix struct {
 	entries []MixEntry
+	// given keeps the entries as passed to NewMix. They are the JSON
+	// form: re-normalizing already normalized shares can move them by
+	// an ulp, so only the given shares decode back to the identical mix.
+	given []MixEntry
 }
 
 // MixEntry is one workload's share of a Mix.
@@ -137,8 +143,12 @@ func NewMix(entries ...MixEntry) (*Mix, error) {
 		seen[e.Workload.Name] = true
 		total += e.Share
 	}
-	mix := &Mix{entries: make([]MixEntry, len(entries))}
+	mix := &Mix{
+		entries: make([]MixEntry, len(entries)),
+		given:   make([]MixEntry, len(entries)),
+	}
 	copy(mix.entries, entries)
+	copy(mix.given, entries)
 	for i := range mix.entries {
 		mix.entries[i].Share /= total
 	}
@@ -147,6 +157,26 @@ func NewMix(entries ...MixEntry) (*Mix, error) {
 		return mix.entries[i].Workload.Name < mix.entries[j].Workload.Name
 	})
 	return mix, nil
+}
+
+// MarshalJSON encodes the entries as given to NewMix.
+func (m *Mix) MarshalJSON() ([]byte, error) { return json.Marshal(m.given) }
+
+// UnmarshalJSON decodes a MarshalJSON entry list through NewMix,
+// rejecting unknown keys.
+func (m *Mix) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var entries []MixEntry
+	if err := dec.Decode(&entries); err != nil {
+		return fmt.Errorf("workload: mix: %w", err)
+	}
+	mix, err := NewMix(entries...)
+	if err != nil {
+		return err
+	}
+	*m = *mix
+	return nil
 }
 
 // Entries returns the normalized entries in name order.

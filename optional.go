@@ -1,5 +1,7 @@
 package vmt
 
+import "encoding/json"
+
 // Optional distinguishes "explicitly configured" from "left unset"
 // without reserving an in-band sentinel value. Config fields whose
 // zero value used to mean "pick the paper default" (the server spec,
@@ -32,4 +34,29 @@ func (o Optional[T]) Or(def T) T {
 		return o.value
 	}
 	return def
+}
+
+// MarshalJSON encodes only the held value, or null when unset, so a
+// resolved Optional hashes the same whether its value was set
+// explicitly or filled in by withDefaults.
+func (o Optional[T]) MarshalJSON() ([]byte, error) {
+	if !o.set {
+		return []byte("null"), nil
+	}
+	return json.Marshal(o.value)
+}
+
+// UnmarshalJSON sets the Optional to the decoded value; null leaves it
+// unset. Unknown object keys are rejected.
+func (o *Optional[T]) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*o = Optional[T]{}
+		return nil
+	}
+	var v T
+	if err := decodeStrict(b, &v); err != nil {
+		return err
+	}
+	*o = Some(v)
+	return nil
 }

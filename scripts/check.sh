@@ -34,9 +34,14 @@ go test -short -count=1 \
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
 go test -count=1 -run 'TestFleetOracle|TestFleetVecKernel' ./internal/thermal/
 
-echo "== spec round-trip (encode -> decode -> execute)"
-go test -count=1 -run 'TestSpecRoundTripExecute|TestSpecJSONRoundTrip' \
+echo "== spec round-trip (encode -> decode -> execute, cache-key sensitivity, spec drift)"
+# Settings decode onto Config and the cache key hashes it: every keyed
+# field must move the key, the settings fuzz corpus must stay a
+# canonical fixpoint, and results/specs must match -emit-specs.
+go test -count=1 \
+    -run 'TestSpecRoundTripExecute|TestSpecJSONRoundTrip|TestConfigKeySensitivity|FuzzConfigFromSettings' \
     . ./internal/experiment/
+go test -count=1 -run 'TestEmittedSpecsMatchCommitted' ./cmd/vmtreport/
 
 echo "== stepped-vs-monolith equivalence (session golden stage)"
 # A session stepped tick-by-tick and in ragged chunks must be

@@ -1,8 +1,8 @@
 package vmt
 
 import (
+	"encoding/json"
 	"fmt"
-	"time"
 
 	"vmt/internal/experiment"
 	"vmt/internal/fault"
@@ -15,6 +15,31 @@ import (
 // experiment.Spec.Encode to get a runnable spec file). The studies
 // execute these through RunSpecResults and keep their original typed
 // reducers, so outputs are bit-identical to the pre-engine code.
+
+// settingValue converts v to the JSON-basic form settings hold
+// (float64 numbers, []any, map[string]any) through v's JSON encoding,
+// so specs built in Go expand and encode exactly like specs decoded
+// from files. A v that does not encode (a NaN field) is returned as it
+// is; the spec then fails where it is encoded or decoded.
+func settingValue(v any) any {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return v
+	}
+	var out any
+	_ = json.Unmarshal(b, &out) // b is valid JSON: json.Marshal just wrote it
+	return out
+}
+
+// floatsToAny widens a float slice for an axis's values without
+// encoding it, so a NaN value fails at decode time, not here.
+func floatsToAny(fs []float64) []any {
+	out := make([]any, len(fs))
+	for i, f := range fs {
+		out[i] = f
+	}
+	return out
+}
 
 // baselineRR is the shared round-robin reference every study measures
 // against: the prior TTS work's baseline scheduler, no grouping value.
@@ -241,7 +266,7 @@ func faultRateCases(rates []float64, repairAfterMin float64, seed uint64) []expe
 	for _, rate := range rates {
 		c := experiment.Case{Name: fmt.Sprintf("%g", rate)}
 		if rate > 0 {
-			c.Set = experiment.Settings{"faults": faultSetting(fault.Plan{
+			c.Set = experiment.Settings{"faults": settingValue(fault.Plan{
 				Seed: seed,
 				Stochastic: &fault.Stochastic{
 					RatePerHour:    rate,
@@ -315,16 +340,16 @@ func correlationCases(seed uint64) []experiment.Case {
 	}
 	return []experiment.Case{
 		{Name: "none"},
-		{Name: "independent", Set: experiment.Settings{"faults": faultSetting(fault.Plan{
+		{Name: "independent", Set: experiment.Settings{"faults": settingValue(fault.Plan{
 			Seed:       seed,
 			Stochastic: &fault.Stochastic{RatePerHour: 0.01, RepairAfterMin: 120},
 		})}},
-		{Name: "rack", Set: experiment.Settings{"faults": faultSetting(fault.Plan{
+		{Name: "rack", Set: experiment.Settings{"faults": settingValue(fault.Plan{
 			Seed:     seed,
 			Topology: topo,
 			Domains:  rackTrips,
 		})}},
-		{Name: "zone-derate", Set: experiment.Settings{"faults": faultSetting(fault.Plan{
+		{Name: "zone-derate", Set: experiment.Settings{"faults": settingValue(fault.Plan{
 			Seed:     seed,
 			Topology: topo,
 			Domains: []fault.DomainFault{{
@@ -332,18 +357,18 @@ func correlationCases(seed uint64) []experiment.Case {
 				AtMin: 360, RepairAfterMin: 240, DerateInletDeltaC: 6,
 			}},
 		})}},
-		{Name: "stochastic-rack", Set: experiment.Settings{"faults": faultSetting(fault.Plan{
+		{Name: "stochastic-rack", Set: experiment.Settings{"faults": settingValue(fault.Plan{
 			Seed:     seed,
 			Topology: topo,
 			StochasticDomains: &fault.StochasticDomains{
 				Kind: topology.DomainRack, RatePerHour: 0.005, RepairAfterMin: 180,
 			},
 		})}},
-		{Name: "byzantine", Set: experiment.Settings{"faults": faultSetting(fault.Plan{
+		{Name: "byzantine", Set: experiment.Settings{"faults": settingValue(fault.Plan{
 			Seed:      seed,
 			Byzantine: byz,
 		})}},
-		{Name: "rack-byzantine", Set: experiment.Settings{"faults": faultSetting(fault.Plan{
+		{Name: "rack-byzantine", Set: experiment.Settings{"faults": settingValue(fault.Plan{
 			Seed:      seed,
 			Topology:  topo,
 			Domains:   rackTrips,
@@ -384,14 +409,14 @@ func CorrelatedFaultStudySpec(servers int, gv float64, seed uint64) experiment.S
 // tuneGVSpec is the declarative form of the adaptive study's inner
 // tuning loop: the VMT-WA grid on one forecast day, on the smaller
 // tuning cluster.
-func tuneGVSpec(servers int, dayUtil, gvGrid []float64) experiment.Spec {
+func tuneGVSpec(servers int, day *trace.Trace, gvGrid []float64) experiment.Spec {
 	return experiment.Spec{
 		Name:        "tune-gv",
 		Description: "Day-ahead GV tuning on a forecast trace",
 		Base: experiment.Settings{
 			"servers":      servers,
 			"policy":       string(PolicyVMTWA),
-			"custom_trace": customTraceSetting(dayUtil, time.Minute),
+			"custom_trace": settingValue(day),
 		},
 		Axes:     []experiment.Axis{{Name: "gv", Values: floatsToAny(gvGrid)}},
 		Baseline: &experiment.Baseline{Set: baselineRR()},
@@ -409,7 +434,7 @@ func staticGVSpec(servers int, tr trace.Spec, gvGrid []float64) experiment.Spec 
 		Base: experiment.Settings{
 			"servers": servers,
 			"policy":  string(PolicyVMTWA),
-			"trace":   traceSetting(tr),
+			"trace":   settingValue(tr),
 		},
 		Axes:     []experiment.Axis{{Name: "gv", Values: floatsToAny(gvGrid)}},
 		Baseline: &experiment.Baseline{Set: baselineRR()},

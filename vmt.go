@@ -54,69 +54,90 @@ const (
 	PolicyVMTPreserve Policy = "vmt-preserve"
 )
 
-// Config describes one cluster simulation run.
+// UnmarshalText decodes a policy name, accepting the rr/cf shorthands
+// the CLI tables use. Other unknown names decode as they are and fail
+// Validate.
+func (p *Policy) UnmarshalText(b []byte) error {
+	switch s := Policy(b); s {
+	case "rr":
+		*p = PolicyRoundRobin
+	case "cf":
+		*p = PolicyCoolestFirst
+	default:
+		*p = s
+	}
+	return nil
+}
+
+// Config describes one cluster simulation run. Its JSON form is the
+// run's identity: the run cache keys on it and spec settings decode
+// onto it, so every field is part of both unless tagged `json:"-"` —
+// reserved for the observers and PhysicsWorkers, which never change a
+// Result.
 type Config struct {
 	// Servers is the cluster size (the paper uses 1,000 for scale-out
 	// results and 100 for parameter sweeps).
-	Servers int
+	Servers int `json:"servers"`
 	// Policy selects the scheduler.
-	Policy Policy
+	Policy Policy `json:"policy"`
 	// GV is the grouping value for the VMT policies (Equation 1);
 	// ignored by the baselines.
-	GV float64
+	GV float64 `json:"gv"`
 	// WaxThreshold is VMT-WA's "fully melted" cutoff on the reported
 	// melt fraction; unset selects the paper's 0.98.
-	WaxThreshold Optional[float64]
+	WaxThreshold Optional[float64] `json:"wax_threshold"`
 	// OracleWaxState lets VMT-WA read ground-truth melt state instead
 	// of the per-server estimator (ablation only).
-	OracleWaxState bool
+	OracleWaxState bool `json:"oracle_wax_state"`
 	// MigrationBudgetFrac caps VMT-WA's per-tick migrations as a
 	// fraction of cluster cores; zero selects the default 0.25
 	// (ablation knob).
-	MigrationBudgetFrac float64
+	MigrationBudgetFrac float64 `json:"migration_budget_frac"`
 	// GVSchedule retunes the grouping value at the given times (VMT
 	// policies only) — the day-ahead adaptive operation of Section
 	// V-C. Entries must have strictly increasing times.
-	GVSchedule []GVChange
+	GVSchedule []GVChange `json:"gv_schedule"`
 	// PreserveUntil and SacrificeFrac configure PolicyVMTPreserve:
 	// until PreserveUntil, hot load concentrates on SacrificeFrac of
 	// the hot group so the rest keeps its wax solid for the later
 	// peak. Unset values select hour 30 (after day one's peak) and 0.4.
-	PreserveUntil time.Duration
-	SacrificeFrac Optional[float64]
+	PreserveUntil time.Duration     `json:"preserve_until_ns"`
+	SacrificeFrac Optional[float64] `json:"sacrifice_frac"`
 	// Server, Material: hardware and PCM; unset values select the
-	// calibrated paper server and commercial 35.7 °C paraffin.
-	Server   Optional[thermal.ServerSpec]
-	Material Optional[pcm.Material]
+	// calibrated paper server and commercial 35.7 °C paraffin. The
+	// material's key is "pcm": spec settings use "material" to pick
+	// one by name.
+	Server   Optional[thermal.ServerSpec] `json:"server"`
+	Material Optional[pcm.Material]       `json:"pcm"`
 	// InletTempC is the mean inlet temperature (unset → 22 °C) and
 	// InletStdevC the per-server variation for Figures 19–20.
-	InletTempC  Optional[float64]
-	InletStdevC float64
+	InletTempC  Optional[float64] `json:"inlet_c"`
+	InletStdevC float64           `json:"inlet_stdev_c"`
 	// Seed drives every stochastic element (inlet draw; trace noise
 	// adds its own seed from the trace spec).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Trace is the load trace spec; zero value selects the paper's
 	// two-day trace.
-	Trace trace.Spec
+	Trace trace.Spec `json:"trace"`
 	// CustomTrace overrides Trace with an externally supplied series
 	// (see trace.FromReader) — the hook for production traces.
-	CustomTrace *trace.Trace
+	CustomTrace *trace.Trace `json:"custom_trace"`
 	// Source, when non-nil, replaces the finite trace with a seeded
 	// open-loop arrival generator (workload.SourceSpec: poisson,
 	// bursty, flashcrowd). Generators are open-ended, so pair with
 	// Horizon for batch runs; without one, only a stepped Session can
 	// drive the run. Mutually exclusive with CustomTrace.
-	Source *workload.SourceSpec
+	Source *workload.SourceSpec `json:"source"`
 	// Horizon bounds the simulated duration. Zero selects the job
 	// source's natural length: the trace duration for trace-driven
 	// runs, open-ended for generator-driven ones.
-	Horizon time.Duration
+	Horizon time.Duration `json:"horizon_ns"`
 	// Mix is the workload mix; nil selects the five-workload paper
 	// mix (≈60% hot).
-	Mix *workload.Mix
+	Mix *workload.Mix `json:"mix"`
 	// Step is the scheduling/model period (zero → one minute, the
 	// paper's wax-model update interval).
-	Step time.Duration
+	Step time.Duration `json:"step_ns"`
 	// PhysicsWorkers bounds the goroutines advancing per-server
 	// physics inside each tick. Results are bit-identical for every
 	// value (the per-server updates are independent and the
@@ -124,39 +145,39 @@ type Config struct {
 	// only trades goroutines for wall time. Zero picks automatically:
 	// parallel for large clusters in a solo Run, serial inside RunMany
 	// (whose workers already saturate the cores). Negative is invalid.
-	PhysicsWorkers int
+	PhysicsWorkers int `json:"-"`
 	// RecordGrids retains per-server, per-sample air temperature and
 	// melt fraction (the heat-map figures). Costs O(servers×samples)
 	// memory, so it defaults off.
-	RecordGrids bool
+	RecordGrids bool `json:"record_grids"`
 	// JobStream switches task-like workloads (video, scanning,
 	// clustering) from fluid reconciliation to discrete Poisson
 	// arrivals with sampled durations — the query-level load model.
 	// Arrivals that find no free core are dropped and counted in the
 	// result. TaskDurations overrides the per-workload mean durations
 	// (nil selects sched.DefaultTaskDurations).
-	JobStream     bool
-	TaskDurations map[string]time.Duration
+	JobStream     bool                     `json:"job_stream"`
+	TaskDurations map[string]time.Duration `json:"task_durations_ns"`
 	// Faults, when non-nil, injects deterministic failures: server
 	// crashes/repairs (scheduled or stochastic) and melt-estimator
 	// sensor faults. Part of the run's identity — the same seed and
 	// plan reproduce the same Result bit for bit — so it participates
 	// in the run-cache key. Nil injects nothing and leaves the hot
 	// path untouched.
-	Faults *fault.Plan
+	Faults *fault.Plan `json:"faults"`
 	// Metrics, when non-nil, receives run instrumentation: engine
 	// dispatch counts and per-band wall time, scheduler placements and
 	// hot-group resizes, the fleet melt-fraction histogram, and
 	// time-above-PMT. Telemetry is strictly observational — results
 	// are bit-identical with or without it. Safe to share one registry
 	// across RunMany workers.
-	Metrics *telemetry.Registry
+	Metrics *telemetry.Registry `json:"-"`
 	// Tracer, when non-nil, receives one span event per simulation
 	// phase per tick (physics, schedule, sample) with wall-clock
 	// timings and key gauges; export via telemetry.Recorder as JSONL
 	// or Chrome trace_event JSON. Nil disables tracing at (near) zero
 	// cost.
-	Tracer telemetry.Tracer
+	Tracer telemetry.Tracer `json:"-"`
 	// Stream, when non-nil, receives windowed time-series telemetry:
 	// each sample tick feeds cooling_load_w, total_power_w,
 	// mean_air_temp_c, mean_melt_frac, max_cpu_temp_c (and
@@ -166,21 +187,21 @@ type Config struct {
 	// the moment it closes — telemetry that is on disk while the run is
 	// still going, with O(windows) memory regardless of run length.
 	// Strictly observational, like Metrics and Tracer.
-	Stream *telemetry.Stream
+	Stream *telemetry.Stream `json:"-"`
 	// Fleet, when non-nil, receives one immutable FleetSnapshot per
 	// sample tick: per-server air temperature, melt fraction, placement
 	// group, and crash state. The publisher's atomic live view backs
 	// the cliobs /fleet endpoint (scrape-safe mid-run); its optional
 	// sink writes the NDJSON fleet log vmtdiff replays to find the
 	// first divergent tick between two runs. Strictly observational.
-	Fleet *telemetry.FleetPublisher
+	Fleet *telemetry.FleetPublisher `json:"-"`
 	// ProfileBands, when true and Metrics is set, profiles each engine
 	// band (physics, fault, schedule, sample): wall time and heap
 	// allocation deltas land on band_wall_ns_*/band_alloc_bytes_*/
 	// band_spans_* counters, with the profiler's own cost separated
 	// into profiler_self_ns, and allocation deltas attach to trace
 	// spans (Chrome trace counter tracks). Strictly observational.
-	ProfileBands bool
+	ProfileBands bool `json:"-"`
 }
 
 // Scenario returns a ready-to-run paper configuration for the given
