@@ -42,7 +42,7 @@ func goldenCompare[T any](t *testing.T, name string, got T, equal func(a, b T) s
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden fixture %s (run `go test -run TestGolden -update .` to create it): %v", path, err)
+		t.Fatalf("missing golden fixture %s (run `go test -run '^%s$' -update .` to create it): %v", path, t.Name(), err)
 	}
 	var want T
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -50,7 +50,7 @@ func goldenCompare[T any](t *testing.T, name string, got T, equal func(a, b T) s
 	}
 	if diff := equal(got, want); diff != "" {
 		t.Errorf("%s drifted from golden fixture:\n%s\n"+
-			"If this change is intended, regenerate with `go test -run TestGolden -update .` and commit the diff.", name, diff)
+			"If this change is intended, regenerate with `go test -run '^%s$' -update .` and commit the diff.", name, diff, t.Name())
 	}
 }
 

@@ -157,6 +157,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		servers[i] = s
 	}
+	reg.servers = servers
 	n := cfg.NumServers
 	workers := resolveWorkers(cfg)
 	return &Cluster{
@@ -219,6 +220,9 @@ func (c *Cluster) MarkFailed(i int) {
 	if !s.failed {
 		s.failed = true
 		c.failedCount++
+		if x := c.reg.place; x != nil {
+			x.capacityChanged(i)
+		}
 	}
 }
 
@@ -228,7 +232,23 @@ func (c *Cluster) MarkRepaired(i int) {
 	if s.failed {
 		s.failed = false
 		c.failedCount--
+		if x := c.reg.place; x != nil {
+			x.capacityChanged(i)
+		}
 	}
+}
+
+// PlacementIndex returns the cluster's placement index, building it
+// over the current state on the first call when the cluster has at
+// least indexCrossover servers of at most maxIndexedCores cores. Other
+// clusters get nil and their schedulers scan: below the crossover a
+// scan is cheaper than keeping the index current on every Place and
+// Remove.
+func (c *Cluster) PlacementIndex() *PlacementIndex {
+	if c.reg.place == nil && len(c.servers) >= indexCrossover && c.cfg.Server.Cores() <= maxIndexedCores {
+		c.reg.place = newPlacementIndex(c.reg, c.servers)
+	}
+	return c.reg.place
 }
 
 // FailedServers returns how many servers are currently crashed.

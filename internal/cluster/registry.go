@@ -26,6 +26,16 @@ type registry struct {
 	// after warmup (the workload set is fixed per run).
 	byName []int
 
+	// servers' job counts share one slab: server id's counts slice is
+	// the row [id*stride, (id+1)*stride) of it, stride = len(list), so
+	// JobsAt stays one slice read. One slab instead of a slice per
+	// server is what pays for the placement index's trees. Interning a
+	// workload re-lays the slab at the new stride.
+	servers []*Server
+	// place is the placement index, nil unless Cluster.PlacementIndex
+	// built one; intern gives it trees for each new workload.
+	place *PlacementIndex
+
 	memoW   workload.Workload
 	memoI   int
 	hasMemo bool
@@ -49,9 +59,25 @@ func (r *registry) intern(w workload.Workload) int {
 		sort.Slice(r.byName, func(a, b int) bool {
 			return r.list[r.byName[a]].Name < r.list[r.byName[b]].Name
 		})
+		r.relayout()
+		if r.place != nil {
+			r.place.addWorkload()
+		}
 	}
 	r.memoW, r.memoI, r.hasMemo = w, i, true
 	return i
+}
+
+// relayout widens the job-count slab to one column per interned
+// workload, keeping every server's counts and re-pointing its row.
+func (r *registry) relayout() {
+	stride := len(r.list)
+	slab := make([]int32, len(r.servers)*stride)
+	for id, s := range r.servers {
+		row := slab[id*stride : (id+1)*stride : (id+1)*stride]
+		copy(row, s.counts)
+		s.counts = row
+	}
 }
 
 // lookup returns the index without assigning.

@@ -35,9 +35,10 @@ type Server struct {
 	cores int
 
 	// reg is the cluster-wide workload interner; counts[i] is the job
-	// count for the workload with registry index i.
+	// count for the workload with registry index i, a row of the
+	// registry's job-count slab.
 	reg       *registry
-	counts    []int
+	counts    []int32
 	busyCores int
 	// dynamicPowerW tracks the summed per-core power of placed jobs
 	// incrementally. Summing counts on demand would be slow in the
@@ -148,7 +149,7 @@ func (s *Server) JobsAt(i int) int {
 	if i < 0 || i >= len(s.counts) {
 		return 0
 	}
-	return s.counts[i]
+	return int(s.counts[i])
 }
 
 // Workloads returns the workloads currently running on the server,
@@ -177,7 +178,7 @@ func (s *Server) LargestJob(class workload.Class) (workload.Workload, bool) {
 		if i >= len(s.counts) {
 			continue
 		}
-		n := s.counts[i]
+		n := int(s.counts[i])
 		if n == 0 {
 			continue
 		}
@@ -203,12 +204,12 @@ func (s *Server) Place(w workload.Workload) error {
 		return fmt.Errorf("cluster: server %d full", s.id)
 	}
 	i := s.reg.intern(w)
-	for len(s.counts) <= i {
-		s.counts = append(s.counts, 0)
-	}
 	s.counts[i]++
 	s.busyCores++
 	s.dynamicPowerW += w.PerCorePowerW() * s.spec.PowerScale
+	if x := s.reg.place; x != nil {
+		x.jobsChanged(i, s.id)
+	}
 	return nil
 }
 
@@ -223,6 +224,9 @@ func (s *Server) Remove(w workload.Workload) error {
 	s.dynamicPowerW -= w.PerCorePowerW() * s.spec.PowerScale
 	if s.busyCores == 0 {
 		s.dynamicPowerW = 0 // shed any accumulated rounding residue
+	}
+	if x := s.reg.place; x != nil {
+		x.jobsChanged(i, s.id)
 	}
 	return nil
 }

@@ -51,6 +51,27 @@ type groups struct {
 	// and that systematic bias (≈0.5 °C) smears per-server melt state
 	// far more than the paper's uniform groups.
 	cursor int
+	// idx answers the unfiltered scans when the cluster is large enough
+	// to have a placement index; nil means every scan is linear.
+	idx placementIndex
+}
+
+// placementIndex is the part of *cluster.PlacementIndex that groups
+// calls; the differential test substitutes a wrapper that checks every
+// answer against the linear scan.
+type placementIndex interface {
+	LeastBusy(w, lo, hi, from int) *cluster.Server
+	MostBusyWith(w, lo, hi, from int) *cluster.Server
+}
+
+// newGroups returns groups over c with the given hot-group size, using
+// the cluster's placement index when it has one.
+func newGroups(c *cluster.Cluster, hotSize int) groups {
+	g := groups{c: c, hotSize: hotSize}
+	if x := c.PlacementIndex(); x != nil {
+		g.idx = x
+	}
+	return g
 }
 
 func (g *groups) isHot(s *cluster.Server) bool { return s.ID() < g.hotSize }
@@ -88,13 +109,10 @@ func (g *groups) sizeForAlive(target int) int {
 // servers [lo,hi) that satisfy keep (nil = all): fewest jobs of w
 // first (even per-workload spread keeps server thermal compositions
 // uniform within a group), then fewest busy cores, with ties rotating.
-// Returns nil if none qualify.
-//
-// The rotating scan is written as a direct loop: placement scans run
-// hundreds of times per tick, and routing each visit through a
-// closure (capturing the comparison state) was a measurable share of
-// whole-run CPU. Each scan over a non-empty range advances the cursor
-// by exactly one.
+// Returns nil if none qualify. Each call over a non-empty range
+// advances the cursor by exactly one; unfiltered calls go to the
+// placement index when there is one, which returns what the scan
+// would.
 //
 //vmt:hotpath
 func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
@@ -104,21 +122,56 @@ func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.S
 		return nil
 	}
 	g.cursor++
-	start := g.cursor % n
-	servers := g.c.Servers()
+	from := lo + g.cursor%n
+	if keep == nil && g.idx != nil {
+		return g.idx.LeastBusy(wi, lo, hi, from)
+	}
+	return scanLeastBusy(g.c.Servers(), lo, hi, from, wi, keep)
+}
+
+// mostBusyWith returns the server in [lo,hi) running w with the most
+// jobs of w (ties rotating), optionally filtered by keep. Cursor and
+// index as for leastBusy.
+//
+//vmt:hotpath
+func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
+	wi := g.c.WorkloadIndex(w)
+	n := hi - lo
+	if n <= 0 {
+		return nil
+	}
+	g.cursor++
+	from := lo + g.cursor%n
+	if keep == nil && g.idx != nil {
+		return g.idx.MostBusyWith(wi, lo, hi, from)
+	}
+	return scanMostBusyWith(g.c.Servers(), lo, hi, from, wi, keep)
+}
+
+// scanLeastBusy is leastBusy's linear scan of servers[lo:hi], visiting
+// from first and wrapping to lo (lo ≤ from < hi), for workload index
+// wi. It serves keep-filtered calls and clusters without an index, and
+// is the reference the placement index is tested against.
+//
+// The rotating scan is written as a direct loop: placement scans run
+// hundreds of times per tick, and routing each visit through a
+// closure (capturing the comparison state) was a measurable share of
+// whole-run CPU.
+//
+//vmt:hotpath
+func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, keep func(*cluster.Server) bool) *cluster.Server {
 	var best *cluster.Server
 	bestJobs := 0
-	// Walk [start, n) then [0, start) with a wrapping index instead of
+	// Walk [from, hi) then [lo, from) with a wrapping index instead of
 	// a per-visit modulo — same visit order, two integer ops cheaper on
 	// a loop that runs for every placement decision. The common nil
-	// filter (every VMT-TA call) gets its own loop without the
-	// per-visit keep check.
-	idx := lo + start
+	// filter gets its own loop without the per-visit keep check.
+	idx := from
 	if keep == nil {
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			s := servers[idx]
 			idx++
-			if idx == lo+n {
+			if idx == hi {
 				idx = lo
 			}
 			if s.FreeCores() == 0 {
@@ -132,10 +185,10 @@ func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.S
 		}
 		return best
 	}
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		s := servers[idx]
 		idx++
-		if idx == lo+n {
+		if idx == hi {
 			idx = lo
 		}
 		if s.FreeCores() == 0 {
@@ -153,28 +206,19 @@ func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.S
 	return best
 }
 
-// mostBusyWith returns the server in [lo,hi) running w with the most
-// jobs of w (ties rotating), optionally filtered by keep. Direct loop
-// for the same reason as leastBusy.
+// scanMostBusyWith is mostBusyWith's linear scan, in scanLeastBusy's
+// visit order.
 //
 //vmt:hotpath
-func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
-	wi := g.c.WorkloadIndex(w)
-	n := hi - lo
-	if n <= 0 {
-		return nil
-	}
-	g.cursor++
-	start := g.cursor % n
-	servers := g.c.Servers()
+func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, keep func(*cluster.Server) bool) *cluster.Server {
 	var best *cluster.Server
 	bestJobs := 0
-	idx := lo + start
+	idx := from
 	if keep == nil {
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			s := servers[idx]
 			idx++
-			if idx == lo+n {
+			if idx == hi {
 				idx = lo
 			}
 			j := s.JobsAt(wi)
@@ -187,10 +231,10 @@ func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep func(*cluste
 		}
 		return best
 	}
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		s := servers[idx]
 		idx++
-		if idx == lo+n {
+		if idx == hi {
 			idx = lo
 		}
 		j := s.JobsAt(wi)

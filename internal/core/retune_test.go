@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vmt/internal/telemetry"
 	"vmt/internal/workload"
 )
 
@@ -57,6 +58,42 @@ func TestRetuningAppliesInOrder(t *testing.T) {
 	}
 	if rt.HotGroupSize() != 8 {
 		t.Fatalf("wrapper HotGroupSize = %d", rt.HotGroupSize())
+	}
+}
+
+// A retune with a server down resizes the hot group once, straight to
+// Equation 1 over the survivors, as a fault-free retune does: SetGV
+// sizes the group the way the Tick after it does.
+func TestRetuningResizesOnceWithServerDown(t *testing.T) {
+	for _, down := range []bool{false, true} {
+		c := newCluster(t, 100)
+		reg := telemetry.NewRegistry()
+		ta, err := NewThermalAware(c, Config{GV: 22, Metrics: reg}) // hot = 62
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRetuning(ta, []GVChange{{At: time.Hour, GV: 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if down {
+			c.MarkFailed(0)
+		}
+		rt.Tick(0)
+		if ta.HotGroupSize() != 62 {
+			t.Fatalf("down=%v: hot group %d before the retune, want 62", down, ta.HotGroupSize())
+		}
+		resizes := reg.Counter("sched_hot_group_resizes")
+		before := resizes.Value()
+		rt.Tick(time.Hour)
+		// Fault-free, 20/35.7×100 ≈ 56.0; with server 0 down, 20/35.7×99
+		// ≈ 55.5 rounds to 55 working servers, a 56-server prefix.
+		if ta.HotGroupSize() != 56 {
+			t.Fatalf("down=%v: hot group %d after the retune, want 56", down, ta.HotGroupSize())
+		}
+		if got := resizes.Value() - before; got != 1 {
+			t.Fatalf("down=%v: the retune counted %d hot-group resizes, want 1", down, got)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ type ThermalAware struct {
 	// actual prefix (g.hotSize) stretches past crashed IDs so the
 	// policy keeps target working hot servers under fault injection.
 	target int
-	// resizes counts SetGV-driven hot-group size changes (nil-safe).
+	// resizes counts hot-group size changes (nil-safe).
 	resizes *telemetry.Counter
 }
 
@@ -37,7 +37,7 @@ func NewThermalAware(c *cluster.Cluster, cfg Config) (*ThermalAware, error) {
 	pmt := c.Config().Material.MeltTempC
 	hot := HotGroupSize(cfg.GV, pmt, c.Len())
 	return &ThermalAware{
-		g:       groups{c: c, hotSize: hot},
+		g:       newGroups(c, hot),
 		cfg:     cfg,
 		pmtC:    pmt,
 		target:  hot,
@@ -50,10 +50,7 @@ func NewThermalAware(c *cluster.Cluster, cfg Config) (*ThermalAware, error) {
 func (t *ThermalAware) SetGV(gv float64) {
 	t.cfg.GV = gv
 	t.target = HotGroupSize(gv, t.pmtC, t.g.c.Len())
-	if size := t.g.sizeForAlive(t.target); size != t.g.hotSize {
-		t.g.hotSize = size
-		t.resizes.Inc()
-	}
+	t.resize()
 }
 
 // Name implements sched.Scheduler.
@@ -72,7 +69,11 @@ func (t *ThermalAware) IsHot(s *cluster.Server) bool { return t.g.isHot(s) }
 // re-stretches the hot-group prefix over crashed servers so the
 // policy keeps that count of working hot machines. Fault-free this is
 // the identity.
-func (t *ThermalAware) Tick(time.Duration) {
+func (t *ThermalAware) Tick(time.Duration) { t.resize() }
+
+// resize sets the hot group to target working servers, re-evaluating
+// Equation 1 over the survivors when servers are down.
+func (t *ThermalAware) resize() {
 	target := t.target
 	if failed := t.g.c.FailedServers(); failed > 0 {
 		target = HotGroupSize(t.cfg.GV, t.pmtC, t.g.c.Len()-failed)

@@ -74,7 +74,7 @@ func NewWaxAware(c *cluster.Cluster, cfg Config) (*WaxAware, error) {
 	pmt := c.Config().Material.MeltTempC
 	base := HotGroupSize(cfg.GV, pmt, c.Len())
 	return &WaxAware{
-		g:          groups{c: c, hotSize: base},
+		g:          newGroups(c, base),
 		cfg:        cfg,
 		baseHot:    base,
 		effBase:    base,

@@ -33,6 +33,8 @@ func TestSpecValidate(t *testing.T) {
 		func(s *ServerSpec) { s.AirTimeConstant = 0 },
 		func(s *ServerSpec) { s.WaxVolumeL = 0 },
 		func(s *ServerSpec) { s.SubStep = 0 },
+		func(s *ServerSpec) { s.CPUs, s.CoresPerCPU = 2, 1<<30 },     // 2^31 cores
+		func(s *ServerSpec) { s.CPUs, s.CoresPerCPU = 1<<16, 1<<16 }, // 2^32 cores
 	}
 	for i, mutate := range cases {
 		s := PaperServer()

@@ -21,6 +21,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vmt/internal/workload"
@@ -99,6 +100,9 @@ func (s ServerSpec) Validate() error {
 	switch {
 	case s.CPUs <= 0 || s.CoresPerCPU <= 0:
 		return fmt.Errorf("thermal: need positive socket/core counts")
+	case s.CoresPerCPU > math.MaxInt32/s.CPUs:
+		// Server job counts are int32.
+		return fmt.Errorf("thermal: %d×%d cores exceeds %d", s.CPUs, s.CoresPerCPU, math.MaxInt32)
 	case s.IdlePowerW < 0 || s.PeakPowerW <= s.IdlePowerW:
 		return fmt.Errorf("thermal: need 0 <= idle < peak power, got %v/%v",
 			s.IdlePowerW, s.PeakPowerW)

@@ -34,6 +34,13 @@ go test -short -count=1 \
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
 go test -count=1 -run 'TestFleetOracle|TestFleetVecKernel' ./internal/thermal/
 
+echo "== placement index vs linear scan (same server at every decision)"
+# Every unfiltered VMT placement and eviction query is answered by the
+# placement index and by the linear scan from the same rotation start,
+# under seeded churn, crashes, retunes and migrations; every tree node
+# must match a rebuild.
+go test -count=1 -run 'TestPlacementIndex' ./internal/cluster/ ./internal/core/
+
 echo "== spec round-trip (encode -> decode -> execute, cache-key sensitivity, spec drift)"
 # Settings decode onto Config and the cache key hashes it: every keyed
 # field must move the key, the settings fuzz corpus must stay a

@@ -1,6 +1,7 @@
 package vmt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -544,7 +545,11 @@ func TestGVMappingFusionValidation(t *testing.T) {
 }
 
 // The headline at the paper's scale: 1,000 servers, two-day trace,
-// GV=22, both policies within a point of the published 12.8%.
+// GV=22, both policies within a point of the published 12.8%. The
+// three runs are also pinned bit for bit by their resultFingerprint:
+// the other golden fixtures run 8 servers, below the cluster size at
+// which placement switches from linear scans to the placement index,
+// so this is the tier-1 check that the index makes the same decisions.
 func TestHeadline1000Servers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three 1,000-server two-day runs")
@@ -553,6 +558,7 @@ func TestHeadline1000Servers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fingerprints := map[Policy]string{PolicyRoundRobin: fmt.Sprintf("%016x", resultFingerprint(baseline))}
 	budget := baseline.PeakCoolingW()
 	peakMelt, _, _ := baseline.MeanMeltFrac.Peak()
 	if peakMelt > 0.01 {
@@ -570,7 +576,19 @@ func TestHeadline1000Servers(t *testing.T) {
 		if res.ThrottleMinutes != 0 {
 			t.Errorf("%s throttled for %d minutes at scale", policy, res.ThrottleMinutes)
 		}
+		fingerprints[policy] = fmt.Sprintf("%016x", resultFingerprint(res))
 	}
+	goldenCompare(t, "headline_1000_fingerprints.json", fingerprints, func(got, want map[Policy]string) string {
+		if len(got) != len(want) {
+			return fmt.Sprintf("policies: %d, want %d", len(got), len(want))
+		}
+		for _, p := range []Policy{PolicyRoundRobin, PolicyVMTTA, PolicyVMTWA} {
+			if got[p] != want[p] {
+				return fmt.Sprintf("%s: fingerprint %s, want %s", p, got[p], want[p])
+			}
+		}
+		return ""
+	})
 }
 
 // The purchasing decision: reduction collapses as the wax melting
