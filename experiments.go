@@ -461,7 +461,7 @@ type FaultStudyRow struct {
 	// ReductionPct is the peak cooling reduction against a round-robin
 	// baseline experiencing the same injected fault plan.
 	ReductionPct float64
-	// DropPct is the share of task arrivals dropped — the QoS
+	// DropPct is Result.TaskDrops per 100 task arrivals — the QoS
 	// degradation the paper warns undersized groups cause, here
 	// aggravated by evacuations racing a shrunken fleet.
 	DropPct       float64
@@ -521,7 +521,7 @@ type CorrelatedFaultRow struct {
 	// ReductionPct is the peak cooling reduction against a round-robin
 	// baseline suffering the identical fault plan.
 	ReductionPct float64
-	// DropPct is the share of task arrivals dropped.
+	// DropPct is Result.TaskDrops per 100 task arrivals.
 	DropPct            float64
 	Crashes            uint64
 	DomainTrips        uint64

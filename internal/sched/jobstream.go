@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -28,23 +27,24 @@ import (
 // mistakes observable.
 type StreamManager struct {
 	c     *cluster.Cluster
-	mix   *workload.Mix
 	src   workload.JobSource
 	sched Scheduler
 	rng   *stats.RNG
 
-	// durations maps task-like workload names to mean task durations;
-	// workloads absent from the map are treated as fluid services.
-	durations map[string]time.Duration
-
-	fluidCounts map[workload.Workload]int
-	taskCounts  map[workload.Workload]int
+	// entries caches the mix decomposition (name order), and means[k]
+	// is entry k's mean task duration, 0 for a fluid service. The
+	// per-entry ledgers below are indexed like entries, so the per-task
+	// path neither rebuilds the entry list nor hashes Workload structs.
+	entries     []workload.MixEntry
+	means       []time.Duration
+	fluidCounts []int
+	// lostCredits[k] counts tasks of entry k dropped during an
+	// evacuation whose completion entries are still in the heap. Task
+	// jobs are fungible, so when a completion eventually fires with no
+	// job of the workload left anywhere, a credit absorbs it instead
+	// of erroring.
+	lostCredits []int
 	completions completionHeap
-	// lostCredits[w] counts tasks of w dropped during an evacuation
-	// whose completion entries are still in the heap. Task jobs are
-	// fungible, so when a completion eventually fires with no job of w
-	// left anywhere, a credit absorbs it instead of erroring.
-	lostCredits map[workload.Workload]int
 	dropped     uint64
 	arrived     uint64
 	lastNow     time.Duration
@@ -82,7 +82,9 @@ func DefaultTaskDurations() map[string]time.Duration {
 	}
 }
 
-// NewStreamManager builds a query-level load manager. seed drives the
+// NewStreamManager builds a query-level load manager. durations maps
+// task-like workload names to mean task durations; mix workloads
+// absent from it are treated as fluid services. seed drives the
 // arrival and duration draws; identical seeds reproduce identical
 // streams.
 func NewStreamManager(c *cluster.Cluster, mix *workload.Mix, src workload.JobSource,
@@ -95,44 +97,97 @@ func NewStreamManager(c *cluster.Cluster, mix *workload.Mix, src workload.JobSou
 			return nil, fmt.Errorf("sched: task duration for %s must be positive", name)
 		}
 	}
+	if c.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("sched: stream manager supports at most %d servers, got %d", math.MaxInt32, c.Len())
+	}
+	entries := mix.Entries()
+	means := make([]time.Duration, len(entries))
+	for k, e := range entries {
+		means[k] = durations[e.Workload.Name]
+	}
 	return &StreamManager{
 		c:           c,
-		mix:         mix,
 		src:         src,
 		sched:       s,
 		rng:         stats.NewRNG(seed ^ 0x9e3779b97f4a7c15),
-		durations:   durations,
-		fluidCounts: make(map[workload.Workload]int),
-		taskCounts:  make(map[workload.Workload]int),
-		lostCredits: make(map[workload.Workload]int),
+		entries:     entries,
+		means:       means,
+		fluidCounts: make([]int, len(entries)),
+		lostCredits: make([]int, len(entries)),
 	}, nil
 }
 
-// Dropped returns how many task arrivals found no free core.
+// Dropped returns the number of drop events so far: one per task
+// arrival that found no free core, one per task an evacuation could
+// not re-place, and one per fluid resize that fell short of its
+// target (an event, however many cores the resize missed).
 func (m *StreamManager) Dropped() uint64 { return m.dropped }
 
 // Arrived returns the total task arrivals so far.
 func (m *StreamManager) Arrived() uint64 { return m.arrived }
 
-// completion is a scheduled task departure.
+// completion is a scheduled task departure of entry's workload from
+// server. It holds no pointers, so moving it within the heap costs no
+// GC write barriers.
 type completion struct {
 	at     time.Duration
-	server int
-	w      workload.Workload
+	server int32
+	entry  int32
 }
 
+// completionHeap is a binary min-heap of completions keyed on at.
+// push and pop make exactly the comparisons of container/heap's Push
+// and Pop (its up and down), and each of their moves does what one
+// container/heap swap does to the sifted element, so the array layout
+// after every operation is the one container/heap would produce.
+// Completions with equal at therefore pop in container/heap's order,
+// which matters: the order can decide which server a fallback
+// SelectRemoval takes a migrated task from.
 type completionHeap []completion
 
-func (h completionHeap) Len() int           { return len(h) }
-func (h completionHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h completionHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)        { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
+// push adds c, sifting it up from the end.
+func (h *completionHeap) push(c completion) {
+	q := append(*h, c)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(c.at < q[i].at) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = c
+	*h = q
+}
+
+// pop removes and returns the earliest completion: the last element
+// takes the root's place and sifts down, the lesser child winning and
+// the left one on ties. The heap must not be empty.
+//
+//vmt:hotpath
+func (h *completionHeap) pop() completion {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && q[j+1].at < q[j].at {
+			j++
+		}
+		if !(q[j].at < x.at) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	*h = q[:n]
+	return top
 }
 
 // Reconcile runs one scheduling period at time now: task departures
@@ -141,8 +196,7 @@ func (h *completionHeap) Pop() any {
 func (m *StreamManager) Reconcile(now time.Duration) error {
 	// 1. Complete tasks whose time has come.
 	for len(m.completions) > 0 && m.completions[0].at <= now {
-		c := heap.Pop(&m.completions).(completion)
-		if err := m.finishTask(c); err != nil {
+		if err := m.finishTask(m.completions.pop()); err != nil {
 			return err
 		}
 	}
@@ -150,12 +204,12 @@ func (m *StreamManager) Reconcile(now time.Duration) error {
 	m.sched.Tick(now)
 
 	// 2. Fluid services track the trace exactly (their share of cores).
-	for _, e := range m.mix.Entries() {
-		if m.isTask(e.Workload) {
+	for k, e := range m.entries {
+		if m.means[k] != 0 {
 			continue
 		}
 		target := int(math.Round(m.src.At(now) * e.Share * float64(m.c.TotalCores())))
-		if err := m.resizeFluid(e.Workload, target, now); err != nil {
+		if err := m.resizeFluid(k, target, now); err != nil {
 			return err
 		}
 	}
@@ -175,40 +229,36 @@ func (m *StreamManager) Reconcile(now time.Duration) error {
 	return nil
 }
 
-func (m *StreamManager) isTask(w workload.Workload) bool {
-	_, ok := m.durations[w.Name]
-	return ok
-}
-
 // finishTask removes a departing task, preferring the server it was
 // placed on; if the scheduler migrated it away (jobs of one workload
 // are fungible), any server running the workload serves.
 func (m *StreamManager) finishTask(c completion) error {
-	s := m.c.Server(c.server)
-	if s.Jobs(c.w) == 0 {
+	w := m.entries[c.entry].Workload
+	s := m.c.Server(int(c.server))
+	if s.Jobs(w) == 0 {
 		var err error
-		s, err = m.sched.SelectRemoval(c.w)
+		s, err = m.sched.SelectRemoval(w)
 		if err != nil {
-			if m.lostCredits[c.w] > 0 {
+			if m.lostCredits[c.entry] > 0 {
 				// The task this completion belonged to was dropped
 				// during an evacuation; its count was deducted then.
-				m.lostCredits[c.w]--
+				m.lostCredits[c.entry]--
 				return nil
 			}
-			return fmt.Errorf("sched: completing %s task: %w", c.w.Name, err)
+			return fmt.Errorf("sched: completing %s task: %w", w.Name, err)
 		}
 	}
-	if err := s.Remove(c.w); err != nil {
+	if err := s.Remove(w); err != nil {
 		return err
 	}
 	m.evictions.Inc()
-	m.taskCounts[c.w]--
 	return nil
 }
 
-// resizeFluid adjusts a service's footprint to target cores.
-func (m *StreamManager) resizeFluid(w workload.Workload, target int, now time.Duration) error {
-	cur := m.fluidCounts[w]
+// resizeFluid adjusts fluid entry k's footprint to target cores.
+func (m *StreamManager) resizeFluid(k, target int, now time.Duration) error {
+	w := m.entries[k].Workload
+	cur := m.fluidCounts[k]
 	for cur < target {
 		s, err := m.sched.Place(w)
 		if err != nil {
@@ -237,7 +287,7 @@ func (m *StreamManager) resizeFluid(w workload.Workload, target int, now time.Du
 		m.evictions.Inc()
 		cur--
 	}
-	m.fluidCounts[w] = cur
+	m.fluidCounts[k] = cur
 	return nil
 }
 
@@ -245,11 +295,11 @@ func (m *StreamManager) resizeFluid(w workload.Workload, target int, now time.Du
 // places them.
 func (m *StreamManager) arrivals(now, dt time.Duration) error {
 	u := m.src.At(now)
-	for _, e := range m.mix.Entries() {
-		if !m.isTask(e.Workload) {
+	for k, e := range m.entries {
+		mean := m.means[k]
+		if mean == 0 {
 			continue
 		}
-		mean := m.durations[e.Workload.Name]
 		// Little's law: to hold e.Share×u of the cores busy with tasks
 		// of mean duration D, arrivals must come at rate N·u·share/D.
 		targetBusy := u * e.Share * float64(m.c.TotalCores())
@@ -269,9 +319,8 @@ func (m *StreamManager) arrivals(now, dt time.Duration) error {
 				return err
 			}
 			m.placements.Inc()
-			m.taskCounts[e.Workload]++
 			d := m.expDuration(mean)
-			heap.Push(&m.completions, completion{at: now + d, server: s.ID(), w: e.Workload})
+			m.completions.push(completion{at: now + d, server: int32(s.ID()), entry: int32(k)})
 		}
 	}
 	return nil
@@ -291,9 +340,8 @@ func (m *StreamManager) poisson(lambda float64) int {
 // counted as drops and leave a completion credit behind so their
 // still-scheduled departures don't error.
 func (m *StreamManager) Evacuate(s *cluster.Server) (moved, lost int, err error) {
-	for _, e := range m.mix.Entries() {
+	for k, e := range m.entries {
 		w := e.Workload
-		task := m.isTask(w)
 		for s.Jobs(w) > 0 {
 			if rerr := s.Remove(w); rerr != nil {
 				return moved, lost, fmt.Errorf("sched: evacuating %s from server %d: %w", w.Name, s.ID(), rerr)
@@ -302,13 +350,12 @@ func (m *StreamManager) Evacuate(s *cluster.Server) (moved, lost int, err error)
 			if perr != nil {
 				lost++
 				m.shed.Inc()
-				if task {
-					m.taskCounts[w]--
-					m.lostCredits[w]++
+				if m.means[k] != 0 {
+					m.lostCredits[k]++
 					m.dropped++
 					m.taskDrops.Inc()
 				} else {
-					m.fluidCounts[w]--
+					m.fluidCounts[k]--
 				}
 				continue
 			}

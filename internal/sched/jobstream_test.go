@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"vmt/internal/stats"
 	"vmt/internal/trace"
 	"vmt/internal/workload"
 )
@@ -235,5 +237,114 @@ func TestStreamManagerFluidDeficit(t *testing.T) {
 	}
 	if lm.Dropped() == 0 {
 		t.Fatal("fluid deficit should be counted as drops")
+	}
+}
+
+// boxedHeap is completionHeap's reference: the same completions in a
+// container/heap queue, boxed into an any on every Push and Pop.
+type boxedHeap []completion
+
+func (h boxedHeap) Len() int           { return len(h) }
+func (h boxedHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h boxedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x any)        { *h = append(*h, x.(completion)) }
+func (h *boxedHeap) Pop() any {
+	old := *h
+	n := len(old)
+	c := old[n-1]
+	*h = old[:n-1]
+	return c
+}
+
+// The typed heap must pop (at, server, entry) in exactly container/heap's
+// order, ties included: tie order can decide which server a fallback
+// SelectRemoval takes a migrated task from, and the pinned benchmark
+// fingerprints do not catch a changed tie rule. Each seed draws at from a
+// different number of distinct values (1 to 4,096), so some runs are
+// almost all ties; server carries the push sequence number, so every
+// element is distinct and any reordering among equal keys shows. Both
+// arrays must also be identical after every operation.
+func TestCompletionQueueMatchesContainerHeap(t *testing.T) {
+	for seed := uint64(0); seed < 26; seed++ {
+		rng := stats.NewRNG(seed)
+		distinct := 1 << (seed % 13)
+		var got completionHeap
+		var want boxedHeap
+		pushes, pops := 0, 0
+		check := func(op string) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d after %s: len %d, container/heap %d", seed, op, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d after %s: slot %d = %+v, container/heap %+v", seed, op, i, got[i], want[i])
+				}
+			}
+		}
+		for op := 0; op < 6000; op++ {
+			// Grow for the first half, then drain: the queue passes
+			// through every size up to its peak and back to empty.
+			pushBias := 0.7
+			if op >= 3000 {
+				pushBias = 0.3
+			}
+			if len(got) == 0 || rng.Float64() < pushBias {
+				c := completion{
+					at:     time.Duration(rng.Intn(distinct)) * time.Second,
+					server: int32(pushes),
+					entry:  int32(rng.Intn(5)),
+				}
+				pushes++
+				got.push(c)
+				heap.Push(&want, c)
+				check("push")
+				continue
+			}
+			pops++
+			g, w := got.pop(), heap.Pop(&want).(completion)
+			if g != w {
+				t.Fatalf("seed %d pop %d = %+v, container/heap %+v", seed, pops, g, w)
+			}
+			check("pop")
+		}
+		for len(want) > 0 {
+			pops++
+			g, w := got.pop(), heap.Pop(&want).(completion)
+			if g != w {
+				t.Fatalf("seed %d drain pop %d = %+v, container/heap %+v", seed, pops, g, w)
+			}
+		}
+		if len(got) != 0 {
+			t.Fatalf("seed %d: %d completions left after the oracle drained", seed, len(got))
+		}
+	}
+}
+
+// One steady-state scheduling period, Reconcile plus the physics Step
+// it feeds, allocates nothing: arrivals and departures move through the
+// pointer-free completion heap and the entry-indexed ledgers.
+func TestStreamManagerSteadyStateAllocs(t *testing.T) {
+	c := newCluster(t, 20)
+	lm, err := NewStreamManager(c, workload.PaperMix(), flatTrace(t, 0.6, 4),
+		NewRoundRobin(c), DefaultTaskDurations(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now time.Duration
+	period := func() {
+		if err := lm.Reconcile(now); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Step(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		now += time.Minute
+	}
+	for now < 2*time.Hour {
+		period()
+	}
+	if got := testing.AllocsPerRun(100, period); got != 0 {
+		t.Fatalf("Reconcile+Step allocates %v times per period, want 0", got)
 	}
 }

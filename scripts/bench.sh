@@ -6,30 +6,31 @@
 # Usage: scripts/bench.sh [count] [out.json]
 #
 #   count     repetitions per benchmark (go test -count; default 5)
-#   out.json  output path (default BENCH_PR13.json in the repo root)
+#   out.json  output path (default BENCH_PR15.json in the repo root)
 #
 # Medians over several -count repetitions are the comparison currency:
 # single runs on shared machines swing tens of percent. Compare the
-# committed BENCH_PR13.json against a fresh run on the same host, not
+# committed BENCH_PR15.json against a fresh run on the same host, not
 # across hosts. The BenchmarkSessionStep median vs BenchmarkRun is the
 # session-seam overhead bound (acceptance: ≤5%). Every benchmark runs
 # with -benchmem; custom metrics (BenchmarkRunScale's per-band wall
 # shares, <band>-%) are recorded as medians under "metrics".
 #
-# A/B baseline: unless BENCH_NO_BASE=1, BenchmarkRunScale and the
-# physics microbenchmarks also run in an extracted copy of $BASE
-# (default: HEAD) and land in the same JSON under BenchmarkBase* names,
-# so a working-tree change can be compared against the commit it
-# started from on the same host in the same sitting. The scaling rows
-# alternate between the two trees round by round, so host drift lands
-# on both sides alike. A base that predates bench_scale_test.go gets
-# the working tree's copy, which uses only the exported API.
+# A/B baseline: unless BENCH_NO_BASE=1, BenchmarkRunScale,
+# BenchmarkJobStream and the physics microbenchmarks also run in an
+# extracted copy of $BASE (default: HEAD) and land in the same JSON
+# under BenchmarkBase* names, so a working-tree change can be compared
+# against the commit it started from on the same host in the same
+# sitting. The scaling rows and BenchmarkJobStream alternate between
+# the two trees round by round, so host drift lands on both sides
+# alike. A base that predates bench_scale_test.go gets the working
+# tree's copy, which uses only the exported API.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 COUNT=${1:-5}
-OUT=${2:-BENCH_PR13.json}
+OUT=${2:-BENCH_PR15.json}
 TMP=$(mktemp)
 BASETMP=$(mktemp)
 SCALEBIN=$(mktemp)
@@ -58,31 +59,34 @@ run_bench() {
 }
 
 # The scaling curve: one two-day VMT-TA/VMT-WA run per op from 100 to
-# 4,000 servers, with per-band wall shares. Each round runs every row
-# once in this tree and once at $BASE, the side that goes first
-# alternating.
-echo "== . (BenchmarkRunScale, $COUNT rounds alternating with the baseline)" >&2
+# 4,000 servers, with per-band wall shares; and the query-level load
+# model: one op of BenchmarkJobStream is a round-robin and a VMT-TA
+# JobStream run at 100 servers, so it times the stream manager's
+# per-task path end to end. Each round runs every row once in this
+# tree and once at $BASE, the side that goes first alternating.
+AB='^(BenchmarkRunScale|BenchmarkJobStream)$'
+echo "== . (BenchmarkRunScale, BenchmarkJobStream; $COUNT rounds alternating with the baseline)" >&2
 go test -c -o "$SCALEBIN" .
 if [ -n "$BASETREE" ]; then
     (cd "$BASETREE" && go test -c -o vmt.test .)
 fi
-scale_here() {
-    "$SCALEBIN" -test.run '^$' -test.bench '^BenchmarkRunScale$' -test.benchtime 1x -test.benchmem >>"$TMP"
+ab_here() {
+    "$SCALEBIN" -test.run '^$' -test.bench "$AB" -test.benchtime 1x -test.benchmem >>"$TMP"
 }
-scale_base() {
+ab_base() {
     if [ -n "$BASETREE" ]; then
-        (cd "$BASETREE" && ./vmt.test -test.run '^$' -test.bench '^BenchmarkRunScale$' -test.benchtime 1x -test.benchmem) >"$BASETMP"
+        (cd "$BASETREE" && ./vmt.test -test.run '^$' -test.bench "$AB" -test.benchtime 1x -test.benchmem) >"$BASETMP"
         sed 's/^Benchmark/BenchmarkBase/' "$BASETMP" >>"$TMP"
     fi
 }
 r=0
 while [ "$r" -lt "$COUNT" ]; do
     if [ $((r % 2)) -eq 0 ]; then
-        scale_here
-        scale_base
+        ab_here
+        ab_base
     else
-        scale_base
-        scale_here
+        ab_base
+        ab_here
     fi
     r=$((r + 1))
 done

@@ -41,6 +41,15 @@ echo "== placement index vs linear scan (same server at every decision)"
 # must match a rebuild.
 go test -count=1 -run 'TestPlacementIndex' ./internal/cluster/ ./internal/core/
 
+echo "== completion queue vs container/heap, ties included"
+# The stream manager's typed completion heap and a container/heap
+# oracle run the same seeded push/pop interleavings, with completion
+# times drawn from as few as one distinct value: every pop must return
+# the same (at, server, entry), and both arrays must match after every
+# operation, because tie order can decide which server a fallback
+# SelectRemoval hits.
+go test -count=1 -run 'TestCompletionQueueMatchesContainerHeap' ./internal/sched/
+
 echo "== spec round-trip (encode -> decode -> execute, cache-key sensitivity, spec drift)"
 # Settings decode onto Config and the cache key hashes it: every keyed
 # field must move the key, the settings fuzz corpus must stay a

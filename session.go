@@ -85,7 +85,11 @@ type Observation struct {
 	// HotGroupSize is 0 for non-grouping policies.
 	HotGroupSize int    `json:"hot_group_size"`
 	TaskArrivals uint64 `json:"task_arrivals"`
-	TaskDrops    uint64 `json:"task_drops"`
+	// TaskDrops counts drop events so far, as Result.TaskDrops does:
+	// one per task arrival that found no free core, one per task an
+	// evacuation could not re-place, and one per fluid resize that fell
+	// short of its target (an event, not a core count).
+	TaskDrops uint64 `json:"task_drops"`
 	// PlacementsOverridden and Rejected count the external placer's
 	// accepted and refused decisions (the observe/place seam).
 	PlacementsOverridden uint64 `json:"placements_overridden"`

@@ -324,7 +324,10 @@ type Result struct {
 	ThrottleMinutes int
 	// TaskArrivals and TaskDrops report the query-level load model's
 	// totals (JobStream runs only); drops are the QoS failure the
-	// paper attributes to undersized groups.
+	// paper attributes to undersized groups. TaskDrops counts drop
+	// events: one per task arrival that found no free core, one per
+	// task an evacuation could not re-place, and one per fluid resize
+	// that fell short of its target (an event, not a core count).
 	TaskArrivals, TaskDrops uint64
 	// FaultCrashes/FaultRepairs count injected server crashes and
 	// completed repairs; EvacuatedJobs jobs re-placed off crashed
