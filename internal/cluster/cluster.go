@@ -387,32 +387,28 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	return sample, nil
 }
 
-// physBlock is the cache-blocking granularity of the parallel physics
-// path: each worker walks its chunk in blocks of this many servers,
-// running the physics step and then the estimator pass over the same
-// block while its air-temperature column is still cache-resident. The
-// serial path deliberately stays the plain two-pass loop over the
-// plain kernel — it is the readable reference implementation, in the
-// same spirit as the scalar Node oracle; the blocked path uses the
-// substep-major thermal.Fleet.StepRangeVec kernel (bit-identical by
-// construction and by the worker-count property tests).
+// physBlock is the cache-blocking granularity of the physics pass:
+// stepBlocks walks its range in blocks of this many servers, running
+// the fleet kernel and then the estimator pass over the same block
+// while its air-temperature column is still cache-resident.
 const physBlock = 2048
 
 // stepPhysics advances the fleet store by dt and feeds each server's
-// estimator the post-step air temperature — serially, or fanned out
-// over disjoint contiguous ID ranges. Per-server outcomes land in the
-// fleet's slices either way, and the per-server arithmetic is
-// range-independent, so results are bit-identical at any worker count.
-// On error, the lowest-ID failure is reported; servers before it have
-// committed their step, servers after it in the same chunk have not
-// (earlier blocks of a failed chunk have committed both passes).
+// estimator the post-step air temperature. Every worker count runs the
+// same blocked loop (stepBlocks) over contiguous ID ranges: one range
+// stepped inline at one worker, or one range per goroutine above.
+// Per-server outcomes land in the fleet's slices either way, and the
+// per-server arithmetic is range-independent, so results are
+// bit-identical at any worker count. On error, the lowest-ID failure
+// is reported; servers before it in its range have committed their
+// step, it and the rest of its range have not, and other ranges run to
+// their own first failure.
 func (c *Cluster) stepPhysics(dt time.Duration) error {
 	n := len(c.servers)
 	if c.workers <= 1 {
-		if idx, err := c.fleet.StepRange(0, n, c.stepPow, dt); err != nil {
+		if idx, err := c.stepBlocks(0, n, dt); err != nil {
 			return fmt.Errorf("cluster: server %d: %w", idx, err)
 		}
-		c.updateEstimators(0, n, dt)
 		return nil
 	}
 	chunk := (n + c.workers - 1) / c.workers
@@ -424,25 +420,11 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 	}
 	var wg sync.WaitGroup
 	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			for b := lo; b < hi; b += physBlock {
-				e := b + physBlock
-				if e > hi {
-					e = hi
-				}
-				idx, err := c.fleet.StepRangeVec(b, e, c.stepPow, dt)
-				if err != nil {
-					c.chunkIdx[w], c.chunkErr[w] = idx, err
-					return
-				}
-				c.updateEstimators(b, e, dt)
-			}
+			c.chunkIdx[w], c.chunkErr[w] = c.stepBlocks(lo, hi, dt)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -458,6 +440,22 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 		return fmt.Errorf("cluster: server %d: %w", firstIdx, first)
 	}
 	return nil
+}
+
+// stepBlocks runs the fleet kernel and then the estimator pass over
+// servers [lo,hi), one physBlock at a time, stopping at the first
+// failure and returning its server index.
+//
+//vmt:hotpath
+func (c *Cluster) stepBlocks(lo, hi int, dt time.Duration) (int, error) {
+	for b := lo; b < hi; b += physBlock {
+		e := min(b+physBlock, hi)
+		if idx, err := c.fleet.StepRange(b, e, c.stepPow, dt); err != nil {
+			return idx, err
+		}
+		c.updateEstimators(b, e, dt)
+	}
+	return -1, nil
 }
 
 // updateEstimators feeds servers [lo,hi) their post-step air

@@ -174,6 +174,40 @@ func TestStepAggregates(t *testing.T) {
 	}
 }
 
+// TestStepAllocFree: a steady-state tick at one physics worker
+// allocates nothing, at paper scale and at 3,000 servers, which crosses
+// a physBlock boundary.
+func TestStepAllocFree(t *testing.T) {
+	for _, n := range []int{100, 3_000} {
+		cfg := PaperCluster(n)
+		cfg.PhysicsWorkers = 1
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Load every third server so full and partial lane lists both
+		// occur.
+		for i := 0; i < n; i += 3 {
+			for j := 0; j < 16; j++ {
+				if err := c.Server(i).Place(workload.VideoEncoding); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := c.Step(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.Step(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: Step allocates %v times per tick, want 0", n, allocs)
+		}
+	}
+}
+
 func TestInletVariationDeterministic(t *testing.T) {
 	cfg := PaperCluster(50)
 	cfg.InletStdevC = 2

@@ -7,7 +7,7 @@ import (
 )
 
 // Hotpath enforces the allocation discipline of //vmt:hotpath
-// functions: the per-tick kernels (Fleet.StepRange, StepRangeVec,
+// functions: the per-tick kernels (Fleet.StepRange, stepLanes,
 // Node.Step), the estimator pass, and the scheduler group scans. The
 // PR 2/PR 7 performance story depends on these staying zero-alloc in
 // steady state; that property is currently guarded by benchmarks,

@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// KernelParity turns the scalar↔SoA↔vec bit-identity invariant into a
+// KernelParity turns the scalar↔SoA bit-identity invariant into a
 // lint diagnostic. The PR 7 performance story rests on "the vector
 // kernel is expression-for-expression identical to the scalar oracle,
 // so textual identity is bit identity" (amd64 Go does not fuse or
@@ -45,7 +45,7 @@ var KernelParity = &Analyzer{
 	Name: "kernelparity",
 	Doc: "functions/regions paired via //vmt:kernel <group> <oracle|mirror> must be " +
 		"structurally equivalent under name-normalizing AST comparison; reports the " +
-		"exact first-divergence node so scalar, SoA, and vec kernels provably share " +
+		"exact first-divergence node so the scalar and SoA kernels provably share " +
 		"one float evaluation order",
 	Run: runKernelParity,
 }

@@ -66,8 +66,8 @@ func loadThermalOverlay(t *testing.T) map[string]string {
 }
 
 // TestKernelParityRealTree verifies the shipped invariant: the thermal
-// package's substep kernels (Node.Step oracle, StepRange and stepGroup
-// mirrors) are structurally equivalent, so kernelparity stays silent.
+// package's substep kernels (the Node.Step oracle and the stepLanes
+// mirror) are structurally equivalent, so kernelparity stays silent.
 func TestKernelParityRealTree(t *testing.T) {
 	loader := testLoader(t)
 	pkg, err := loader.LoadFiles("vmt/internal/thermal", loadThermalOverlay(t))
@@ -82,7 +82,7 @@ func TestKernelParityRealTree(t *testing.T) {
 	}
 }
 
-// TestKernelParityCatchesMutation flips one token in stepGroup's
+// TestKernelParityCatchesMutation flips one token in stepLanes's
 // mirror lane body and demands kernelparity name the exact divergent
 // position — the property the bit-identity story rests on.
 func TestKernelParityCatchesMutation(t *testing.T) {

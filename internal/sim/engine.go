@@ -94,6 +94,9 @@ type Engine struct {
 	// paying a map lookup per event on the steady-state path.
 	live  map[uint64]*event
 	fired uint64
+	// halted is set by Halt and checked before every dispatch: a
+	// halted engine dispatches nothing further.
+	halted bool
 	// pool recycles one-shot event structs so bursty task-arrival
 	// workloads do not allocate one event per scheduled callback.
 	pool []*event
@@ -144,6 +147,12 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events dispatched so far (for tests and
 // progress reporting).
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Halt stops the engine for good: RunUntil and StepEvent return after
+// the event being dispatched (if any), leaving the clock at its
+// timestamp, and dispatch no later event. A handler that hits a fatal
+// error halts the engine so that the rest of the run costs nothing.
+func (e *Engine) Halt() { e.halted = true }
 
 // EventID identifies a scheduled event so it can be canceled.
 type EventID uint64
@@ -236,25 +245,27 @@ func (e *Engine) NextAt() (at time.Duration, ok bool) {
 
 // StepEvent dispatches the single next event if it fires at or before
 // limit, advancing the clock to its timestamp. It reports whether an
-// event fired; when none did (queue empty, or the next event lies
-// strictly beyond limit) the clock is left untouched so the caller
-// decides where it settles. StepEvent is the re-entrant core RunUntil
-// loops over: dispatching events one at a time through any sequence of
-// limits produces exactly the dispatch order of one monolithic run,
-// because order depends only on the queue, never on the chunking.
+// event fired; when none did (queue empty, the next event lies
+// strictly beyond limit, or the engine is halted) the clock is left
+// untouched so the caller decides where it settles. StepEvent is the
+// re-entrant core RunUntil loops over: dispatching events one at a
+// time through any sequence of limits produces exactly the dispatch
+// order of one monolithic run, because order depends only on the
+// queue, never on the chunking.
 func (e *Engine) StepEvent(limit time.Duration) (bool, error) {
 	if limit < e.now {
 		return false, fmt.Errorf("sim: limit %v before now %v", limit, e.now)
 	}
-	for {
-		next, ok := e.peek()
-		if !ok || next.at > limit {
-			return false, nil
-		}
-		heap.Pop(&e.queue)
-		e.dispatch(next)
-		return true, nil
+	if e.halted {
+		return false, nil
 	}
+	next, ok := e.peek()
+	if !ok || next.at > limit {
+		return false, nil
+	}
+	heap.Pop(&e.queue)
+	e.dispatch(next)
+	return true, nil
 }
 
 // peek returns the next live event, lazily collecting canceled ones.
@@ -299,7 +310,9 @@ func (e *Engine) dispatch(ev *event) {
 }
 
 // RunUntil dispatches events in order until the queue empties or the
-// next event lies strictly beyond end. The clock finishes at end.
+// next event lies strictly beyond end. The clock finishes at end,
+// unless the engine halts: then RunUntil returns right after the
+// halting dispatch, with the clock at that event's timestamp.
 // Calling RunUntil repeatedly with an increasing end is equivalent to
 // one call with the final end: the engine is re-entrant, which is what
 // lets a Session advance the same run tick by tick.
@@ -308,6 +321,9 @@ func (e *Engine) RunUntil(end time.Duration) error {
 		return fmt.Errorf("sim: end %v before now %v", end, e.now)
 	}
 	for {
+		if e.halted {
+			return nil
+		}
 		next, ok := e.peek()
 		if !ok || next.at > end {
 			break

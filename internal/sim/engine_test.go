@@ -118,6 +118,46 @@ func TestCancelFromOwnHandler(t *testing.T) {
 	}
 }
 
+// A handler that halts the engine is the last dispatch: RunUntil
+// returns with the clock at the halting event, and neither RunUntil nor
+// StepEvent dispatches anything afterwards.
+func TestHaltStopsDispatch(t *testing.T) {
+	e := NewEngine()
+	var got []time.Duration
+	if _, err := e.Every(0, time.Minute, PriorityModel, func(now time.Duration) {
+		got = append(got, now)
+		if now == 3*time.Minute {
+			e.Halt()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Every(0, time.Minute, PriorityMetrics, func(now time.Duration) {
+		got = append(got, now)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	// Both events fire at 0, 1m and 2m; at 3m only the halting one.
+	if len(got) != 7 || got[6] != 3*time.Minute || e.Fired() != 7 {
+		t.Fatalf("dispatched %v (fired %d), want 7 events ending at the halt", got, e.Fired())
+	}
+	if e.Now() != 3*time.Minute {
+		t.Fatalf("Now = %v, want the halting tick 3m", e.Now())
+	}
+	if err := e.RunUntil(2 * time.Hour); err != nil || e.Fired() != 7 {
+		t.Fatalf("RunUntil after halt: err %v, fired %d", err, e.Fired())
+	}
+	if fired, err := e.StepEvent(2 * time.Hour); fired || err != nil || e.Fired() != 7 {
+		t.Fatalf("StepEvent after halt: fired %v, err %v", fired, err)
+	}
+	if e.Now() != 3*time.Minute {
+		t.Fatalf("Now = %v after halt, want 3m", e.Now())
+	}
+}
+
 func TestScheduleInPastRejected(t *testing.T) {
 	e := NewEngine()
 	if _, err := e.At(time.Second, PriorityModel, func(time.Duration) {}); err != nil {

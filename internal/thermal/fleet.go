@@ -12,15 +12,16 @@ import (
 // servers: every per-server scalar the integration kernel touches —
 // temperature, enthalpy, inlet, conductances, enthalpy-curve segment
 // parameters, energy ledgers, step-transition memos — lives in a flat
-// parallel slice indexed by server ID. One Step over a contiguous ID
-// range walks those slices in order, so the hot loop streams through
-// memory instead of chasing a *Server → *Node → *Pack pointer chain
-// per server, and disjoint ranges can be advanced concurrently with no
-// sharing at all.
+// parallel slice indexed by server ID. One StepRange over a contiguous
+// ID range walks those slices in order, so the hot loop streams
+// through memory instead of chasing a *Server → *Node → *Pack pointer
+// chain per server, and disjoint ranges can be advanced concurrently
+// with no sharing at all.
 //
-// Fleet is the production implementation of the physics; the scalar
-// Node is retained, untouched, as the reference implementation. The
-// two advance state with textually identical arithmetic (same
+// Fleet is the production implementation of the physics, and its one
+// integration kernel is stepLanes' lane body; the scalar Node is
+// retained, untouched, as the reference implementation. The two
+// advance state with textually identical arithmetic (same
 // expressions, same evaluation order), and the differential oracle
 // test drives both over randomized fleets demanding bit-identical
 // trajectories via math.Float64bits. Any intentional change to the
@@ -105,6 +106,17 @@ type memoSlot struct {
 	postWaxH float64
 	ejectJ   float64
 	storedJ  float64
+}
+
+// matches reports whether slot m recorded a step from exactly this
+// pre-state and input. It is small enough to inline: with the slots
+// tested one after the other instead of in a loop, StepRange's
+// per-server path keeps its state in registers.
+//
+//vmt:hotpath
+func (m *memoSlot) matches(airBits, waxHBits, powBits uint64, dt time.Duration) bool {
+	return m.valid && m.airBits == airBits && m.waxHBits == waxHBits &&
+		m.powBits == powBits && m.dt == dt
 }
 
 // memoPair is a server's two-slot round-robin memo.
@@ -221,237 +233,124 @@ func (f *Fleet) Initialized() bool {
 	return true
 }
 
+// vecLanes is the width of the lane list StepRange integrates at once:
+// small enough that the lanes' loop-carried state fits the register
+// file plus first cache lines, wide enough to keep a superscalar core's
+// floating-point units fed with independent dependency chains.
+const vecLanes = 8
+
 // StepRange advances servers [lo,hi) by dt, each under the constant
 // power draw power[i]. Per-server outcomes land in the fleet's state
-// and output slices (see View). On error it reports the offending
-// server index; state already committed for earlier servers in the
-// range stays committed, matching the scalar path's first-error
-// semantics when callers stop at the first failure.
+// and output slices (see View).
+//
+// Each server is checked (initialized, non-negative power) and then
+// either replays its step-transition memo on the spot or joins a lane
+// list of up to vecLanes servers that share one substep length.
+// stepLanes integrates the list when it fills, when the next server's
+// substep length differs, before an error return, and at the end of
+// the range. Servers never interact, so integrating a server after a
+// later server's replay changes no value.
+//
+// On error it reports the offending server index: every server before
+// it has committed its step, and it and every later server are
+// untouched, which is the scalar path's first-error semantics when
+// callers stop at the first failure. A power slice shorter than hi is
+// rejected before any server is touched.
 //
 // Ranges that do not overlap may be stepped concurrently: the kernel
-// reads and writes only index i of every slice while on server i.
+// reads and writes only index i of every per-server slice while on
+// server i.
 //
 //vmt:hotpath
 func (f *Fleet) StepRange(lo, hi int, power []float64, dt time.Duration) (int, error) {
 	if lo < 0 || hi > f.n || lo > hi {
 		return lo, fmt.Errorf("thermal: fleet range [%d,%d) out of bounds [0,%d)", lo, hi, f.n) //vmtlint:allow hotpath error path, off the steady-state path
 	}
+	if len(power) < hi {
+		return lo, fmt.Errorf("thermal: power has %d entries for range [%d,%d)", len(power), lo, hi) //vmtlint:allow hotpath error path, off the steady-state path
+	}
 	if dt <= 0 {
 		return lo, fmt.Errorf("thermal: non-positive step %v", dt) //vmtlint:allow hotpath error path, off the steady-state path
 	}
 	sec := dt.Seconds()
+	var lanes [vecLanes]int
+	w := 0
+	var sub time.Duration
 	for i := lo; i < hi; i++ {
 		if !f.init[i] {
+			f.stepLanes(lanes[:w], power, sec, dt)
 			return i, fmt.Errorf("thermal: fleet server %d not initialized", i) //vmtlint:allow hotpath error path, off the steady-state path
 		}
 		powerW := power[i]
 		if powerW < 0 {
+			f.stepLanes(lanes[:w], power, sec, dt)
 			return i, fmt.Errorf("thermal: negative power %v", powerW) //vmtlint:allow hotpath error path, off the steady-state path
 		}
-
-		airC0 := f.airC[i]
-		waxH0 := f.waxHJ[i]
-		airBits0 := math.Float64bits(airC0)
-		waxHBits0 := math.Float64bits(waxH0)
-		powBits := math.Float64bits(powerW)
 
 		// Memo check: a hit replays the recorded transition. The key is
 		// (air, enthalpy, power, dt) exactly as in Node.Step — the
 		// cached wax temperature is derived state under every reachable
 		// pre-state, so it does not key.
-		mp := &f.memo[i]
-		replayed := false
-		for s := range mp.slot {
-			m := &mp.slot[s]
-			if m.valid && m.airBits == airBits0 && m.waxHBits == waxHBits0 &&
-				m.powBits == powBits && m.dt == dt {
-				f.airC[i] = m.postAirC
-				f.commitWax(i, m.postWaxH)
-				f.inputJ[i] += powerW * sec
-				f.ejectJ[i] += m.ejectJ
-				f.storedJ[i] += m.storedJ
-				f.coolingW[i] = m.ejectJ / sec
-				f.waxFlowW[i] = m.storedJ / sec
-				f.settled[i] = true
-				replayed = true
-				break
-			}
-		}
-		if replayed {
-			continue
-		}
-
-		// Integration kernel. The arithmetic below is textually
-		// identical to Node.Step's substep loop — expression for
-		// expression, in the same order — which is what makes the
-		// fleet and the scalar oracle bit-identical.
-		var ejected, stored float64
-		invCAir := f.invCAir[i]
-		kAir := f.kAir[i]
-		hWax := f.hWax[i]
-		inlet := f.inletC[i]
-		airC := airC0
-		waxH := waxH0
-		waxT := f.waxTC[i]
-		sub := f.subStep[i]
-		subSec := f.subSec[i]
-		mC := f.meltC[i]
-		hLo := f.hMeltLo[i]
-		hHi := f.hMeltHi[i]
-		invSol := f.invCapSol[i]
-		invLiq := f.invCapLiq[i]
-		nFull := int(dt / sub)
-		partial := dt - time.Duration(nFull)*sub
-		for k := 0; k < nFull; k++ {
-			//vmt:kernel substep mirror begin
-			toRoom := kAir * (airC - inlet)
-			toWax := hWax * (airC - waxT)
-			airC += subSec * (powerW - toRoom - toWax) * invCAir
-			waxH += toWax * subSec
-			// curve.tempAt, inlined on the hoisted segment parameters.
-			switch {
-			case waxH < hLo:
-				waxT = waxH * invSol
-			case waxH >= hHi:
-				waxT = mC + (waxH-hHi)*invLiq
-			default:
-				waxT = mC
-			}
-			ejected += toRoom * subSec
-			stored += toWax * subSec
-			//vmt:kernel end
-		}
-		if partial > 0 {
-			psec := partial.Seconds()
-			//vmt:kernel substep-tail mirror begin
-			toRoom := kAir * (airC - inlet)
-			toWax := hWax * (airC - waxT)
-			airC += psec * (powerW - toRoom - toWax) * invCAir
-			waxH += toWax * psec
-			ejected += toRoom * psec
-			stored += toWax * psec
-			//vmt:kernel end
-		}
-
-		f.airC[i] = airC
-		f.commitWax(i, waxH)
-		f.inputJ[i] += powerW * sec
-		f.ejectJ[i] += ejected
-		f.storedJ[i] += stored
-		f.coolingW[i] = ejected / sec
-		f.waxFlowW[i] = stored / sec
-		f.settled[i] = false
-
-		// Memoize stationary-wax transitions only, like Node.Step: an
-		// actively charging or discharging pre-state never recurs.
-		if math.Float64bits(waxH) == waxHBits0 {
-			m := &mp.slot[mp.next]
-			m.valid = true
-			m.airBits = airBits0
-			m.waxHBits = waxHBits0
-			m.powBits = powBits
-			m.dt = dt
-			m.postAirC = airC
-			m.postWaxH = waxH
-			m.ejectJ = ejected
-			m.storedJ = stored
-			mp.next = 1 - mp.next
-		}
-	}
-	return -1, nil
-}
-
-// vecLanes is the group width of the substep-major kernel
-// (StepRangeVec): small enough that a group's loop-carried state fits
-// the register file plus first cache lines, wide enough to keep a
-// superscalar core's floating-point units fed with independent chains.
-const vecLanes = 8
-
-// StepRangeVec advances servers [lo,hi) by dt with the same contract
-// and bit-identical results as StepRange, but schedules the arithmetic
-// substep-major over groups of vecLanes servers: substep k runs for
-// every lane of a group before substep k+1 runs for any. Each server's
-// floating-point operation sequence is exactly StepRange's (lanes
-// never mix), so per-server results cannot differ; what changes is
-// that the lanes' independent dependency chains interleave in the
-// instruction stream, letting an out-of-order core overlap them
-// instead of stalling on one server's ~30-cycle-per-substep chain.
-// This is the kernel the cluster's physics fan-out path uses; the
-// serial path keeps the plain StepRange loop as the readable
-// reference implementation, in the same spirit as the scalar Node
-// oracle.
-//
-// A group falls back to StepRange when it is narrower than vecLanes
-// (range tail), when a lane is uninitialized or has negative power
-// (so the first-error semantics and message match exactly), when a
-// lane hits its step-transition memo (replay is already cheap), or
-// when lanes disagree on substep length (the substep loop needs one
-// trip count).
-//
-//vmt:hotpath
-func (f *Fleet) StepRangeVec(lo, hi int, power []float64, dt time.Duration) (int, error) {
-	if lo < 0 || hi > f.n || lo > hi {
-		return lo, fmt.Errorf("thermal: fleet range [%d,%d) out of bounds [0,%d)", lo, hi, f.n) //vmtlint:allow hotpath error path, off the steady-state path
-	}
-	if dt <= 0 {
-		return lo, fmt.Errorf("thermal: non-positive step %v", dt) //vmtlint:allow hotpath error path, off the steady-state path
-	}
-	sec := dt.Seconds()
-	for g := lo; g < hi; {
-		end := g + vecLanes
-		if end > hi {
-			end = hi
-		}
-		if end-g < vecLanes || !f.vecEligible(g, power, dt) {
-			if idx, err := f.StepRange(g, end, power, dt); err != nil {
-				return idx, err
-			}
-			g = end
-			continue
-		}
-		f.stepGroup(g, power, sec, dt)
-		g = end
-	}
-	return -1, nil
-}
-
-// vecEligible reports whether servers [g, g+vecLanes) can take the
-// substep-major path: all initialized, non-negative power, a shared
-// substep length, and no pending memo replay.
-//
-//vmt:hotpath
-func (f *Fleet) vecEligible(g int, power []float64, dt time.Duration) bool {
-	sub := f.subStep[g]
-	for j := 0; j < vecLanes; j++ {
-		i := g + j
-		if !f.init[i] || power[i] < 0 || f.subStep[i] != sub {
-			return false
-		}
 		airBits := math.Float64bits(f.airC[i])
 		waxHBits := math.Float64bits(f.waxHJ[i])
-		powBits := math.Float64bits(power[i])
+		powBits := math.Float64bits(powerW)
 		mp := &f.memo[i]
-		for s := range mp.slot {
-			m := &mp.slot[s]
-			if m.valid && m.airBits == airBits && m.waxHBits == waxHBits &&
-				m.powBits == powBits && m.dt == dt {
-				return false
-			}
+		m := &mp.slot[0]
+		if !m.matches(airBits, waxHBits, powBits, dt) {
+			m = &mp.slot[1]
+		}
+		if m.matches(airBits, waxHBits, powBits, dt) {
+			f.airC[i] = m.postAirC
+			f.commitWax(i, m.postWaxH)
+			f.inputJ[i] += powerW * sec
+			f.ejectJ[i] += m.ejectJ
+			f.storedJ[i] += m.storedJ
+			f.coolingW[i] = m.ejectJ / sec
+			f.waxFlowW[i] = m.storedJ / sec
+			f.settled[i] = true
+			continue
+		}
+
+		if w > 0 && f.subStep[i] != sub {
+			f.stepLanes(lanes[:w], power, sec, dt)
+			w = 0
+		}
+		sub = f.subStep[i]
+		lanes[w] = i
+		w++
+		if w == vecLanes {
+			f.stepLanes(lanes[:w], power, sec, dt)
+			w = 0
 		}
 	}
-	return true
+	f.stepLanes(lanes[:w], power, sec, dt)
+	return -1, nil
 }
 
-// stepGroup integrates servers [g, g+vecLanes) substep-major. Every
-// statement in the lane body is the corresponding Node.Step statement
-// on lane slots — expression for expression, in the same order — so
-// each lane's result is bit-identical to the scalar loop's. The
-// kernelparity analyzer verifies the marked regions against the
-// oracle's structurally. The caller (StepRangeVec) has already
-// validated every lane.
+// stepLanes integrates the servers listed in lanes (at most vecLanes,
+// sharing one substep length, already checked by StepRange, none
+// replaying a memo) substep-major: substep k runs for every lane
+// before substep k+1 runs for any. Every statement in the lane body is
+// the corresponding Node.Step statement on lane slots — expression for
+// expression, in the same order — and lanes never mix, so each lane's
+// result is bit-identical to the scalar oracle's; the kernelparity
+// analyzer verifies the marked regions against it. The schedule lets
+// the lanes' independent dependency chains interleave in the
+// instruction stream, so an out-of-order core overlaps them instead of
+// stalling on one server's ~30-cycle-per-substep chain.
+//
+// lanes must have capacity of at least vecLanes (StepRange slices it
+// from a [vecLanes]int).
 //
 //vmt:hotpath
-func (f *Fleet) stepGroup(g int, power []float64, sec float64, dt time.Duration) {
+func (f *Fleet) stepLanes(lanes []int, power []float64, sec float64, dt time.Duration) {
+	if len(lanes) == 0 {
+		return
+	}
+	// Capping the capacity at vecLanes proves len(lanes) <= vecLanes,
+	// so the compiler drops the bounds checks on the lane arrays inside
+	// the substep loops (-gcflags=-d=ssa/check_bce reports none there).
+	lanes = lanes[:len(lanes):vecLanes]
 	var (
 		airV, waxHV, waxTV                [vecLanes]float64
 		air0V, waxH0V                     [vecLanes]float64
@@ -460,8 +359,7 @@ func (f *Fleet) stepGroup(g int, power []float64, sec float64, dt time.Duration)
 		mCV, hLoV, hHiV, invSolV, invLiqV [vecLanes]float64
 		ejV, stV                          [vecLanes]float64
 	)
-	for j := 0; j < vecLanes; j++ {
-		i := g + j
+	for j, i := range lanes {
 		airV[j] = f.airC[i]
 		waxHV[j] = f.waxHJ[i]
 		waxTV[j] = f.waxTC[i]
@@ -478,12 +376,12 @@ func (f *Fleet) stepGroup(g int, power []float64, sec float64, dt time.Duration)
 		invSolV[j] = f.invCapSol[i]
 		invLiqV[j] = f.invCapLiq[i]
 	}
-	sub := f.subStep[g]
-	subSec := f.subSec[g]
+	sub := f.subStep[lanes[0]]
+	subSec := f.subSec[lanes[0]]
 	nFull := int(dt / sub)
 	partial := dt - time.Duration(nFull)*sub
 	for k := 0; k < nFull; k++ {
-		for j := 0; j < vecLanes; j++ {
+		for j := range lanes {
 			//vmt:kernel substep mirror begin
 			toRoom := kAirV[j] * (airV[j] - inletV[j])
 			toWax := hWaxV[j] * (airV[j] - waxTV[j])
@@ -504,7 +402,7 @@ func (f *Fleet) stepGroup(g int, power []float64, sec float64, dt time.Duration)
 	}
 	if partial > 0 {
 		psec := partial.Seconds()
-		for j := 0; j < vecLanes; j++ {
+		for j := range lanes {
 			//vmt:kernel substep-tail mirror begin
 			toRoom := kAirV[j] * (airV[j] - inletV[j])
 			toWax := hWaxV[j] * (airV[j] - waxTV[j])
@@ -515,8 +413,7 @@ func (f *Fleet) stepGroup(g int, power []float64, sec float64, dt time.Duration)
 			//vmt:kernel end
 		}
 	}
-	for j := 0; j < vecLanes; j++ {
-		i := g + j
+	for j, i := range lanes {
 		f.airC[i] = airV[j]
 		f.commitWax(i, waxHV[j])
 		f.inputJ[i] += powV[j] * sec
@@ -525,6 +422,8 @@ func (f *Fleet) stepGroup(g int, power []float64, sec float64, dt time.Duration)
 		f.coolingW[i] = ejV[j] / sec
 		f.waxFlowW[i] = stV[j] / sec
 		f.settled[i] = false
+		// Memoize stationary-wax transitions only, like Node.Step: an
+		// actively charging or discharging pre-state never recurs.
 		if math.Float64bits(waxHV[j]) == math.Float64bits(waxH0V[j]) {
 			mp := &f.memo[i]
 			m := &mp.slot[mp.next]

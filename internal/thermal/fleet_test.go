@@ -117,6 +117,13 @@ func TestFleetStepRejectsBadInput(t *testing.T) {
 	if _, err := f.StepRange(3, 2, power, time.Minute); err == nil {
 		t.Error("inverted range should fail")
 	}
+	// A power slice shorter than the range fails before any server
+	// steps.
+	untouched := newTestFleet(t, 4)
+	if idx, err := f.StepRange(1, 4, []float64{100, 100, 100}, time.Minute); err == nil || idx != 1 {
+		t.Errorf("short power slice: got (%d, %v), want an error at index 1", idx, err)
+	}
+	requireFleetsBitIdentical(t, 0, f, untouched)
 	power[2] = -5
 	idx, err := f.StepRange(0, 4, power, time.Minute)
 	if err == nil {

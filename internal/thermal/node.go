@@ -144,9 +144,9 @@ type StepResult struct {
 //
 //	P·dt = CAir·ΔTair + KAir·(Tair−Tin)·dt + HWax·(Tair−Twax)·dt
 //
-// Step is the scalar oracle the fleet kernels (StepRange, stepGroup)
-// must reproduce bit for bit; the kernelparity analyzer verifies their
-// substep bodies against the regions marked below.
+// Step is the scalar oracle the fleet kernel (StepRange's lane body,
+// stepLanes) must reproduce bit for bit; the kernelparity analyzer
+// verifies its substep bodies against the regions marked below.
 //
 //vmt:hotpath
 func (n *Node) Step(powerW float64, dt time.Duration) (StepResult, error) {

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -49,8 +50,14 @@ func newOracleFleet(t *testing.T, n int) *oracleFleet {
 		s.AirTimeConstant = 3 * time.Minute
 		specs = append(specs, s)
 	}
-	inlets := []float64{22, 25, 18.5}
+	return newOracleFleetOf(t, n, mats, specs, []float64{22, 25, 18.5})
+}
 
+// newOracleFleetOf builds n servers whose material, spec and inlet
+// cycle through the given palettes, both as a Fleet and as scalar
+// Nodes.
+func newOracleFleetOf(t *testing.T, n int, mats []pcm.Material, specs []ServerSpec, inlets []float64) *oracleFleet {
+	t.Helper()
 	f, err := NewFleet(n)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +77,19 @@ func newOracleFleet(t *testing.T, n int) *oracleFleet {
 		of.nodes[i] = node
 	}
 	return of
+}
+
+// stepNodes steps every scalar shadow by dt and requires each fleet
+// server to match it bit for bit.
+func (of *oracleFleet) stepNodes(t *testing.T, step int, power []float64, dt time.Duration) {
+	t.Helper()
+	for i, node := range of.nodes {
+		res, err := node.Step(power[i], dt)
+		if err != nil {
+			t.Fatalf("step %d server %d: scalar step failed: %v", step, i, err)
+		}
+		of.requireBitIdentical(t, step, i, res)
+	}
 }
 
 // requireBitIdentical compares every observable of fleet server i
@@ -166,13 +186,7 @@ func TestFleetOracleBitIdentical(t *testing.T) {
 		if idx, err := f.StepRange(0, n, power, dt); err != nil {
 			t.Fatalf("step %d: fleet step failed at server %d: %v", step, idx, err)
 		}
-		for i := 0; i < n; i++ {
-			res, err := of.nodes[i].Step(power[i], dt)
-			if err != nil {
-				t.Fatalf("step %d server %d: scalar step failed: %v", step, i, err)
-			}
-			of.requireBitIdentical(t, step, i, res)
-		}
+		of.stepNodes(t, step, power, dt)
 	}
 }
 
@@ -195,13 +209,7 @@ func TestFleetOracleSteadyStateMemo(t *testing.T) {
 		if idx, err := f.StepRange(0, n, power, time.Minute); err != nil {
 			t.Fatalf("step %d: fleet step failed at server %d: %v", step, idx, err)
 		}
-		for i := 0; i < n; i++ {
-			res, err := of.nodes[i].Step(power[i], time.Minute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			of.requireBitIdentical(t, step, i, res)
-		}
+		of.stepNodes(t, step, power, time.Minute)
 	}
 	for i := 0; i < n; i++ {
 		if !f.Settled(i) {
@@ -215,13 +223,7 @@ func TestFleetOracleSteadyStateMemo(t *testing.T) {
 		if _, err := f.StepRange(0, n, power, time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			res, err := of.nodes[i].Step(power[i], time.Minute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			of.requireBitIdentical(t, 2000+step, i, res)
-		}
+		of.stepNodes(t, 2000+step, power, time.Minute)
 		if step == 0 && f.Settled(0) {
 			t.Error("server 0 still settled immediately after a load change")
 		}
@@ -300,31 +302,25 @@ func requireFleetsBitIdentical(t *testing.T, step int, a, b *Fleet) {
 	}
 }
 
-// TestFleetOracleVecKernel pins the substep-major StepRangeVec to the
-// plain StepRange: twin fleets driven by the two kernels through the
-// same randomized churn must stay bit-identical in every column after
-// every step. The homogeneous fleet takes the vec path proper (with a
-// non-multiple-of-vecLanes size and unaligned chunk boundaries); the
-// heterogeneous oracle palette mixes substep lengths inside groups,
-// forcing the per-group scalar fallback.
-func TestFleetOracleVecKernel(t *testing.T) {
+// TestFleetOracleLaneLists drives the lane-list bookkeeping of
+// StepRange against the scalar oracle: full lists, partial lists at
+// chunk ends, flushes at substep changes, and lists filled around memo
+// replays must all leave every server bit-identical to Node.Step.
+func TestFleetOracleLaneLists(t *testing.T) {
 	spec := PaperServer()
 	perCore := spec.PowerScale * 9.5
 	dts := []time.Duration{
 		time.Minute, time.Minute, 61 * time.Second, 90 * time.Second, 7 * time.Minute,
 	}
 
-	churn := func(t *testing.T, a, b *Fleet, n, steps int, seed uint64) {
+	churn := func(t *testing.T, of *oracleFleet, chunks [][2]int, steps int, seed uint64) {
 		t.Helper()
+		n := len(of.nodes)
 		rng := stats.NewRNG(seed)
 		power := make([]float64, n)
 		for i := range power {
 			power[i] = spec.IdlePowerW
 		}
-		// Unaligned chunk boundaries for the vec side: group starts at
-		// 5 and 17 exercise ranges that do not begin on a lane multiple,
-		// and the fleet tail is narrower than vecLanes.
-		chunks := [][2]int{{0, 5}, {5, 17}, {17, n}}
 		for step := 0; step < steps; step++ {
 			dt := dts[step%len(dts)]
 			for k := 0; k < 5; k++ {
@@ -335,152 +331,112 @@ func TestFleetOracleVecKernel(t *testing.T) {
 					power[i] = spec.PeakPowerW
 				}
 			}
-			if idx, err := a.StepRange(0, n, power, dt); err != nil {
-				t.Fatalf("step %d: scalar kernel failed at server %d: %v", step, idx, err)
-			}
 			for _, r := range chunks {
-				if idx, err := b.StepRangeVec(r[0], r[1], power, dt); err != nil {
-					t.Fatalf("step %d: vec kernel failed at server %d: %v", step, idx, err)
+				if idx, err := of.fleet.StepRange(r[0], r[1], power, dt); err != nil {
+					t.Fatalf("step %d: fleet step failed at server %d: %v", step, idx, err)
 				}
 			}
-			requireFleetsBitIdentical(t, step, a, b)
+			of.stepNodes(t, step, power, dt)
 		}
 	}
 
 	t.Run("homogeneous", func(t *testing.T) {
-		const n = 53 // tail of 53 % vecLanes servers
-		mat := pcm.CommercialParaffin()
-		a, err := NewFleet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewFleet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := a.Init(i, spec, mat, 22); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Init(i, spec, mat, 22); err != nil {
-				t.Fatal(err)
-			}
-		}
-		churn(t, a, b, n, 300, 13)
+		// Chunk starts at 5 and 17 are not lane multiples, and each
+		// chunk ends on a partial lane list.
+		const n = 53
+		of := newOracleFleetOf(t, n, []pcm.Material{pcm.CommercialParaffin()},
+			[]ServerSpec{spec}, []float64{22})
+		churn(t, of, [][2]int{{0, 5}, {5, 17}, {17, n}}, 300, 13)
 	})
 
 	t.Run("heterogeneous", func(t *testing.T) {
+		// Every third server has a 7 s substep, so the lane list
+		// flushes twice in every three servers.
 		const n = 29
-		a := newOracleFleet(t, n).fleet
-		b := newOracleFleet(t, n).fleet
-		churn(t, a, b, n, 300, 17)
+		churn(t, newOracleFleet(t, n), [][2]int{{0, n}}, 300, 17)
 	})
 
 	t.Run("settled memo replay", func(t *testing.T) {
 		const n = 16
-		mat := pcm.CommercialParaffin()
-		a, err := NewFleet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewFleet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		of := newOracleFleetOf(t, n, []pcm.Material{pcm.CommercialParaffin()},
+			[]ServerSpec{spec}, []float64{22})
+		f := of.fleet
 		power := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if err := a.Init(i, spec, mat, 22); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Init(i, spec, mat, 22); err != nil {
-				t.Fatal(err)
-			}
+		for i := range power {
 			power[i] = 100 + 25*float64(i%4)
 		}
-		// Constant load until every server settles: the vec side's
-		// groups then all contain memo hits and take the fallback.
+		// Constant load until every server settles and replays its memo.
 		for step := 0; step < 2000; step++ {
-			if _, err := a.StepRange(0, n, power, time.Minute); err != nil {
+			if _, err := f.StepRange(0, n, power, time.Minute); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.StepRangeVec(0, n, power, time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			requireFleetsBitIdentical(t, step, a, b)
+			of.stepNodes(t, step, power, time.Minute)
 		}
 		for i := 0; i < n; i++ {
-			if !b.Settled(i) {
+			if !f.Settled(i) {
 				t.Fatalf("server %d not settled after 33 h of constant load", i)
 			}
 		}
-		// Perturb one lane: its group mixes a memo miss with seven hits
-		// and must still replay/integrate bit-identically.
+		// Perturb one server: it joins a lane list on its own while its
+		// neighbours replay around it.
 		power[3] = 450
 		for step := 0; step < 5; step++ {
-			if _, err := a.StepRange(0, n, power, time.Minute); err != nil {
+			if _, err := f.StepRange(0, n, power, time.Minute); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.StepRangeVec(0, n, power, time.Minute); err != nil {
-				t.Fatal(err)
+			of.stepNodes(t, 2000+step, power, time.Minute)
+			if f.Settled(3) {
+				t.Fatalf("step %d: perturbed server still settled", step)
 			}
-			requireFleetsBitIdentical(t, 2000+step, a, b)
 		}
 	})
 }
 
-// TestFleetVecKernelErrorParity verifies StepRangeVec reproduces
-// StepRange's first-error semantics exactly: same offending index,
-// same message, and bit-identical committed state for the servers
-// before it, wherever the bad lane falls in a group.
-func TestFleetVecKernelErrorParity(t *testing.T) {
+// TestFleetStepRangeFirstError pins StepRange's first-error contract
+// wherever the bad server falls relative to the lane lists: it
+// reports that server's index and message, every server before it has
+// committed its step (pending lane lists are flushed before the error
+// returns), and it and every later server are untouched.
+func TestFleetStepRangeFirstError(t *testing.T) {
 	spec := PaperServer()
 	mat := pcm.CommercialParaffin()
 	const n = 12
 	for _, bad := range []int{0, 3, 7, 11} {
-		a, err := NewFleet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewFleet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		power := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if err := a.Init(i, spec, mat, 22); err != nil {
+		for _, kind := range []string{"negative power", "uninitialized"} {
+			build := func() *Fleet {
+				f, err := NewFleet(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if kind == "uninitialized" && i == bad {
+						continue
+					}
+					if err := f.Init(i, spec, mat, 22); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return f
+			}
+			power := make([]float64, n)
+			for i := range power {
+				power[i] = 150 + 25*float64(i)
+			}
+			want := fmt.Sprintf("thermal: fleet server %d not initialized", bad)
+			if kind == "negative power" {
+				power[bad] = -1
+				want = "thermal: negative power -1"
+			}
+			got := build()
+			idx, err := got.StepRange(0, n, power, time.Minute)
+			if err == nil || idx != bad || err.Error() != want {
+				t.Fatalf("bad=%d (%s): got (%d, %v), want (%d, %q)", bad, kind, idx, err, bad, want)
+			}
+			ref := build()
+			if _, err := ref.StepRange(0, bad, power, time.Minute); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Init(i, spec, mat, 22); err != nil {
-				t.Fatal(err)
-			}
-			power[i] = 250
+			requireFleetsBitIdentical(t, 0, got, ref)
 		}
-		power[bad] = -1
-		ia, errA := a.StepRange(0, n, power, time.Minute)
-		ib, errB := b.StepRangeVec(0, n, power, time.Minute)
-		if errA == nil || errB == nil {
-			t.Fatalf("bad=%d: expected errors, got %v / %v", bad, errA, errB)
-		}
-		if ia != ib || errA.Error() != errB.Error() {
-			t.Fatalf("bad=%d: error parity broken: scalar (%d, %v) vs vec (%d, %v)",
-				bad, ia, errA, ib, errB)
-		}
-		requireFleetsBitIdentical(t, 0, a, b)
-	}
-
-	// An uninitialized server reports identically through both kernels.
-	a, err := NewFleet(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	power := make([]float64, 4)
-	ia, errA := a.StepRange(0, 4, power, time.Minute)
-	b, err := NewFleet(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib, errB := b.StepRangeVec(0, 4, power, time.Minute)
-	if errA == nil || errB == nil || ia != ib || errA.Error() != errB.Error() {
-		t.Fatalf("uninit parity broken: scalar (%d, %v) vs vec (%d, %v)", ia, errA, ib, errB)
 	}
 }

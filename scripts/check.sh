@@ -32,7 +32,7 @@ go test -short -count=1 \
     . ./internal/pcm/ ./internal/thermal/ ./internal/cluster/
 
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
-go test -count=1 -run 'TestFleetOracle|TestFleetVecKernel' ./internal/thermal/
+go test -count=1 -run 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
 
 echo "== placement index vs linear scan (same server at every decision)"
 # Every unfiltered VMT placement and eviction query is answered by the
@@ -115,9 +115,10 @@ case "$warmstats" in
 esac
 
 echo "== kernelparity self-check (one-token kernel drift is pinpointed)"
-# Flip a single token in stepGroup's mirror lane body and demand
-# kernelparity fail the build naming the exact divergent position —
-# the guarantee the scalar/SoA bit-identity story rests on.
+# Flip a single token in stepLanes's lane body, the fleet's only
+# mirror of Node.Step, and demand kernelparity fail the build naming
+# the exact divergent position — the guarantee the scalar/SoA
+# bit-identity story rests on.
 mutdir="$tmp/kernelmut"
 mkdir -p "$mutdir"
 tar cf - --exclude ./.git --exclude ./.vmtlint-cache --exclude ./results \

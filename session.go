@@ -343,9 +343,6 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	// Physics: advance the cluster by one period. Skipped at t=0 (no
 	// elapsed time yet); the scheduler places the initial load first.
 	if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityModel, span("physics", func(time.Duration) {
-		if s.runErr != nil {
-			return
-		}
 		if done != nil {
 			select {
 			case <-done:
@@ -376,9 +373,6 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	// at_min lands on the first fault tick at or after it.
 	if injector != nil {
 		if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityFault, span("fault", func(now time.Duration) {
-			if s.runErr != nil {
-				return
-			}
 			if err := injector.Tick(now, cfg.Step); err != nil {
 				fail(err)
 			}
@@ -390,9 +384,6 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		// decisions are made on the tick's settled reports, before the
 		// scheduler band reads them.
 		if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityFault, span("guard", func(now time.Duration) {
-			if s.runErr != nil {
-				return
-			}
 			guard.Tick(now)
 		}, nil)); err != nil {
 			return nil, err
@@ -401,9 +392,6 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 
 	// Scheduling: reconcile the job population with the source.
 	if _, err := eng.Every(0, cfg.Step, sim.PriorityScheduler, span("schedule", func(now time.Duration) {
-		if s.runErr != nil {
-			return
-		}
 		if err := reconcile.Reconcile(now); err != nil {
 			fail(err)
 		}
@@ -420,9 +408,6 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	// Metrics: sample the settled state each period (after the first
 	// physics step so the series align with elapsed intervals).
 	if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityMetrics, span("sample", func(now time.Duration) {
-		if s.runErr != nil {
-			return
-		}
 		lastSample := s.lastSample
 		if hasMetric {
 			runTicks.Inc()
@@ -536,11 +521,13 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// fail latches the first error; later handlers see it and no-op.
+// fail latches the first error and halts the engine, so no event after
+// the failing one is dispatched and the clock stays at its tick.
 func (s *Session) fail(err error) {
 	if s.runErr == nil {
 		s.runErr = err
 	}
+	s.eng.Halt()
 }
 
 // Tick returns the number of completed steps.

@@ -254,6 +254,48 @@ func TestSessionCancellationPartialResult(t *testing.T) {
 	}
 }
 
+// TestSessionCancelStopsDispatching: a run cancelled before tick k
+// dispatches exactly one more event, tick k's physics, which latches
+// the cancellation and halts the engine. Nothing after tick k runs,
+// however far the horizon lies, so a deadline bounds a run's wall time.
+func TestSessionCancelStopsDispatching(t *testing.T) {
+	const k = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := sessionConfig()
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
+	var spans []telemetry.SpanEvent
+	cfg.Tracer = telemetry.TracerFunc(func(ev telemetry.SpanEvent) { spans = append(spans, ev) })
+	s, err := OpenCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(k - 1); err != nil {
+		t.Fatal(err)
+	}
+	dispatched := reg.Counter("sim_events_dispatched")
+	before, spansBefore := dispatched.Value(), len(spans)
+	cancel()
+	if err := s.StepAll(); err != context.Canceled {
+		t.Fatalf("StepAll after cancel: %v", err)
+	}
+	if n := dispatched.Value() - before; n != 1 {
+		t.Fatalf("dispatched %d events after the cancel, want 1 (tick %d's physics)", n, k)
+	}
+	last := spans[len(spans)-1]
+	if len(spans) != spansBefore+1 || last.Name != "physics" || last.At != k*cfg.Step {
+		t.Fatalf("spans after the cancel: %+v, want one physics span at tick %d", spans[spansBefore:], k)
+	}
+	if s.Tick() != k {
+		t.Fatalf("clock stopped at tick %d, want the failing tick %d", s.Tick(), k)
+	}
+	res, err := s.Close()
+	if err != context.Canceled || res.CoolingLoadW.Len() != k-1 {
+		t.Fatalf("close: %v with %d samples, want context.Canceled with %d", err, res.CoolingLoadW.Len(), k-1)
+	}
+}
+
 func TestSessionStreamSealsOnStepBoundaries(t *testing.T) {
 	var recs []telemetry.WindowRecord
 	sink := sinkFunc(func(rec telemetry.WindowRecord) { recs = append(recs, rec) })
