@@ -10,8 +10,8 @@ import (
 
 // BenchmarkRunScale is the end-to-end scaling curve: one two-day run per
 // op of VMT-TA and VMT-WA at GV 22 over growing fleets, with the wall
-// share of each engine band from ProfileBands reported as <band>-%
-// metrics (the runs are fault-free, so the fault and guard bands never
+// share of each tick stage from ProfileBands reported as <band>-%
+// metrics (the runs are fault-free, so the fault and guard stages never
 // run). Physics grows linearly in the fleet, so a band that outgrows it
 // shows here. It uses only the exported API, so scripts/bench.sh can
 // also run it against an older commit.

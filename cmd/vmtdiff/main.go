@@ -17,7 +17,7 @@
 //	         tick — divergences name the tick, server, and field
 //	windows  NDJSON window stream (vmtsim -stream): sealed aggregation
 //	         windows — divergences name the series, window, and field
-//	spans    JSONL span trace (vmtsim -trace out.jsonl): engine band
+//	spans    JSONL span trace (vmtsim -trace out.jsonl): tick stage
 //	         spans — wall timings and allocation deltas are ignored,
 //	         only the deterministic fields (name, run, sim time, args)
 //	         are compared

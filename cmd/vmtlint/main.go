@@ -10,8 +10,8 @@
 //
 // Patterns are package directories relative to the working directory:
 // "./..." (or no arguments) lints every package in the module,
-// "./internal/sim" one package, "./internal/..." a subtree. Import
-// paths ("vmt/internal/sim") work too.
+// "./internal/cluster" one package, "./internal/..." a subtree. Import
+// paths ("vmt/internal/cluster") work too.
 //
 // With -cache, per-package diagnostics are cached on disk keyed by a
 // content hash over the package's sources, its module-local import
@@ -189,7 +189,7 @@ func selectPackages(loader *lint.Loader, dir string, patterns []string) ([]strin
 
 // matchPattern reports whether the import path pkg matches pat. pat is
 // either an import-path pattern ("vmt/internal/...") or a directory
-// pattern relative to dir ("./...", "./internal/sim").
+// pattern relative to dir ("./...", "./internal/cluster").
 func matchPattern(loader *lint.Loader, dir, pat, pkg string) bool {
 	if rest, ok := strings.CutSuffix(pat, "/..."); ok {
 		if pathMatches(loader, dir, rest, pkg) {

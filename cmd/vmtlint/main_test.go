@@ -52,7 +52,7 @@ func TestRunCleanTree(t *testing.T) {
 func TestRunReportsViolation(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/sim/clock.go": `package sim
+		"internal/cluster/clock.go": `package cluster
 
 import "time"
 
@@ -65,7 +65,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 	// Diagnostic contract: file:line: [analyzer] message, path relative
 	// to the working directory.
-	re := regexp.MustCompile(`(?m)^internal[/\\]sim[/\\]clock\.go:5: \[detrand\] `)
+	re := regexp.MustCompile(`(?m)^internal[/\\]cluster[/\\]clock\.go:5: \[detrand\] `)
 	if !re.MatchString(out.String()) {
 		t.Errorf("output does not match %q:\n%s", re, out.String())
 	}
@@ -79,7 +79,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 func TestRunSuppressedViolation(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/sim/clock.go": `package sim
+		"internal/cluster/clock.go": `package cluster
 
 import "time" //vmtlint:allow detrand scratch module: exercising suppression
 
@@ -98,7 +98,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 func TestRunStrictUnusedAllow(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/sim/clean.go": `package sim
+		"internal/cluster/clean.go": `package cluster
 
 //vmtlint:allow detrand the code this excused is long gone
 func Stamp() int64 { return 42 }
@@ -113,7 +113,7 @@ func Stamp() int64 { return 42 }
 	if code := run(dir, []string{"./..."}, true, false, "", false, &out, &errOut); code != 1 {
 		t.Fatalf("strict run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
-	re := regexp.MustCompile(`(?m)^internal[/\\]sim[/\\]clean\.go:3: \[allow\] unused vmtlint:allow detrand`)
+	re := regexp.MustCompile(`(?m)^internal[/\\]cluster[/\\]clean\.go:3: \[allow\] unused vmtlint:allow detrand`)
 	if !re.MatchString(out.String()) {
 		t.Errorf("output does not match %q:\n%s", re, out.String())
 	}
@@ -140,7 +140,7 @@ func TestRunBadPattern(t *testing.T) {
 func TestRunCacheWarm(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/sim/clock.go": `package sim
+		"internal/cluster/clock.go": `package cluster
 
 import "time"
 
@@ -183,7 +183,7 @@ func TestRunOutsideModule(t *testing.T) {
 func TestRunJSON(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/sim/clock.go": `package sim
+		"internal/cluster/clock.go": `package cluster
 
 import "time"
 
@@ -227,7 +227,7 @@ func Waived() int64 { return time.Now().UnixNano() } //vmtlint:allow detrand scr
 func TestRunJSONCleanExitZero(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/sim/clock.go": `package sim
+		"internal/cluster/clock.go": `package cluster
 
 import "time"
 

@@ -12,13 +12,13 @@
 //	                     sealed window per line, flushed as it closes
 //	-stream-window 60    ticks aggregated per stream window
 //	-fleet-log out.ndjson  stream one fleet snapshot per sample tick
-//	-profile-bands       profile engine bands (wall + alloc per band)
+//	-profile-bands       profile tick stages (wall + alloc per stage)
 //
 // With -debug-addr the server additionally exposes live endpoints:
 // /metrics serves the registry in Prometheus text exposition format
 // and /fleet serves the latest fleet snapshot as JSON — both safe to
 // scrape mid-run (the fleet view reads an atomic pointer to an
-// immutable snapshot, never the engine's state).
+// immutable snapshot, never the session's state).
 //
 // The sinks are installed as the process-wide defaults
 // (vmt.SetDefaultObservers), so runs constructed deep inside the
@@ -91,7 +91,7 @@ func RegisterFlags(fs *flag.FlagSet) *Observability {
 	fs.StringVar(&o.FleetLogPath, "fleet-log", "",
 		"stream one fleet snapshot (per-server temperature, melt fraction, group, crash state) per sample tick to this NDJSON file")
 	fs.BoolVar(&o.ProfileBands, "profile-bands", false,
-		"profile engine bands: per-band wall time and allocation counters, plus alloc tracks in -trace output")
+		"profile each tick stage (physics, fault, guard, schedule, sample): per-stage wall time and allocation counters, plus alloc tracks in -trace output")
 	return o
 }
 
@@ -120,7 +120,7 @@ func publishExpvar() {
 // mux (where the debug server already serves expvar and pprof). Both
 // endpoints are scrape-safe mid-run: the registry snapshot reads
 // atomic instruments, and the fleet view loads an atomic pointer to an
-// immutable snapshot — neither touches the engine goroutine.
+// immutable snapshot — neither touches the simulation goroutine.
 func registerLiveHandlers() {
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		r := liveReg.Load()

@@ -75,7 +75,7 @@ func TestStartRunClose(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "vmt_metrics") ||
-		!strings.Contains(string(body), "sim_events_dispatched") {
+		!strings.Contains(string(body), "run_ticks") {
 		t.Fatalf("expvar output missing metrics: %.300s", body)
 	}
 
@@ -106,12 +106,12 @@ func TestStartRunClose(t *testing.T) {
 		t.Fatal("trace has no span events")
 	}
 
-	// Metrics text dump has the engine counters.
+	// Metrics text dump has the run's counters.
 	mtxt, err := os.ReadFile(o.MetricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(mtxt), "sim_events_dispatched") {
+	if !strings.Contains(string(mtxt), "run_ticks") {
 		t.Fatalf("metrics dump missing counters:\n%s", mtxt)
 	}
 
@@ -202,7 +202,7 @@ func TestStreamingFlagsAndLiveEndpoints(t *testing.T) {
 		t.Errorf("/metrics content type = %q", ct)
 	}
 	for _, want := range []string{
-		"# TYPE sim_events_dispatched counter",
+		"# TYPE run_ticks counter",
 		"band_wall_ns_physics",
 		"profiler_self_ns",
 		"pcm_melt_frac_bucket{le=\"+Inf\"}",

@@ -20,8 +20,9 @@ import (
 // Endpoints (on the -debug-addr listener, next to /metrics and /fleet):
 //
 //	GET  /observe            latest Observation as JSON (never advances)
-//	POST /step?n=5           advance n ticks (default 1), return the
-//	                         post-step Observation
+//	POST /step?n=5           advance n ticks (a positive integer,
+//	                         default 1; a finite session stops at its
+//	                         horizon), return the post-step Observation
 //	POST /place?workload=WebSearch&server=3
 //	                         enqueue a one-shot placement directive for
 //	                         the next matching arrival
@@ -81,8 +82,8 @@ func registerSessionHandlers() {
 		n := 1
 		if q := r.URL.Query().Get("n"); q != "" {
 			var err error
-			if n, err = strconv.Atoi(q); err != nil {
-				http.Error(w, fmt.Sprintf("bad n: %v", err), http.StatusBadRequest)
+			if n, err = strconv.Atoi(q); err != nil || n <= 0 {
+				http.Error(w, fmt.Sprintf("bad n %q: want a positive integer", q), http.StatusBadRequest)
 				return
 			}
 		}

@@ -95,13 +95,15 @@ func TestServeSession(t *testing.T) {
 	}
 
 	// Bad requests come back as client errors, not panics.
-	resp, err = http.Post(base+"/step?n=bogus", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad n status %d", resp.StatusCode)
+	for _, n := range []string{"bogus", "0"} {
+		resp, err = http.Post(base+"/step?n="+n, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("/step?n=%s status %d, want %d", n, resp.StatusCode, http.StatusBadRequest)
+		}
 	}
 	resp, err = http.Post(base+"/place?workload=nope&server=0", "", nil)
 	if err != nil {
@@ -127,29 +129,36 @@ func TestServeSessionDone(t *testing.T) {
 	cfg.Step = 2 * time.Minute
 	cfg.Source = &workload.SourceSpec{Kind: "poisson", Level: 0.4, Events: 20}
 	cfg.Horizon = 10 * time.Minute // 5 ticks
-	s, err := vmt.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ss := ServeSession(s)
+	// n·step for the largest n overflows a time.Duration; the step
+	// still clamps to the horizon.
+	for _, n := range []string{"999", "9223372036854775807"} {
+		s, err := vmt.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ss := ServeSession(s)
 
-	resp, err := http.Post("http://"+o.Addr()+"/step?n=999", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var obs vmt.Observation
-	if err := json.Unmarshal(body, &obs); err != nil {
-		t.Fatal(err)
-	}
-	if !obs.Done || obs.Tick != 5 {
-		t.Fatalf("clamped step: %+v", obs)
-	}
-	select {
-	case <-ss.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("Done() not closed after the horizon step")
+		resp, err := http.Post("http://"+o.Addr()+"/step?n="+n, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/step?n=%s status %d: %s", n, resp.StatusCode, body)
+		}
+		var obs vmt.Observation
+		if err := json.Unmarshal(body, &obs); err != nil {
+			t.Fatal(err)
+		}
+		if !obs.Done || obs.Tick != 5 {
+			t.Fatalf("/step?n=%s clamped step: %+v", n, obs)
+		}
+		select {
+		case <-ss.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("/step?n=%s: Done() not closed after the horizon step", n)
+		}
 	}
 }

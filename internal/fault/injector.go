@@ -23,7 +23,7 @@ type Host interface {
 }
 
 // Injector applies a validated Plan to a cluster, one Tick per
-// scheduler step. It runs on the engine's sequential fault band
+// scheduler step. It runs in the session's sequential fault stage
 // (between physics and scheduling), so all cluster mutation and all
 // stochastic crash draws happen in server-ID order on one goroutine;
 // per-server sensor RNGs keep the parallel physics phase

@@ -18,7 +18,7 @@ func cacheModule(t *testing.T) string {
 
 func Answer() int { return 42 }
 `,
-		"internal/sim/b.go": `package sim
+		"internal/cluster/b.go": `package cluster
 
 import (
 	"time"
@@ -131,8 +131,8 @@ func TestCacheLeafEditLeavesDependencyWarm(t *testing.T) {
 	cacheDir := t.TempDir()
 	runCachedModule(t, modDir, cacheDir, false)
 
-	bPath := filepath.Join(modDir, "internal", "sim", "b.go")
-	src := `package sim
+	bPath := filepath.Join(modDir, "internal", "cluster", "b.go")
+	src := `package cluster
 
 import "vmt/internal/pcm"
 

@@ -30,14 +30,13 @@ var Detrand = &Analyzer{
 	Doc: "forbids time.Now/Since/Until, os.Getenv and math|crypto/rand — direct or " +
 		"transitively reached through module helpers, method values, and function-typed " +
 		"fields — in simulation-critical packages (root study code, " +
-		"internal/{sim,cluster,pcm,thermal,sched,fault}); " +
+		"internal/{cluster,pcm,thermal,sched,fault}); " +
 		"use the seeded internal/stats RNG and simulation time instead",
 	Scope: detrandScope,
 	Run:   runDetrand,
 }
 
 var detrandScope = scopeSet("vmt",
-	"vmt/internal/sim",
 	"vmt/internal/cluster",
 	"vmt/internal/pcm",
 	"vmt/internal/thermal",

@@ -86,7 +86,7 @@ func TestScopes(t *testing.T) {
 		want     bool
 	}{
 		{Detrand, "vmt", true},
-		{Detrand, "vmt/internal/sim", true},
+		{Detrand, "vmt/internal/cluster", true},
 		{Detrand, "vmt/internal/sched", true},
 		{Detrand, "vmt/internal/sched/sub", true},
 		{Detrand, "vmt/internal/telemetry", false},
@@ -171,7 +171,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestLoaderDiscoversModule(t *testing.T) {
 	loader := testLoader(t)
 	paths := loader.ModulePackages()
-	want := []string{"vmt", "vmt/internal/lint", "vmt/internal/sim", "vmt/cmd/vmtlint"}
+	want := []string{"vmt", "vmt/internal/lint", "vmt/internal/thermal", "vmt/cmd/vmtlint"}
 	for _, w := range want {
 		found := false
 		for _, p := range paths {

@@ -18,18 +18,6 @@ func BenchmarkCounterContended(b *testing.B) {
 	})
 }
 
-func BenchmarkGaugeSetMaxContended(b *testing.B) {
-	r := NewRegistry()
-	g := r.Gauge("hwm")
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0.0
-		for pb.Next() {
-			i++
-			g.SetMax(i)
-		}
-	})
-}
-
 func BenchmarkHistogramContended(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("melt", LinearBounds(0, 1, 10)...)

@@ -15,9 +15,9 @@ import (
 // Fleet state telemetry: a per-tick snapshot of every server's
 // observable state, published through an atomic pointer so a live
 // endpoint (the cliobs /fleet handler) can scrape mid-run without
-// touching the engine goroutine, and optionally streamed to an NDJSON
-// log — the per-server ground truth vmtdiff replays to pinpoint the
-// first divergent tick/server/field between two runs.
+// touching the simulation goroutine, and optionally streamed to an
+// NDJSON log — the per-server ground truth vmtdiff replays to
+// pinpoint the first divergent tick/server/field between two runs.
 
 // ServerState is one server's observable state at a sample tick.
 type ServerState struct {

@@ -6,11 +6,12 @@ import (
 )
 
 // Per-band span profiling: wall time and allocation deltas for each
-// engine band (physics, fault, schedule, sample), with the profiler's
-// own cost accounted separately so the band numbers stay honest. The
-// profiler reads the runtime's cumulative heap-allocation counter
-// (/gc/heap/allocs:bytes via runtime/metrics — no stop-the-world)
-// around each span; the delta is that band's allocation bill.
+// band, one per session tick stage (physics, fault, guard, schedule,
+// sample), with the profiler's own cost accounted separately so the
+// band numbers stay honest. The profiler reads the runtime's
+// cumulative heap-allocation counter (/gc/heap/allocs:bytes via
+// runtime/metrics — no stop-the-world) around each span; the delta is
+// that band's allocation bill.
 //
 // Attribution caveat: the allocation counter is process-global, so
 // alloc deltas are exact for a solo run and an over-count when
@@ -39,7 +40,7 @@ func NewBandProfiler(r *Registry) *BandProfiler {
 	return &BandProfiler{reg: r, self: r.Counter("profiler_self_ns")}
 }
 
-// Band is one profiled engine band. Bracket the band's work with
+// Band is one profiled tick stage. Bracket the band's work with
 // Begin/End.
 type Band struct {
 	self    *Counter
@@ -53,7 +54,7 @@ type Band struct {
 }
 
 // Band returns the named band's instruments, creating the counters on
-// first use. Each Band value is owned by one goroutine (the engine's);
+// first use. Each Band value is owned by one goroutine (the session's);
 // the counters it updates are shared and atomic.
 func (p *BandProfiler) Band(name string) *Band {
 	if p == nil {

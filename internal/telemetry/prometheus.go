@@ -11,8 +11,8 @@ import (
 // exposition format (version 0.0.4), the format a Prometheus server
 // scrapes from /metrics:
 //
-//	# TYPE sim_events_dispatched counter
-//	sim_events_dispatched 172800
+//	# TYPE run_ticks counter
+//	run_ticks 2880
 //	# TYPE pcm_melt_frac histogram
 //	pcm_melt_frac_bucket{le="0.1"} 12
 //	...

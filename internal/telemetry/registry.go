@@ -60,23 +60,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// SetMax raises the gauge to v if v exceeds the current value — a
-// high-water mark (e.g. peak queue depth).
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Add increments the gauge by v (atomically, CAS loop).
 func (g *Gauge) Add(v float64) {
 	if g == nil {

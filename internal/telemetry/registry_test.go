@@ -25,17 +25,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 3.5 {
 		t.Fatalf("gauge = %v, want 3.5", got)
 	}
-	g.SetMax(2) // below current: no change
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("SetMax lowered the gauge to %v", got)
-	}
-	g.SetMax(7)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("SetMax = %v, want 7", got)
-	}
 	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("Add = %v, want 5", got)
+	if got := g.Value(); got != 1.5 {
+		t.Fatalf("Add = %v, want 1.5", got)
 	}
 }
 
@@ -100,7 +92,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.SetMax(2)
 	g.Add(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -140,7 +131,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < per; i++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
-				r.Gauge("hwm").SetMax(float64(i))
 				r.Histogram("h", 0.5).Observe(float64(i%2) * 0.9)
 			}
 		}()
@@ -151,9 +141,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := r.Gauge("g").Value(); got != workers*per {
 		t.Fatalf("gauge sum = %v, want %d", got, workers*per)
-	}
-	if got := r.Gauge("hwm").Value(); got != per-1 {
-		t.Fatalf("hwm = %v, want %d", got, per-1)
 	}
 	if got := r.Histogram("h").Count(); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)

@@ -24,7 +24,7 @@ var (
 type Observers struct {
 	// Metrics receives counters/gauges/histograms (nil disables).
 	Metrics *telemetry.Registry
-	// Tracer receives one span event per engine band per tick.
+	// Tracer receives one span event per tick stage.
 	Tracer telemetry.Tracer
 	// Stream receives windowed time-series telemetry (see
 	// Config.Stream).

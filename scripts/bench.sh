@@ -1,6 +1,6 @@
 #!/bin/sh
 # Hot-path benchmark runner: exercises the end-to-end run benchmarks
-# plus the pcm/thermal/cluster/sim microbenchmarks several times and
+# plus the pcm/thermal/cluster microbenchmarks several times and
 # records the samples (with per-benchmark medians) as JSON.
 #
 # Usage: scripts/bench.sh [count] [out.json]
@@ -121,8 +121,6 @@ fleetstep 1000    500x "$COUNT"
 fleetstep 10000   100x "$COUNT"
 fleetstep 100000  20x  $((COUNT + 2))
 fleetstep 1000000 3x   3
-
-run_bench ./internal/sim/     'BenchmarkPeriodicDispatch|BenchmarkManyOneShots'                      100x
 
 # A/B leg: the physics microbenchmarks at $BASE, renamed Benchmark ->
 # BenchmarkBase so the aggregator files them separately. FleetStep only

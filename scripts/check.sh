@@ -59,12 +59,14 @@ go test -count=1 \
     . ./internal/experiment/
 go test -count=1 -run 'TestEmittedSpecsMatchCommitted' ./cmd/vmtreport/
 
-echo "== stepped-vs-monolith equivalence (session golden stage)"
-# A session stepped tick-by-tick and in ragged chunks must be
-# bit-identical to the monolithic Run — the contract that lets Run be a
-# thin wrapper over Session without re-blessing any golden fixture.
+echo "== stepped-vs-monolith equivalence (session tick loop)"
+# The session's tick loop: its stage order, horizons that end between
+# ticks, step counts whose duration overflows, and a session stepped
+# tick-by-tick and in ragged chunks bit-identical to the monolithic Run
+# — the contract that lets Run be a thin wrapper over Session without
+# re-blessing any golden fixture.
 go test -count=1 \
-    -run 'TestSessionStepToCompletionMatchesRun|TestSessionStepped|TestSessionHorizonBoundsSource' .
+    -run 'TestSessionStepToCompletionMatchesRun|TestSessionStepped|TestSessionHorizonBoundsSource|TestSessionStageOrder|TestSessionHorizonNotMultipleOfStep|TestSessionStepOverflow' .
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/telemetry/ ./internal/cliobs/ ./internal/experiment/ \

@@ -3,12 +3,12 @@ package vmt
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"vmt/internal/cluster"
 	"vmt/internal/fault"
 	"vmt/internal/sched"
-	"vmt/internal/sim"
 	"vmt/internal/stats"
 	"vmt/internal/telemetry"
 	"vmt/internal/trace"
@@ -24,12 +24,14 @@ import (
 // bit-identical to vmt.Run of the same Config — Run itself is a thin
 // wrapper that opens a session and steps it to completion.
 //
-// Session state lives here, outside internal/sim: the engine owns
-// only the event clock and its queue (which makes its chunked
-// RunUntil trivially re-entrant), while everything the paper's
-// pipeline accumulates between events — the cluster, the schedulers,
-// the partially filled Result, the latched first error — belongs to
-// the caller that wired the bands together. See DESIGN.md.
+// Each tick runs a fixed pipeline of stages (physics, then fault and
+// guard when a plan is set, then schedule, then sample), built once by
+// OpenCtx; the schedule stage alone also runs at t=0 to place the
+// initial load. Between ticks the only loop state is the clock, so a
+// chunked advance runs exactly the stages one monolithic pass would.
+// Everything the stages accumulate — the cluster, the schedulers, the
+// partially filled Result, the latched first error — lives in the
+// Session. See DESIGN.md.
 //
 // A Session is not safe for concurrent use; drive it from one
 // goroutine (the vmtsim -serve mode serializes HTTP access with a
@@ -39,7 +41,6 @@ type Session struct {
 	ctx context.Context
 
 	cl        *cluster.Cluster
-	eng       *sim.Engine
 	override  *sched.Override
 	grouper   hotGrouper
 	hasGroups bool
@@ -48,13 +49,23 @@ type Session struct {
 	injector  *fault.Injector
 	guard     *sched.Guard
 
+	// schedule is the stage that also runs alone at t=0; stages is one
+	// tick's pipeline in order, schedule included.
+	schedule stage
+	stages   []stage
+
 	res        *Result
 	step       time.Duration
 	horizon    time.Duration // 0 = open-ended
+	now        time.Duration // the session clock
 	lastSample cluster.Sample
 	runErr     error
 	closed     bool
 }
+
+// stage is one part of the per-tick pipeline; now is the tick's
+// simulated time. A stage reports failure through Session.fail.
+type stage func(now time.Duration)
 
 // Observation is a read-only snapshot of a session between steps —
 // the observe half of the step/observe seam. Aggregates mirror the
@@ -115,11 +126,11 @@ func Open(cfg Config) (*Session, error) {
 	return OpenCtx(context.Background(), cfg)
 }
 
-// OpenCtx is Open with cancellation: when ctx is cancelled the engine
-// stops at the next tick boundary, the session latches ctx.Err(), and
-// Close still returns the cleanly sampled partial Result alongside
-// the error. Cancellation can only truncate a run, never change what
-// the completed prefix recorded.
+// OpenCtx is Open with cancellation: when ctx is cancelled the run
+// stops in the next tick's physics stage, the session latches
+// ctx.Err(), and Close still returns the cleanly sampled partial
+// Result alongside the error. Cancellation can only truncate a run,
+// never change what the completed prefix recorded.
 func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -210,7 +221,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	}
 
 	// Fault injection: the injector interposes sensors at construction
-	// and ticks on the engine's fault band (after physics, before the
+	// and ticks in the fault stage (after physics, before the
 	// scheduler). Nil plan → nil injector → zero overhead. The guard
 	// is the matching defense: whenever faults are in play it
 	// cross-checks every server's reported telemetry against power
@@ -245,14 +256,10 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		res.HotGroupSize = stats.NewSeriesCap(cfg.Step, nSamples)
 	}
 
-	eng := sim.NewEngine()
-	eng.Instrument(cfg.Metrics)
-
 	s := &Session{
 		cfg:       cfg,
 		ctx:       ctx,
 		cl:        cl,
-		eng:       eng,
 		override:  override,
 		grouper:   grouper,
 		hasGroups: hasGroups,
@@ -266,13 +273,13 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	}
 	fail := s.fail
 
-	// Tracing and band profiling: span wraps a phase handler so each
-	// tick emits one span event with wall timings and the gauges args
-	// samples at close, and (with ProfileBands) brackets the handler
-	// with the band profiler so wall/alloc deltas land on the band
-	// counters and the allocation delta rides on the span event. With a
-	// nil tracer and no profiler the handler is returned untouched, so
-	// the uninstrumented hot path is unchanged.
+	// Tracing and band profiling: span wraps a stage so each tick emits
+	// one span event with wall timings and the gauges args samples at
+	// close, and (with ProfileBands) brackets the stage with the band
+	// profiler so wall/alloc deltas land on the band counters and the
+	// allocation delta rides on the span event. With a nil tracer and no
+	// profiler the stage is returned untouched, so the uninstrumented
+	// hot path is unchanged.
 	tracer := cfg.Tracer
 	var profiler *telemetry.BandProfiler
 	if cfg.ProfileBands {
@@ -282,7 +289,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if tracer != nil {
 		wall0 = time.Now() //vmtlint:allow detrand observational: span wall-clock origin, never read by the simulation
 	}
-	span := func(name string, fn sim.Handler, args func() map[string]float64) sim.Handler {
+	span := func(name string, fn stage, args func() map[string]float64) stage {
 		if tracer == nil && profiler == nil {
 			return fn
 		}
@@ -312,7 +319,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		}
 	}
 
-	// Streaming series handles, resolved once so the sample band does
+	// Streaming series handles, resolved once so the sample stage does
 	// no map lookups. A nil Stream hands out nil series whose Observe
 	// is a no-op — the unstreamed run pays one nil check per series.
 	var (
@@ -327,7 +334,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		stHotSize = cfg.Stream.Series("hot_group_size")
 	}
 
-	// Thermal/PCM instruments, sampled in the metrics band: the fleet
+	// Thermal/PCM instruments, sampled in the sample stage: the fleet
 	// melt-fraction distribution and accumulated server-seconds above
 	// the wax's physical melting temperature.
 	var (
@@ -340,9 +347,11 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		hasMetric = cfg.Metrics != nil
 	)
 
-	// Physics: advance the cluster by one period. Skipped at t=0 (no
-	// elapsed time yet); the scheduler places the initial load first.
-	if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityModel, span("physics", func(time.Duration) {
+	// Physics: advance the cluster by one period. It does not run at
+	// t=0 (no elapsed time yet); the scheduler places the initial load
+	// first. A cancelled context fails the tick here, before any stage
+	// of it has changed state.
+	s.stages = append(s.stages, span("physics", func(time.Duration) {
 		if done != nil {
 			select {
 			case <-done:
@@ -363,35 +372,29 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 			"mean_air_temp_c": s.lastSample.MeanAirTempC,
 			"mean_melt_frac":  s.lastSample.MeanMeltFrac,
 		}
-	})); err != nil {
-		return nil, err
-	}
+	}))
 
 	// Faults: crashes, repairs, and stochastic draws land between the
 	// physics settling and the scheduler's reaction, in server-ID
-	// order on the engine's single goroutine. A crash scheduled at
+	// order on the session's single goroutine. A crash scheduled at
 	// at_min lands on the first fault tick at or after it.
 	if injector != nil {
-		if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityFault, span("fault", func(now time.Duration) {
+		s.stages = append(s.stages, span("fault", func(now time.Duration) {
 			if err := injector.Tick(now, cfg.Step); err != nil {
 				fail(err)
 			}
-		}, nil)); err != nil {
-			return nil, err
-		}
-		// The guard shares the fault band, registered after the
-		// injector so same-time events fire injector-then-guard: trust
-		// decisions are made on the tick's settled reports, before the
-		// scheduler band reads them.
-		if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityFault, span("guard", func(now time.Duration) {
+		}, nil))
+		// The guard runs right after the injector: trust decisions are
+		// made on the tick's settled reports, before the schedule stage
+		// reads them.
+		s.stages = append(s.stages, span("guard", func(now time.Duration) {
 			guard.Tick(now)
-		}, nil)); err != nil {
-			return nil, err
-		}
+		}, nil))
 	}
 
-	// Scheduling: reconcile the job population with the source.
-	if _, err := eng.Every(0, cfg.Step, sim.PriorityScheduler, span("schedule", func(now time.Duration) {
+	// Scheduling: reconcile the job population with the source. This
+	// stage alone also runs at t=0, to place the initial load.
+	s.schedule = span("schedule", func(now time.Duration) {
 		if err := reconcile.Reconcile(now); err != nil {
 			fail(err)
 		}
@@ -401,13 +404,12 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 			args["hot_group_size"] = float64(grouper.HotGroupSize())
 		}
 		return args
-	})); err != nil {
-		return nil, err
-	}
+	})
+	s.stages = append(s.stages, s.schedule)
 
-	// Metrics: sample the settled state each period (after the first
-	// physics step so the series align with elapsed intervals).
-	if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityMetrics, span("sample", func(now time.Duration) {
+	// Sample: record the settled state each tick (after the tick's
+	// physics, so the series align with elapsed intervals).
+	s.stages = append(s.stages, span("sample", func(now time.Duration) {
 		lastSample := s.lastSample
 		if hasMetric {
 			runTicks.Inc()
@@ -505,9 +507,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 			args["wax_energy_j"] = res.WaxEnergyJ.Values[n-1]
 		}
 		return args
-	})); err != nil {
-		return nil, err
-	}
+	}))
 	res.CoolingLoadW.Start = cfg.Step
 	res.TotalPowerW.Start = cfg.Step
 	res.MeanAirTempC.Start = cfg.Step
@@ -521,33 +521,60 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// fail latches the first error and halts the engine, so no event after
-// the failing one is dispatched and the clock stays at its tick.
+// fail latches the first error. runUntil checks it after every stage,
+// so no stage after the failing one runs and the clock stays at its
+// tick.
 func (s *Session) fail(err error) {
 	if s.runErr == nil {
 		s.runErr = err
 	}
-	s.eng.Halt()
+}
+
+// runUntil runs every stage due at or before end, which must be
+// positive: while the clock is still at 0 the t=0 schedule pass, then
+// each tick k with k·step ≤ end, its stages in order. It returns right
+// after a stage that latches an error, with the clock at that tick;
+// otherwise the clock finishes at end. Running to t1 and then to t2
+// runs exactly the stages one run to t2 would.
+func (s *Session) runUntil(end time.Duration) {
+	if s.now == 0 {
+		s.schedule(0)
+		if s.runErr != nil {
+			return
+		}
+	}
+	for k := int64(s.now/s.step) + 1; k <= int64(end/s.step); k++ {
+		s.now = time.Duration(k) * s.step
+		for _, run := range s.stages {
+			run(s.now)
+			if s.runErr != nil {
+				return
+			}
+		}
+	}
+	s.now = end
 }
 
 // Tick returns the number of completed steps.
-func (s *Session) Tick() int64 { return int64(s.eng.Now() / s.step) }
+func (s *Session) Tick() int64 { return int64(s.now / s.step) }
 
 // Now returns the session's simulated time.
-func (s *Session) Now() time.Duration { return s.eng.Now() }
+func (s *Session) Now() time.Duration { return s.now }
 
 // Done reports whether a finite-horizon session has reached its end.
 // Open-ended sessions (an open-loop Source with no Horizon) are never
 // done.
 func (s *Session) Done() bool {
-	return s.horizon > 0 && s.eng.Now() >= s.horizon
+	return s.horizon > 0 && s.now >= s.horizon
 }
 
 // Step advances the session n ticks (clamped to the horizon, when
 // finite), then seals every telemetry window the advance completed so
 // streamed runs flush incrementally on step boundaries. Stepping a
 // finished session is a no-op; stepping a closed or failed session
-// returns the latched error.
+// returns the latched error. On an open-ended session, an n that would
+// carry the clock past the largest time.Duration is refused without
+// latching an error.
 func (s *Session) Step(n int) error {
 	if s.closed {
 		return fmt.Errorf("vmt: session is closed")
@@ -558,14 +585,18 @@ func (s *Session) Step(n int) error {
 	if s.runErr != nil {
 		return s.runErr
 	}
-	target := s.eng.Now() + time.Duration(n)*s.step
-	if s.horizon > 0 && target > s.horizon {
-		target = s.horizon
+	// Compare tick counts, never n·step, which can wrap.
+	limit := s.horizon
+	if limit == 0 {
+		limit = math.MaxInt64
 	}
-	if err := s.eng.RunUntil(target); err != nil {
-		s.fail(err)
-		return err
+	end := limit
+	if time.Duration(n) <= (limit-s.now)/s.step {
+		end = s.now + time.Duration(n)*s.step
+	} else if s.horizon == 0 {
+		return fmt.Errorf("vmt: step count %d overflows the session clock at %v", n, s.now)
 	}
+	s.runUntil(end)
 	if s.runErr != nil {
 		return s.runErr
 	}
@@ -573,9 +604,10 @@ func (s *Session) Step(n int) error {
 	return nil
 }
 
-// StepAll advances a finite-horizon session to its end in one engine
-// pass — exactly the monolithic Run loop, so Run-over-Session keeps
-// every golden fixture byte-identical and pays no per-step overhead.
+// StepAll advances a finite-horizon session to its end in one pass of
+// the tick loop — exactly the monolithic Run loop, so Run-over-Session
+// keeps every golden fixture byte-identical and pays no per-step
+// overhead.
 func (s *Session) StepAll() error {
 	if s.closed {
 		return fmt.Errorf("vmt: session is closed")
@@ -586,10 +618,7 @@ func (s *Session) StepAll() error {
 	if s.runErr != nil {
 		return s.runErr
 	}
-	if err := s.eng.RunUntil(s.horizon); err != nil {
-		s.fail(err)
-		return err
-	}
+	s.runUntil(s.horizon)
 	return s.runErr
 }
 
@@ -599,9 +628,9 @@ func (s *Session) Observe() Observation {
 	last := s.lastSample
 	obs := Observation{
 		Tick:                 s.Tick(),
-		SimTime:              s.eng.Now(),
+		SimTime:              s.now,
 		Done:                 s.Done(),
-		Utilization:          s.src.At(s.eng.Now()),
+		Utilization:          s.src.At(s.now),
 		CoolingLoadW:         last.CoolingLoadW,
 		TotalPowerW:          last.TotalPowerW,
 		MeanAirTempC:         last.MeanAirTempC,

@@ -65,7 +65,7 @@ func TestInstrumentedRunIsBitIdentical(t *testing.T) {
 			for _, c := range snap.Counters {
 				counters[c.Name] = c.Value
 			}
-			for _, name := range []string{"sim_events_dispatched", "sched_placements", "run_ticks"} {
+			for _, name := range []string{"sched_placements", "run_ticks"} {
 				if counters[name] == 0 {
 					t.Fatalf("counter %s stayed zero: %+v", name, snap.Counters)
 				}
@@ -260,8 +260,8 @@ func TestDefaultObservabilityAppliesToRuns(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("sim_events_dispatched").Value() == 0 {
-		t.Fatal("default registry saw no events")
+	if reg.Counter("run_ticks").Value() == 0 {
+		t.Fatal("default registry saw no ticks")
 	}
 	if rec.Len() == 0 {
 		t.Fatal("default tracer saw no spans")
@@ -270,14 +270,14 @@ func TestDefaultObservabilityAppliesToRuns(t *testing.T) {
 	// A per-Config registry takes precedence over the default.
 	own := telemetry.NewRegistry()
 	cfg.Metrics = own
-	before := reg.Counter("sim_events_dispatched").Value()
+	before := reg.Counter("run_ticks").Value()
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if own.Counter("sim_events_dispatched").Value() == 0 {
+	if own.Counter("run_ticks").Value() == 0 {
 		t.Fatal("per-config registry ignored")
 	}
-	if reg.Counter("sim_events_dispatched").Value() != before {
+	if reg.Counter("run_ticks").Value() != before {
 		t.Fatal("default registry should not see a run with its own registry")
 	}
 }

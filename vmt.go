@@ -165,18 +165,18 @@ type Config struct {
 	// in the run-cache key. Nil injects nothing and leaves the hot
 	// path untouched.
 	Faults *fault.Plan `json:"faults"`
-	// Metrics, when non-nil, receives run instrumentation: engine
-	// dispatch counts and per-band wall time, scheduler placements and
-	// hot-group resizes, the fleet melt-fraction histogram, and
-	// time-above-PMT. Telemetry is strictly observational — results
-	// are bit-identical with or without it. Safe to share one registry
-	// across RunMany workers.
+	// Metrics, when non-nil, receives run instrumentation: the tick
+	// count, scheduler placements and hot-group resizes, the fleet
+	// melt-fraction histogram, and time-above-PMT (and, with
+	// ProfileBands, each tick stage's wall time). Telemetry is strictly
+	// observational — results are bit-identical with or without it.
+	// Safe to share one registry across RunMany workers.
 	Metrics *telemetry.Registry `json:"-"`
-	// Tracer, when non-nil, receives one span event per simulation
-	// phase per tick (physics, schedule, sample) with wall-clock
-	// timings and key gauges; export via telemetry.Recorder as JSONL
-	// or Chrome trace_event JSON. Nil disables tracing at (near) zero
-	// cost.
+	// Tracer, when non-nil, receives one span event per tick stage
+	// (physics, then fault and guard when Faults is set, then schedule
+	// and sample; schedule alone at t=0) with wall-clock timings and
+	// key gauges; export via telemetry.Recorder as JSONL or Chrome
+	// trace_event JSON. Nil disables tracing at (near) zero cost.
 	Tracer telemetry.Tracer `json:"-"`
 	// Stream, when non-nil, receives windowed time-series telemetry:
 	// each sample tick feeds cooling_load_w, total_power_w,
@@ -195,9 +195,9 @@ type Config struct {
 	// sink writes the NDJSON fleet log vmtdiff replays to find the
 	// first divergent tick between two runs. Strictly observational.
 	Fleet *telemetry.FleetPublisher `json:"-"`
-	// ProfileBands, when true and Metrics is set, profiles each engine
-	// band (physics, fault, schedule, sample): wall time and heap
-	// allocation deltas land on band_wall_ns_*/band_alloc_bytes_*/
+	// ProfileBands, when true and Metrics is set, profiles each tick
+	// stage (physics, fault, guard, schedule, sample): wall time and
+	// heap allocation deltas land on band_wall_ns_*/band_alloc_bytes_*/
 	// band_spans_* counters, with the profiler's own cost separated
 	// into profiler_self_ns, and allocation deltas attach to trace
 	// spans (Chrome trace counter tracks). Strictly observational.
@@ -382,15 +382,15 @@ type reconciler interface {
 	Evacuate(*cluster.Server) (moved, lost int, err error)
 }
 
-// RunCtx is Run with cancellation: when ctx is cancelled the engine
-// stops at the next tick boundary and the run returns ctx.Err(). The
+// RunCtx is Run with cancellation: when ctx is cancelled the run
+// stops in the next tick's physics stage and returns ctx.Err(). The
 // result is still deterministic when it completes — cancellation can
 // only abort a run, never change what a completed run returns.
 //
 // RunCtx is a thin wrapper over Session: it opens one, steps it to
-// the horizon in a single engine pass, and closes it — so batch runs
-// and stepped sessions share every line of the pipeline, and the
-// wrapper adds no per-tick work.
+// the horizon in a single pass of its tick loop, and closes it — so
+// batch runs and stepped sessions share every line of the pipeline,
+// and the wrapper adds no per-tick work.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	s, err := OpenCtx(ctx, cfg)
 	if err != nil {
