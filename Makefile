@@ -10,7 +10,7 @@ test:
 	go test ./...
 
 lint:
-	go run ./cmd/vmtlint -strict -cache .vmtlint-cache ./...
+	go run ./cmd/vmtlint -strict ./...
 
 build:
 	go build ./...

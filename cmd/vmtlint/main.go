@@ -2,24 +2,17 @@
 // determinism and cache-soundness invariants the simulator's results
 // rest on — over the module's packages. Standard library only: the
 // driver is internal/lint, built on go/parser, go/types, and
-// go/importer.
+// go/importer, with standard-library export data from one
+// `go list -export` per run.
 //
 // Usage:
 //
-//	vmtlint [-list] [-strict] [-json] [-cache dir] [-cachestats] [pattern ...]
+//	vmtlint [-list] [-strict] [-json] [pattern ...]
 //
 // Patterns are package directories relative to the working directory:
 // "./..." (or no arguments) lints every package in the module,
 // "./internal/cluster" one package, "./internal/..." a subtree. Import
 // paths ("vmt/internal/cluster") work too.
-//
-// With -cache, per-package diagnostics are cached on disk keyed by a
-// content hash over the package's sources, its module-local import
-// closure, the analyzer set, and the toolchain — the same discipline
-// as the simulator's run cache. A warm run answers every package from
-// disk without parsing or type-checking anything, retiring the
-// several-second module reload that dominated each invocation.
-// -cachestats reports hits/misses/type-checks to stderr.
 //
 // Diagnostics print as "file:line: [analyzer] message". With -json
 // they print as NDJSON instead — one
@@ -55,10 +48,8 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	strict := flag.Bool("strict", false, "also report //vmtlint:allow directives that suppress nothing")
 	jsonOut := flag.Bool("json", false, "print diagnostics as NDJSON (includes allowed findings)")
-	cacheDir := flag.String("cache", "", "cache per-package diagnostics in `dir`, keyed by content hash")
-	cacheStats := flag.Bool("cachestats", false, "report cache hits/misses and type-check count to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: vmtlint [-list] [-strict] [-json] [-cache dir] [-cachestats] [pattern ...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: vmtlint [-list] [-strict] [-json] [pattern ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -75,13 +66,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vmtlint:", err)
 		os.Exit(2)
 	}
-	os.Exit(run(cwd, flag.Args(), *strict, *jsonOut, *cacheDir, *cacheStats, os.Stdout, os.Stderr))
+	os.Exit(run(cwd, flag.Args(), *strict, *jsonOut, os.Stdout, os.Stderr))
 }
 
 // run is the testable driver body: lint the packages of the module
 // containing dir that match the patterns, print diagnostics to out,
 // and return the process exit code.
-func run(dir string, patterns []string, strict, jsonOut bool, cacheDir string, cacheStats bool, out, errOut io.Writer) int {
+func run(dir string, patterns []string, strict, jsonOut bool, out, errOut io.Writer) int {
 	root, err := lint.FindModuleRoot(dir)
 	if err != nil {
 		fmt.Fprintln(errOut, "vmtlint:", err)
@@ -97,14 +88,7 @@ func run(dir string, patterns []string, strict, jsonOut bool, cacheDir string, c
 		fmt.Fprintln(errOut, "vmtlint:", err)
 		return 2
 	}
-	var cache *lint.Cache
-	if cacheDir != "" {
-		if cache, err = lint.OpenCache(cacheDir); err != nil {
-			fmt.Fprintln(errOut, "vmtlint:", err)
-			return 2
-		}
-	}
-	diags, err := lint.RunCached(loader, cache, paths, lint.Analyzers, strict)
+	diags, err := lint.RunModule(loader, paths, lint.Analyzers, strict)
 	if err != nil {
 		// Lint runs on code that already builds; type errors mean the
 		// loader's import environment is broken, and linting
@@ -124,11 +108,7 @@ func run(dir string, patterns []string, strict, jsonOut bool, cacheDir string, c
 		fmt.Fprintln(errOut, "vmtlint:", err)
 		return 2
 	}
-	if cache != nil && cacheStats {
-		fmt.Fprintf(errOut, "vmtlint: cache %d hits, %d misses, %d packages type-checked\n",
-			cache.Hits(), cache.Misses(), loader.Checked())
-	}
-	// RunCached returns suppressed findings too (Allowed=true): the
+	// RunModule returns suppressed findings too (Allowed=true): the
 	// JSON stream keeps them for CI, the text view and the exit code
 	// see only live ones.
 	live := lint.Live(diags)

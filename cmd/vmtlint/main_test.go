@@ -39,7 +39,7 @@ func TestRunCleanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	if code := run(cwd, []string{"./..."}, true, false, "", false, &out, &errOut); code != 0 {
+	if code := run(cwd, []string{"./..."}, true, false, &out, &errOut); code != 0 {
 		t.Fatalf("run(./...) = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	if out.Len() != 0 {
@@ -60,7 +60,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 `,
 	})
 	var out, errOut bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, false, "", false, &out, &errOut); code != 1 {
+	if code := run(dir, []string{"./..."}, false, false, &out, &errOut); code != 1 {
 		t.Fatalf("run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	// Diagnostic contract: file:line: [analyzer] message, path relative
@@ -88,7 +88,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 `,
 	})
 	var out, errOut bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, false, "", false, &out, &errOut); code != 0 {
+	if code := run(dir, []string{"./..."}, false, false, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 }
@@ -105,12 +105,12 @@ func Stamp() int64 { return 42 }
 `,
 	})
 	var out, errOut bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, false, "", false, &out, &errOut); code != 0 {
+	if code := run(dir, []string{"./..."}, false, false, &out, &errOut); code != 0 {
 		t.Fatalf("default run = %d, want 0 (stale allows only matter under -strict)\nstdout:\n%s", code, out.String())
 	}
 	out.Reset()
 	errOut.Reset()
-	if code := run(dir, []string{"./..."}, true, false, "", false, &out, &errOut); code != 1 {
+	if code := run(dir, []string{"./..."}, true, false, &out, &errOut); code != 1 {
 		t.Fatalf("strict run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	re := regexp.MustCompile(`(?m)^internal[/\\]cluster[/\\]clean\.go:3: \[allow\] unused vmtlint:allow detrand`)
@@ -125,7 +125,7 @@ func TestRunBadPattern(t *testing.T) {
 		"main.go": "package vmt\n",
 	})
 	var out, errOut bytes.Buffer
-	if code := run(dir, []string{"./nonexistent/..."}, false, false, "", false, &out, &errOut); code != 2 {
+	if code := run(dir, []string{"./nonexistent/..."}, false, false, &out, &errOut); code != 2 {
 		t.Fatalf("run(bad pattern) = %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "matched no packages") {
@@ -133,45 +133,10 @@ func TestRunBadPattern(t *testing.T) {
 	}
 }
 
-// TestRunCacheWarm: with -cache, a second CLI run over an unchanged
-// module answers every package from disk — zero misses, zero packages
-// type-checked — while printing byte-identical diagnostics with the
-// same exit code.
-func TestRunCacheWarm(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module vmt\n\ngo 1.24\n",
-		"internal/cluster/clock.go": `package cluster
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-		"internal/pcm/ok.go": "package pcm\n\nfunc Answer() int { return 42 }\n",
-	})
-	cacheDir := filepath.Join(t.TempDir(), "lintcache")
-	var coldOut, coldErr bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, false, cacheDir, true, &coldOut, &coldErr); code != 1 {
-		t.Fatalf("cold run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, coldOut.String(), coldErr.String())
-	}
-	if !strings.Contains(coldErr.String(), "cache 0 hits, 2 misses") {
-		t.Errorf("cold stats missing, stderr:\n%s", coldErr.String())
-	}
-	var warmOut, warmErr bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, false, cacheDir, true, &warmOut, &warmErr); code != 1 {
-		t.Fatalf("warm run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, warmOut.String(), warmErr.String())
-	}
-	if !strings.Contains(warmErr.String(), "cache 2 hits, 0 misses, 0 packages type-checked") {
-		t.Errorf("warm run should skip all type-checking, stderr:\n%s", warmErr.String())
-	}
-	if warmOut.String() != coldOut.String() {
-		t.Errorf("warm diagnostics differ from cold:\ncold:\n%s\nwarm:\n%s", coldOut.String(), warmOut.String())
-	}
-}
-
 func TestRunOutsideModule(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut bytes.Buffer
-	if code := run(dir, nil, false, false, "", false, &out, &errOut); code != 2 {
+	if code := run(dir, nil, false, false, &out, &errOut); code != 2 {
 		t.Fatalf("run outside a module = %d, want 2\nstderr:\n%s", code, errOut.String())
 	}
 }
@@ -193,7 +158,7 @@ func Waived() int64 { return time.Now().UnixNano() } //vmtlint:allow detrand scr
 `,
 	})
 	var out, errOut bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, true, "", false, &out, &errOut); code != 1 {
+	if code := run(dir, []string{"./..."}, false, true, &out, &errOut); code != 1 {
 		t.Fatalf("run = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	diags, err := lint.ReadJSON(strings.NewReader(out.String()))
@@ -235,7 +200,7 @@ func Waived() int64 { return time.Now().UnixNano() } //vmtlint:allow detrand scr
 `,
 	})
 	var out, errOut bytes.Buffer
-	if code := run(dir, []string{"./..."}, false, true, "", false, &out, &errOut); code != 0 {
+	if code := run(dir, []string{"./..."}, false, true, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	diags, err := lint.ReadJSON(strings.NewReader(out.String()))

@@ -159,9 +159,13 @@ func (o *Observability) Enabled() bool {
 }
 
 // Start activates the sinks the parsed flags requested and installs
-// them as the process-wide defaults. It returns an error if a file or
-// listener cannot be created; in that case nothing is installed.
+// them as the process-wide defaults. It returns an error if a flag
+// value is invalid or a file or listener cannot be created; in that
+// case nothing is installed.
 func (o *Observability) Start() error {
+	if o.StreamPath != "" && o.StreamWindow <= 0 {
+		return fmt.Errorf("stream-window: must be positive, got %d", o.StreamWindow)
+	}
 	if o.CPUProfilePath != "" {
 		f, err := os.Create(o.CPUProfilePath)
 		if err != nil {

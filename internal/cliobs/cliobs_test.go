@@ -168,6 +168,29 @@ func TestCloseWithoutStartIsSafe(t *testing.T) {
 	}
 }
 
+// TestStartRejectsNonPositiveStreamWindow: a -stream-window below one
+// fails Start before the stream file exists, instead of silently
+// streaming default-sized windows.
+func TestStartRejectsNonPositiveStreamWindow(t *testing.T) {
+	for _, window := range []int{0, -7} {
+		o := &Observability{StreamPath: filepath.Join(t.TempDir(), "stream.ndjson"), StreamWindow: window}
+		if err := o.Start(); err == nil {
+			o.Close()
+			t.Errorf("window %d: Start succeeded, want an error", window)
+		}
+		if _, err := os.Stat(o.StreamPath); !os.IsNotExist(err) {
+			t.Errorf("window %d: stream file exists after Start (stat error %v)", window, err)
+		}
+	}
+	o := &Observability{StreamPath: filepath.Join(t.TempDir(), "stream.ndjson"), StreamWindow: 32}
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStreamingFlagsAndLiveEndpoints drives the streaming layer the
 // way the CLI does: -stream, -fleet-log, -profile-bands, and the
 // /metrics and /fleet live endpoints on the debug server.

@@ -274,11 +274,6 @@ func (p *Plan) HasDomainFaults() bool {
 	return len(p.Domains) > 0 || p.StochasticDomains != nil
 }
 
-// HasByzantine reports whether the plan injects lying reports.
-func (p *Plan) HasByzantine() bool {
-	return p != nil && len(p.Byzantine) > 0
-}
-
 // ParsePlan decodes and validates a plan from JSON, rejecting unknown
 // fields so typos fail loudly instead of silently defaulting — the
 // same contract workload.ParseSourceSpec gives arrival sources.

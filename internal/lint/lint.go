@@ -51,8 +51,9 @@ type Diagnostic struct {
 	Analyzer string
 	Message  string
 	// Allowed marks a finding suppressed by a //vmtlint:allow directive.
-	// The public Run entry points drop allowed diagnostics; the cache
-	// and the -json output keep them so CI can see what was waived.
+	// RunStrict and the RunUnscoped entry points drop allowed
+	// diagnostics; RunModule and the -json output keep them so CI can
+	// see what was waived.
 	Allowed bool
 }
 
@@ -60,31 +61,57 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.Position.Filename, d.Position.Line, d.Analyzer, d.Message)
 }
 
-// Run applies the analyzers to every package, honoring Scope rules and
-// //vmtlint:allow suppressions, and returns the surviving diagnostics
-// sorted by file, line, analyzer, and message. Diagnostics about the
-// suppression comments themselves are always included.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runAll(pkgs, analyzers, false)
-}
-
-// RunStrict is Run plus unused-allow detection: a //vmtlint:allow that
-// suppresses nothing — because the code it excused drifted away — is
-// itself a diagnostic from the always-on "allow" pseudo-analyzer.
-// Detection is scope-aware: an allow naming an analyzer that does not
-// run over its package is never reported, since its unusedness was
-// never actually tested.
+// RunStrict applies the analyzers to every package, honoring Scope
+// rules and //vmtlint:allow suppressions, and returns the surviving
+// diagnostics sorted by file, line, analyzer, and message. Diagnostics
+// about the suppression comments themselves are always included, and
+// so is unused-allow detection: a //vmtlint:allow that suppresses
+// nothing — because the code it excused drifted away — is itself a
+// diagnostic from the always-on "allow" pseudo-analyzer. Detection is
+// scope-aware: an allow naming an analyzer that does not run over its
+// package is never reported, since its unusedness was never actually
+// tested.
 func RunStrict(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runAll(pkgs, analyzers, true)
-}
-
-func runAll(pkgs []*Package, analyzers []*Analyzer, strict bool) []Diagnostic {
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		all = append(all, Live(runPackage(pkg, analyzers, true, strict))...)
+		all = append(all, Live(runPackage(pkg, analyzers, true, true))...)
 	}
 	sortDiagnostics(all)
 	return all
+}
+
+// A TypeCheckError reports that a package failed to type-check, which
+// the driver treats as a load failure rather than linting half-typed
+// code.
+type TypeCheckError struct {
+	Path string
+	Errs []error
+}
+
+func (e *TypeCheckError) Error() string {
+	return fmt.Sprintf("lint: type-checking %s failed: %v (%d errors)", e.Path, e.Errs[0], len(e.Errs))
+}
+
+// RunModule loads the named module packages through l and lints them,
+// honoring Scope rules and //vmtlint:allow suppressions, with
+// unused-allow detection when strict is set. Diagnostics come back in
+// canonical order and include suppressed findings (Allowed=true) —
+// filter with Live for the exit-code view. A package that fails to
+// type-check stops the run with a *TypeCheckError.
+func RunModule(l *Loader, paths []string, analyzers []*Analyzer, strict bool) ([]Diagnostic, error) {
+	var all []Diagnostic
+	for _, path := range paths {
+		pkg, err := l.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		if len(pkg.TypeErrors) > 0 {
+			return nil, &TypeCheckError{Path: path, Errs: pkg.TypeErrors}
+		}
+		all = append(all, runPackage(pkg, analyzers, true, strict)...)
+	}
+	sortDiagnostics(all)
+	return all, nil
 }
 
 // Live filters diagnostics down to the unsuppressed ones.
@@ -116,8 +143,8 @@ func RunUnscopedStrict(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // runPackage returns every diagnostic of one package, suppressed ones
-// included (marked Allowed rather than dropped, so the cache and the
-// -json output retain them).
+// included (marked Allowed rather than dropped, so the -json output
+// retains them).
 func runPackage(pkg *Package, analyzers []*Analyzer, useScope, strict bool) []Diagnostic {
 	allows, diags := collectAllows(pkg)
 	diags = append(diags, collectVmtDiags(pkg)...)

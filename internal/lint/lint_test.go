@@ -22,9 +22,9 @@ func TestStrictAllowFixture(t *testing.T) {
 	lintFixtureStrict(t, "strictallow", FloatEq, MapOrder)
 }
 
-// TestStrictIsStrictOnly pins that plain Run never reports unused
-// allows — strict is opt-in, so the default exit-0 contract of a clean
-// tree cannot flip when an allow goes stale.
+// TestStrictIsStrictOnly pins that a non-strict run never reports
+// unused allows — strict is opt-in, so the default exit-0 contract of
+// a clean tree cannot flip when an allow goes stale.
 func TestStrictIsStrictOnly(t *testing.T) {
 	pkg := loadFixture(t, "strictallow")
 	for _, d := range RunUnscoped(pkg, []*Analyzer{FloatEq, MapOrder}) {

@@ -1,7 +1,8 @@
 // Package lint is a from-scratch static-analysis driver for the vmt
 // module, built on the standard library only (go/parser, go/ast,
 // go/types, go/importer — no golang.org/x/tools dependency, matching
-// the repo's no-deps ethos).
+// the repo's no-deps ethos). The export data of standard-library
+// imports comes from one `go list -export` run per loader.
 //
 // It exists to enforce the simulator's load-bearing promise at
 // compile time rather than discovering its violation at golden-test
@@ -21,11 +22,14 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -54,12 +58,12 @@ type Package struct {
 	loader *Loader
 }
 
-// Loader discovers and type-checks the packages of one Go module
-// without shelling out to the go command. Module-local import paths
-// resolve through the loader itself (memoized, dependency order);
-// everything else (the standard library) resolves through
-// go/importer's gc importer, falling back to the slower from-source
-// importer when export data is unavailable.
+// Loader discovers and type-checks the packages of one Go module.
+// Module-local import paths resolve through the loader itself
+// (memoized, dependency order); every other import (the standard
+// library) resolves through one gc importer reading the export data
+// that a single `go list -export -deps` reports for the module, run
+// when the first such import is needed.
 type Loader struct {
 	ModuleDir  string
 	ModulePath string
@@ -68,9 +72,8 @@ type Loader struct {
 	dirs    map[string]string // import path → directory
 	pkgs    map[string]*Package
 	loading map[string]bool
-	gc      types.Importer
-	source  types.Importer
-	checked int
+	gc      types.Importer    // every non-module import, one *types.Package per path
+	exports map[string]string // import path → export data file; nil until the first listing
 	mod     *moduleInfo
 }
 
@@ -89,9 +92,8 @@ func NewLoader(moduleDir string) (*Loader, error) {
 		dirs:       map[string]string{},
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
-		gc:         importer.Default(),
-		source:     importer.ForCompiler(fset, "source", nil),
 	}
+	l.gc = importer.ForCompiler(fset, "gc", l.openExport)
 	if err := l.discover(); err != nil {
 		return nil, err
 	}
@@ -192,17 +194,6 @@ func goFiles(dir string) ([]string, error) {
 	return files, nil
 }
 
-// PackageDir returns the directory of a discovered module package.
-func (l *Loader) PackageDir(path string) (string, bool) {
-	dir, ok := l.dirs[path]
-	return dir, ok
-}
-
-// Checked returns how many packages this loader has parsed and
-// type-checked. The diagnostics cache's contract is observable here: a
-// fully warm cached run never calls check, so Checked stays zero.
-func (l *Loader) Checked() int { return l.checked }
-
 // ModulePackages returns the sorted import paths of every package the
 // loader discovered in the module.
 func (l *Loader) ModulePackages() []string {
@@ -266,7 +257,6 @@ func (l *Loader) check(path, dir string, files []string, overlay map[string]stri
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
-	l.checked++
 
 	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, loader: l}
 	for _, name := range files {
@@ -315,7 +305,7 @@ func (l *Loader) isModuleLocal(path string) bool {
 
 // importFor resolves one import during type-checking: module-local
 // paths from the loader's memoized packages, everything else from the
-// gc importer (compiled export data, fast) with a from-source fallback.
+// gc importer.
 func (l *Loader) importFor(path string) (*types.Package, error) {
 	// Anything already loaded under this path wins — this lets one
 	// testdata fixture import another that was loaded into the same
@@ -330,10 +320,86 @@ func (l *Loader) importFor(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	if p, err := l.gc.Import(path); err == nil {
-		return p, nil
+	return l.gc.Import(path)
+}
+
+// openExport is the gc importer's lookup: it opens the export data file
+// go list reported for path. The first call lists every non-module
+// import of the module at once, so the whole module costs one go
+// command; a path that listing lacks (a fixture's import) is listed on
+// its own into the same map.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	if l.exports == nil {
+		l.exports = map[string]string{}
+		// The error is dropped on purpose: when the module-wide listing
+		// fails, each import is listed on its own below, so the failure
+		// is reported against the import that causes it.
+		_ = l.listExports(l.moduleImports())
 	}
-	return l.source.Import(path)
+	if _, ok := l.exports[path]; !ok {
+		if err := l.listExports([]string{path}); err != nil {
+			return nil, err
+		}
+	}
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("lint: go list reported no export data for %q", path)
+	}
+	return os.Open(file)
+}
+
+// moduleImports returns the sorted non-module imports of every
+// discovered package, read with parser.ImportsOnly. unsafe has no
+// export data and C is cgo's pseudo-package, so both are skipped, as
+// is any file that does not read or parse: check reports it when its
+// package loads.
+func (l *Loader) moduleImports() []string {
+	seen := map[string]bool{"unsafe": true, "C": true}
+	var paths []string
+	for _, pkg := range l.ModulePackages() {
+		files, _ := goFiles(l.dirs[pkg])
+		for _, name := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+			if err != nil {
+				continue
+			}
+			for _, imp := range f.Imports {
+				ip := strings.Trim(imp.Path.Value, `"`)
+				if !seen[ip] && !l.isModuleLocal(ip) {
+					seen[ip] = true
+					paths = append(paths, ip)
+				}
+			}
+		}
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// listExports runs `go list -export -deps` over paths in the module
+// directory and records the export data file of every package listed.
+// It runs the go binary of build.Default.GOROOT, the one
+// go/internal/exportdata runs, so the export data matches the
+// go/types that reads it.
+func (l *Loader) listExports(paths []string) error {
+	if len(paths) == 0 {
+		return nil
+	}
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)
+	cmd := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...)
+	cmd.Dir = l.ModuleDir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list %s: %w: %s", strings.Join(paths, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			l.exports[path] = file
+		}
+	}
+	return nil
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -15,12 +15,6 @@ package lint
 //     transitively reach an entropy root (wall clock, PRNG,
 //     environment).
 //
-// Cache soundness: these facts are pure functions of the analyzed
-// package's source plus its module-local import closure's sources —
-// exactly the closure the diagnostics cache's content hash already
-// covers (Keyer.contentHash folds in every dependency's file contents
-// recursively), so no new key input is needed.
-//
 // Known limitation, by design: taint does not flow through function
 // parameters or interface dispatch — a helper that *receives* a
 // tainted func value is judged at the call site that passed it, where

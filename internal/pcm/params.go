@@ -64,30 +64,3 @@ func (p CurveParams) EnthalpyAt(tempC float64) float64 {
 	}
 	return p.CapSolidJPerK * tempC
 }
-
-// State maps an enthalpy to (temperature, melt fraction) — the
-// exported twin of the internal curve's projection, expression for
-// expression.
-func (p CurveParams) State(h float64) (tempC, meltFrac float64) {
-	switch {
-	case h < p.HMeltLoJ:
-		return h * p.InvCapSolidJPerK, 0
-	case h >= p.HMeltHiJ:
-		return p.MeltC + (h-p.HMeltHiJ)*p.InvCapLiquidJPerK, 1
-	default:
-		return p.MeltC, (h - p.HMeltLoJ) / p.LatentJ
-	}
-}
-
-// TempAt is the temperature-only projection of State, for integrator
-// loops that only need the melt fraction once at the end.
-func (p CurveParams) TempAt(h float64) float64 {
-	switch {
-	case h < p.HMeltLoJ:
-		return h * p.InvCapSolidJPerK
-	case h >= p.HMeltHiJ:
-		return p.MeltC + (h-p.HMeltHiJ)*p.InvCapLiquidJPerK
-	default:
-		return p.MeltC
-	}
-}

@@ -48,10 +48,6 @@ func NewOverride(c *cluster.Cluster, inner Scheduler) (*Override, error) {
 	return &Override{c: c, inner: inner}, nil
 }
 
-// Inner returns the wrapped policy, for callers that resolve optional
-// interfaces (hot-group size, tunables) on the real scheduler.
-func (o *Override) Inner() Scheduler { return o.inner }
-
 // Direct enqueues a one-shot directive: the next placement of the
 // named workload goes to server id (if valid at placement time).
 func (o *Override) Direct(workloadName string, serverID int) {

@@ -205,7 +205,7 @@ func (n *Node) Step(powerW float64, dt time.Duration) (StepResult, error) {
 		toWax := hWax * (airC - waxT)
 		airC += subSec * (powerW - toRoom - toWax) * invCAir
 		waxH += toWax * subSec
-		// curve.TempAt, inlined on the hoisted segment parameters.
+		// pcm's curve.tempAt, inlined on the hoisted segment parameters.
 		switch {
 		case waxH < hLo:
 			waxT = waxH * invSol

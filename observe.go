@@ -56,16 +56,6 @@ func SetDefaultObservers(o Observers) {
 	defaultProfile = o.ProfileBands
 }
 
-// SetDefaultObservability installs fallback Metrics and Tracer sinks,
-// preserving any default Stream/Fleet/ProfileBands already installed.
-// Kept for callers predating SetDefaultObservers.
-func SetDefaultObservability(m *telemetry.Registry, t telemetry.Tracer) {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	defaultMetrics = m
-	defaultTracer = t
-}
-
 // defaultObservers returns the current process-wide fallbacks.
 func defaultObservers() Observers {
 	obsMu.RLock()

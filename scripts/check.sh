@@ -17,11 +17,14 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== vmtlint (strict: stale allows are failures; warm cache in .vmtlint-cache)"
-go run ./cmd/vmtlint -strict -cache .vmtlint-cache -cachestats ./...
+echo "== vmtlint (strict: stale allows are failures)"
+go run ./cmd/vmtlint -strict ./...
 
 echo "== go build"
 go build ./...
+
+echo "== perfbench (its own module: vet and build it against this tree)"
+(cd perfbench && go vet . && go build -o /dev/null .)
 
 echo "== go test"
 go test ./...
@@ -103,19 +106,6 @@ if ! grep -q 'tick 100.*cooling_load_w' "$tmp/diff.out"; then
     exit 1
 fi
 
-echo "== vmtlint warm cache (answers every package from disk)"
-# The strict run above populated .vmtlint-cache; an immediate re-run
-# over the unchanged tree must answer everything from disk without
-# type-checking a single package.
-warmstats=$(go run ./cmd/vmtlint -strict -cache .vmtlint-cache -cachestats ./... 2>&1 >/dev/null)
-case "$warmstats" in
-*"0 misses, 0 packages type-checked"*) ;;
-*)
-    echo "warm vmtlint run re-type-checked packages: $warmstats" >&2
-    exit 1
-    ;;
-esac
-
 echo "== kernelparity self-check (one-token kernel drift is pinpointed)"
 # Flip a single token in stepLanes's lane body, the fleet's only
 # mirror of Node.Step, and demand kernelparity fail the build naming
@@ -123,7 +113,7 @@ echo "== kernelparity self-check (one-token kernel drift is pinpointed)"
 # bit-identity story rests on.
 mutdir="$tmp/kernelmut"
 mkdir -p "$mutdir"
-tar cf - --exclude ./.git --exclude ./.vmtlint-cache --exclude ./results \
+tar cf - --exclude ./.git --exclude ./results \
     --exclude ./vmt.test . | (cd "$mutdir" && tar xf -)
 awk '!done && sub(/toWax \* subSec/, "toRoom * subSec") { done = 1 } { print }' \
     internal/thermal/fleet.go > "$mutdir/internal/thermal/fleet.go"

@@ -252,8 +252,8 @@ func TestTracedRunExportsValidChromeTrace(t *testing.T) {
 func TestDefaultObservabilityAppliesToRuns(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder()
-	SetDefaultObservability(reg, rec)
-	defer SetDefaultObservability(nil, nil)
+	SetDefaultObservers(Observers{Metrics: reg, Tracer: rec})
+	defer SetDefaultObservers(Observers{})
 
 	cfg := BaselineScenario(5)
 	cfg.Trace = smallTrace()

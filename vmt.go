@@ -7,7 +7,7 @@
 // load — even when cluster-average temperatures never reach the wax's
 // physical melting point.
 //
-// The package is a facade over the internal subsystems (event-driven
+// The package is a facade over the internal subsystems (a fixed-tick
 // simulator, PCM model, thermal model, schedulers). Typical use:
 //
 //	res, err := vmt.Run(vmt.Scenario(100, vmt.PolicyVMTTA, 22))
