@@ -51,7 +51,11 @@ func main() {
 	flag.Parse()
 
 	if *specPath != "" {
-		if err := runSpecFile(os.Stdout, *specPath); err != nil {
+		rep, err := vmt.RunSpecFile(*specPath, vmt.BatchOptions{})
+		if err == nil {
+			err = rep.Table().Render(os.Stdout)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "vmtreport: %v\n", err)
 			os.Exit(1)
 		}

@@ -2,76 +2,12 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"vmt"
 	"vmt/internal/experiment"
-	"vmt/internal/report"
 )
-
-// runSpecFile decodes one declarative spec file, executes it through
-// the experiment engine, and tabulates the reduced rows.
-func runSpecFile(out io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	spec, err := experiment.DecodeSpec(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	rep, err := vmt.RunSpec(spec, vmt.BatchOptions{})
-	if err != nil {
-		return err
-	}
-	title := rep.Spec.Name
-	if rep.Spec.Description != "" {
-		title += ": " + rep.Spec.Description
-	}
-	var headers []string
-	if len(rep.Rows) > 0 {
-		for _, ax := range rep.Spec.Axes {
-			if _, ok := rep.Rows[0].Labels[ax.Name]; ok {
-				headers = append(headers, ax.Name)
-			}
-		}
-		var extras []string
-		for name := range rep.Rows[0].Labels { //vmtlint:allow maporder extras are sorted immediately below
-			seen := false
-			for _, h := range headers {
-				seen = seen || h == name
-			}
-			if !seen {
-				extras = append(extras, name)
-			}
-		}
-		sort.Strings(extras)
-		headers = append(headers, extras...)
-		var values []string
-		for name := range rep.Rows[0].Values { //vmtlint:allow maporder values are sorted immediately below
-			values = append(values, name)
-		}
-		sort.Strings(values)
-		headers = append(headers, values...)
-	}
-	tb := report.Table{Title: title, Headers: headers}
-	for _, row := range rep.Rows {
-		cells := make([]any, 0, len(headers))
-		for _, h := range headers {
-			if v, ok := row.Values[h]; ok {
-				cells = append(cells, fmt.Sprintf("%.4f", v))
-			} else {
-				cells = append(cells, fmt.Sprintf("%v", row.Labels[h]))
-			}
-		}
-		tb.AddRow(cells...)
-	}
-	return tb.Render(out)
-}
 
 // emitSpecFiles writes the built-in parameter studies in their
 // declarative form — the same specs the studies execute internally —

@@ -26,11 +26,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"vmt"
 	"vmt/internal/cliobs"
-	"vmt/internal/experiment"
 	"vmt/internal/report"
 )
 
@@ -56,7 +54,10 @@ func main() {
 
 	switch {
 	case args.SpecPath != "":
-		err = runSpecFile(args.SpecPath, batch)
+		var rep *vmt.SpecReport
+		if rep, err = vmt.RunSpecFile(args.SpecPath, batch); err == nil {
+			err = rep.Table().Render(os.Stdout)
+		}
 	case args.Kind == "gv":
 		err = sweepGV(vmt.Policy(args.Policy), args.Servers, args.Grid, batch)
 	case args.Kind == "threshold":
@@ -79,74 +80,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vmtsweep: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runSpecFile decodes a spec file, executes it through the experiment
-// engine (named reducer included), and prints the reduced rows.
-func runSpecFile(path string, batch vmt.BatchOptions) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	spec, err := experiment.DecodeSpec(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	rep, err := vmt.RunSpec(spec, batch)
-	if err != nil {
-		return err
-	}
-	return renderSpecReport(rep)
-}
-
-// renderSpecReport tabulates a reduced spec: one column per surviving
-// axis label (spec axis order), then the value columns sorted by name.
-func renderSpecReport(rep *vmt.SpecReport) error {
-	var labels []string
-	if len(rep.Rows) > 0 {
-		for _, ax := range rep.Spec.Axes {
-			if _, ok := rep.Rows[0].Labels[ax.Name]; ok {
-				labels = append(labels, ax.Name)
-			}
-		}
-		// Derived labels (e.g. best_variant) after the axis columns.
-		var extras []string
-		for name := range rep.Rows[0].Labels { //vmtlint:allow maporder extras are sorted immediately below
-			known := false
-			for _, l := range labels {
-				known = known || l == name
-			}
-			if !known {
-				extras = append(extras, name)
-			}
-		}
-		sort.Strings(extras)
-		labels = append(labels, extras...)
-		var values []string
-		for name := range rep.Rows[0].Values { //vmtlint:allow maporder values are sorted immediately below
-			values = append(values, name)
-		}
-		sort.Strings(values)
-		labels = append(labels, values...)
-	}
-	title := rep.Spec.Name
-	if rep.Spec.Description != "" {
-		title += ": " + rep.Spec.Description
-	}
-	tb := report.Table{Title: title, Headers: labels}
-	for _, row := range rep.Rows {
-		cells := make([]any, 0, len(labels))
-		for _, name := range labels {
-			if v, ok := row.Values[name]; ok {
-				cells = append(cells, fmt.Sprintf("%.4f", v))
-			} else {
-				cells = append(cells, fmt.Sprintf("%v", row.Labels[name]))
-			}
-		}
-		tb.AddRow(cells...)
-	}
-	return tb.Render(os.Stdout)
 }
 
 func sweepGV(policy vmt.Policy, servers int, gvs []float64, batch vmt.BatchOptions) error {

@@ -6,10 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"slices"
+	"sort"
 	"time"
 
 	"vmt/internal/experiment"
 	"vmt/internal/pcm"
+	"vmt/internal/report"
 	"vmt/internal/stats"
 	"vmt/internal/thermal"
 	"vmt/internal/trace"
@@ -56,10 +60,13 @@ var runCache = func() *experiment.Cache {
 
 // resultFingerprint folds a cached *Result into a 64-bit integrity
 // fingerprint: an FNV-1a-style fold over the exact float bits of every
-// sampled series plus the scalar outcome fields. The cache re-checks
-// it on every read, so a stored result mutated after Commit (an
-// aliasing caller scribbling on a shared result) is quarantined and
-// recomputed as a miss instead of silently poisoning later studies.
+// sampled series, the scalar outcome fields, and the grids when they
+// were recorded. The cache re-checks it on every read, so a stored
+// result mutated after Commit (an aliasing caller scribbling on a
+// shared result) is quarantined and recomputed as a miss instead of
+// silently poisoning later studies. The fold is hand-listed because
+// headline_1000_fingerprints.json pins its values;
+// TestResultFingerprintSensitivity fails on a Result field it misses.
 func resultFingerprint(v any) uint64 {
 	r, ok := v.(*Result)
 	if !ok || r == nil {
@@ -74,15 +81,18 @@ func resultFingerprint(v any) uint64 {
 		h ^= u
 		h *= prime
 	}
+	values := func(xs []float64) {
+		mix(uint64(len(xs)))
+		for _, x := range xs {
+			mix(math.Float64bits(x))
+		}
+	}
 	series := func(s *stats.Series) {
 		if s == nil {
 			mix(0)
 			return
 		}
-		mix(uint64(len(s.Values)))
-		for _, x := range s.Values {
-			mix(math.Float64bits(x))
-		}
+		values(s.Values)
 	}
 	series(r.CoolingLoadW)
 	series(r.TotalPowerW)
@@ -101,6 +111,16 @@ func resultFingerprint(v any) uint64 {
 	mix(r.LostJobs)
 	mix(r.DomainTrips)
 	mix(r.ReportsQuarantined)
+	// Grids fold in only when recorded, so a result without them keeps
+	// the fingerprint it had before they were covered.
+	if len(r.AirTempGrid) > 0 || len(r.MeltFracGrid) > 0 {
+		for _, grid := range [][][]float64{r.AirTempGrid, r.MeltFracGrid} {
+			mix(uint64(len(grid)))
+			for _, row := range grid {
+				values(row)
+			}
+		}
+	}
 	return h
 }
 
@@ -113,8 +133,8 @@ func RunCache() *experiment.Cache { return runCache }
 // and intra-batch-duplicate configurations are answered without
 // simulating, and fresh results are stored for the rest of the
 // process. Cache traffic lands on the "experiment_cache_hits" /
-// "experiment_cache_misses" counters of opts.Metrics (or the process
-// default registry). Like RunManyOpts, a failure is reported as a
+// "experiment_cache_misses" counters of the process default registry
+// (SetDefaultObservers). Like RunManyOpts, a failure is reported as a
 // *RunError carrying the index into cfgs, with results at all other
 // indices still populated.
 func RunManyCached(cfgs []Config, opts BatchOptions) ([]*Result, error) {
@@ -128,12 +148,7 @@ func RunManyCached(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 	}
 	plan := runCache.Plan(keys)
 
-	metrics := opts.Metrics
-	if metrics == nil {
-		obsMu.RLock()
-		metrics = defaultMetrics
-		obsMu.RUnlock()
-	}
+	metrics := defaultObservers().Metrics
 	metrics.Counter("experiment_cache_hits").Add(uint64(len(cfgs) - plan.Misses()))
 	metrics.Counter("experiment_cache_misses").Add(uint64(plan.Misses()))
 	if n := plan.Corrupt(); n > 0 {
@@ -329,6 +344,67 @@ func RunSpec(spec experiment.Spec, opts BatchOptions) (*SpecReport, error) {
 		return nil, err
 	}
 	return &SpecReport{Spec: spec, Rows: rows}, nil
+}
+
+// RunSpecFile decodes the spec file at path and executes it with
+// RunSpec — the -spec path of cmd/vmtsweep and cmd/vmtreport.
+func RunSpecFile(path string, opts BatchOptions) (*SpecReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := experiment.DecodeSpec(f)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return RunSpec(spec, opts)
+}
+
+// Table tabulates the reduced rows: one column per surviving axis
+// label (spec axis order), then the derived labels (e.g. best_variant)
+// and the value columns, each sorted by name. Values print with four
+// decimals.
+func (r *SpecReport) Table() report.Table {
+	var headers []string
+	if len(r.Rows) > 0 {
+		for _, ax := range r.Spec.Axes {
+			if _, ok := r.Rows[0].Labels[ax.Name]; ok {
+				headers = append(headers, ax.Name)
+			}
+		}
+		var extras []string
+		for name := range r.Rows[0].Labels { //vmtlint:allow maporder extras are sorted immediately below
+			if !slices.Contains(headers, name) {
+				extras = append(extras, name)
+			}
+		}
+		sort.Strings(extras)
+		headers = append(headers, extras...)
+		var values []string
+		for name := range r.Rows[0].Values { //vmtlint:allow maporder values are sorted immediately below
+			values = append(values, name)
+		}
+		sort.Strings(values)
+		headers = append(headers, values...)
+	}
+	title := r.Spec.Name
+	if r.Spec.Description != "" {
+		title += ": " + r.Spec.Description
+	}
+	tb := report.Table{Title: title, Headers: headers}
+	for _, row := range r.Rows {
+		cells := make([]any, 0, len(headers))
+		for _, h := range headers {
+			if v, ok := row.Values[h]; ok {
+				cells = append(cells, fmt.Sprintf("%.4f", v))
+			} else {
+				cells = append(cells, fmt.Sprintf("%v", row.Labels[h]))
+			}
+		}
+		tb.AddRow(cells...)
+	}
+	return tb
 }
 
 // pointReduction computes point i's peak cooling reduction against its

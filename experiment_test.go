@@ -12,6 +12,7 @@ import (
 	"vmt/internal/experiment"
 	"vmt/internal/fault"
 	"vmt/internal/pcm"
+	"vmt/internal/stats"
 	"vmt/internal/telemetry"
 	"vmt/internal/thermal"
 	"vmt/internal/trace"
@@ -91,6 +92,8 @@ func TestRunManyCachedDedup(t *testing.T) {
 	runCache.SetEnabled(true)
 
 	reg := telemetry.NewRegistry()
+	SetDefaultObservers(Observers{Metrics: reg})
+	defer SetDefaultObservers(Observers{})
 	cfg := BaselineScenario(3)
 	cfg.Trace = smallTrace()
 	vmtCfg := Scenario(3, PolicyVMTTA, 22)
@@ -101,7 +104,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 	cfg.Seed = 777
 	vmtCfg.Seed = 777
 
-	runs, err := RunManyCached([]Config{cfg, vmtCfg, cfg}, BatchOptions{Metrics: reg})
+	runs, err := RunManyCached([]Config{cfg, vmtCfg, cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 
 	// Second batch: everything is cached, and cached results are the
 	// same pointers.
-	runs2, err := RunManyCached([]Config{cfg, vmtCfg}, BatchOptions{Metrics: reg})
+	runs2, err := RunManyCached([]Config{cfg, vmtCfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +386,10 @@ func TestConfigFromSettingsErrors(t *testing.T) {
 			f := rt.Field(i)
 			name := strings.Split(f.Tag.Get("json"), ",")[0]
 			switch {
+			case name == "-":
 			case f.Anonymous:
 				keys(f.Type)
-			case name != "-" && !covered[name]:
+			case !covered[name]:
 				t.Errorf("setting %q (field %s) is not in the full-vocabulary case", name, f.Name)
 			}
 		}
@@ -527,11 +531,13 @@ func TestConfigKeySensitivity(t *testing.T) {
 			func(c *Config) { c.Faults = &fault.Plan{Seed: 2} },
 		},
 		"PhysicsWorkers": {func(c *Config) { c.PhysicsWorkers = 8 }},
-		"Metrics":        {func(c *Config) { c.Metrics = telemetry.NewRegistry() }},
-		"Tracer":         {func(c *Config) { c.Tracer = telemetry.NewRecorder() }},
-		"Stream":         {func(c *Config) { c.Stream = telemetry.NewStream(telemetry.StreamOptions{}) }},
-		"Fleet":          {func(c *Config) { c.Fleet = telemetry.NewFleetPublisher(nil) }},
-		"ProfileBands":   {func(c *Config) { c.ProfileBands = true }},
+		"Observers": {
+			func(c *Config) { c.Metrics = telemetry.NewRegistry() },
+			func(c *Config) { c.Tracer = telemetry.NewRecorder() },
+			func(c *Config) { c.Stream = telemetry.NewStream(telemetry.StreamOptions{}) },
+			func(c *Config) { c.Fleet = telemetry.NewFleetPublisher(nil) },
+			func(c *Config) { c.ProfileBands = true },
+		},
 	}
 	key := func(c Config) string {
 		k, err := configKey(c)
@@ -565,6 +571,71 @@ func TestConfigKeySensitivity(t *testing.T) {
 				t.Errorf("Config.%s variant %d hashes like variant %d (-1 is the base)", f.Name, j, prev)
 			}
 			seen[k] = j
+		}
+	}
+}
+
+// TestResultFingerprintSensitivity: every Result field but the Config
+// echo moves resultFingerprint, so a scribble on any part of a cached
+// outcome is caught. A new Result field fails here until it has a case
+// and the fold covers it.
+func TestResultFingerprintSensitivity(t *testing.T) {
+	series := func() *stats.Series {
+		return &stats.Series{Start: time.Minute, Step: time.Minute, Values: []float64{1, 2, 3}}
+	}
+	base := func() *Result {
+		return &Result{
+			Config:        Scenario(2, PolicyVMTTA, 22),
+			CoolingLoadW:  series(),
+			TotalPowerW:   series(),
+			MeanAirTempC:  series(),
+			HotGroupTempC: series(),
+			HotGroupSize:  series(),
+			MeanMeltFrac:  series(),
+			WaxEnergyJ:    series(),
+			MaxCPUTempC:   series(),
+			AirTempGrid:   [][]float64{{1, 2}, {3, 4}},
+			MeltFracGrid:  [][]float64{{0.1, 0.2}, {0.3, 0.4}},
+		}
+	}
+	cases := map[string]func(*Result){
+		"Config":             nil,
+		"CoolingLoadW":       func(r *Result) { r.CoolingLoadW.Values[1] = 5 },
+		"TotalPowerW":        func(r *Result) { r.TotalPowerW.Values[1] = 5 },
+		"MeanAirTempC":       func(r *Result) { r.MeanAirTempC.Values[1] = 5 },
+		"HotGroupTempC":      func(r *Result) { r.HotGroupTempC.Values[1] = 5 },
+		"HotGroupSize":       func(r *Result) { r.HotGroupSize.Values[1] = 5 },
+		"MeanMeltFrac":       func(r *Result) { r.MeanMeltFrac.Values[1] = 5 },
+		"WaxEnergyJ":         func(r *Result) { r.WaxEnergyJ.Values[1] = 5 },
+		"MaxCPUTempC":        func(r *Result) { r.MaxCPUTempC.Values[1] = 5 },
+		"ThrottleMinutes":    func(r *Result) { r.ThrottleMinutes = 1 },
+		"TaskArrivals":       func(r *Result) { r.TaskArrivals = 1 },
+		"TaskDrops":          func(r *Result) { r.TaskDrops = 1 },
+		"FaultCrashes":       func(r *Result) { r.FaultCrashes = 1 },
+		"FaultRepairs":       func(r *Result) { r.FaultRepairs = 1 },
+		"EvacuatedJobs":      func(r *Result) { r.EvacuatedJobs = 1 },
+		"LostJobs":           func(r *Result) { r.LostJobs = 1 },
+		"DomainTrips":        func(r *Result) { r.DomainTrips = 1 },
+		"ReportsQuarantined": func(r *Result) { r.ReportsQuarantined = 1 },
+		"AirTempGrid":        func(r *Result) { r.AirTempGrid[1][0] = 5 },
+		"MeltFracGrid":       func(r *Result) { r.MeltFracGrid[1][0] = 0.5 },
+	}
+	baseFP := resultFingerprint(base())
+	rt := reflect.TypeOf(Result{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		mutate, ok := cases[name]
+		if !ok {
+			t.Errorf("Result.%s has no case in TestResultFingerprintSensitivity", name)
+			continue
+		}
+		if mutate == nil {
+			continue
+		}
+		r := base()
+		mutate(r)
+		if resultFingerprint(r) == baseFP {
+			t.Errorf("changing Result.%s leaves the fingerprint unchanged", name)
 		}
 	}
 }

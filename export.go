@@ -4,111 +4,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
-
-	"vmt/internal/stats"
 )
 
-// resultJSON is the serialized form of a Result: configuration echo
-// plus the sampled series. Grids are included only when recorded.
-type resultJSON struct {
-	Policy       Policy        `json:"policy"`
-	Servers      int           `json:"servers"`
-	GV           float64       `json:"gv,omitempty"`
-	WaxThreshold float64       `json:"wax_threshold,omitempty"`
-	StepSeconds  float64       `json:"step_seconds"`
-	Seed         uint64        `json:"seed"`
-	InletTempC   float64       `json:"inlet_temp_c"`
-	InletStdevC  float64       `json:"inlet_stdev_c,omitempty"`
-	TaskArrivals uint64        `json:"task_arrivals,omitempty"`
-	TaskDrops    uint64        `json:"task_drops,omitempty"`
-	Series       seriesJSONMap `json:"series"`
-	AirTempGrid  [][]float64   `json:"air_temp_grid,omitempty"`
-	MeltFracGrid [][]float64   `json:"melt_frac_grid,omitempty"`
-}
-
-type seriesJSONMap map[string][]float64
-
 // WriteJSON serializes the result for external tooling (plotting,
-// archiving). The format is stable: series are keyed by name with the
-// sampling step recorded once.
+// archiving) as one JSON object: the resolved Config under "config",
+// each series as {start_ns, step_ns, values}, every counter, and the
+// grids when recorded. The form is lossless: encoding/json writes
+// each float in the shortest form that parses back to the same bits,
+// so ReadResultJSON reconstructs the Result exactly.
 func (r *Result) WriteJSON(w io.Writer) error {
-	out := resultJSON{
-		Policy:       r.Config.Policy,
-		Servers:      r.Config.Servers,
-		GV:           r.Config.GV,
-		WaxThreshold: r.Config.WaxThreshold.Value(),
-		StepSeconds:  r.Config.Step.Seconds(),
-		Seed:         r.Config.Seed,
-		InletTempC:   r.Config.InletTempC.Value(),
-		InletStdevC:  r.Config.InletStdevC,
-		TaskArrivals: r.TaskArrivals,
-		TaskDrops:    r.TaskDrops,
-		Series:       seriesJSONMap{},
-		AirTempGrid:  r.AirTempGrid,
-		MeltFracGrid: r.MeltFracGrid,
-	}
-	add := func(name string, s *stats.Series) {
-		if s != nil {
-			out.Series[name] = s.Values
-		}
-	}
-	add("cooling_load_w", r.CoolingLoadW)
-	add("total_power_w", r.TotalPowerW)
-	add("mean_air_temp_c", r.MeanAirTempC)
-	add("hot_group_temp_c", r.HotGroupTempC)
-	add("hot_group_size", r.HotGroupSize)
-	add("mean_melt_frac", r.MeanMeltFrac)
-	add("wax_energy_j", r.WaxEnergyJ)
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(r)
 }
 
-// ReadResultJSON loads a serialized result. Only the series and the
-// identifying configuration fields round-trip; the full Config (trace
-// spec, hardware spec) is not reconstructed.
+// ReadResultJSON loads a result written by WriteJSON. Decoding is
+// strict: unknown keys are an error, the echoed Config must validate,
+// and the cooling-load series must be present with a positive step.
 func ReadResultJSON(r io.Reader) (*Result, error) {
-	var in resultJSON
+	var res Result
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&res); err != nil {
 		return nil, fmt.Errorf("vmt: decoding result: %w", err)
 	}
-	if in.StepSeconds <= 0 {
-		return nil, fmt.Errorf("vmt: result has non-positive step")
+	if err := res.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("vmt: result config: %w", err)
 	}
-	step := time.Duration(in.StepSeconds * float64(time.Second))
-	mk := func(name string) *stats.Series {
-		vals, ok := in.Series[name]
-		if !ok {
-			return nil
-		}
-		return &stats.Series{Start: step, Step: step, Values: vals}
+	if res.CoolingLoadW == nil || res.CoolingLoadW.Step <= 0 {
+		return nil, fmt.Errorf("vmt: result needs a cooling_load_w series with a positive step")
 	}
-	res := &Result{
-		Config: Config{
-			Policy:       in.Policy,
-			Servers:      in.Servers,
-			GV:           in.GV,
-			WaxThreshold: Some(in.WaxThreshold),
-			Step:         step,
-			Seed:         in.Seed,
-			InletTempC:   Some(in.InletTempC),
-			InletStdevC:  in.InletStdevC,
-		},
-		CoolingLoadW:  mk("cooling_load_w"),
-		TotalPowerW:   mk("total_power_w"),
-		MeanAirTempC:  mk("mean_air_temp_c"),
-		HotGroupTempC: mk("hot_group_temp_c"),
-		HotGroupSize:  mk("hot_group_size"),
-		MeanMeltFrac:  mk("mean_melt_frac"),
-		WaxEnergyJ:    mk("wax_energy_j"),
-		AirTempGrid:   in.AirTempGrid,
-		MeltFracGrid:  in.MeltFracGrid,
-		TaskArrivals:  in.TaskArrivals,
-		TaskDrops:     in.TaskDrops,
-	}
-	if res.CoolingLoadW == nil {
-		return nil, fmt.Errorf("vmt: result missing cooling_load_w series")
-	}
-	return res, nil
+	return &res, nil
 }

@@ -2,47 +2,92 @@ package vmt
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"vmt/internal/trace"
+	"vmt/internal/workload"
 )
 
-func TestResultJSONRoundTrip(t *testing.T) {
-	cfg := Scenario(4, PolicyVMTTA, 22)
-	cfg.Trace = smallTrace()
-	cfg.RecordGrids = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// exportResult serializes a result through WriteJSON.
+func exportResult(t *testing.T, res *Result) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadResultJSON(&buf)
+	return buf.Bytes()
+}
+
+// The export is lossless: reading it back reconstructs the whole
+// outcome and a Config with the same cache key, and writing that back
+// reproduces the bytes.
+func TestResultJSONRoundTrip(t *testing.T) {
+	grids := Scenario(4, PolicyVMTTA, 22)
+	grids.Trace = smallTrace()
+	grids.RecordGrids = true
+	gridRes, err := Run(grids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Config.Policy != PolicyVMTTA || back.Config.Servers != 4 || back.Config.GV != 22 {
-		t.Fatalf("config fields lost: %+v", back.Config)
+	faultRes, err := Run(correlatedScenario(PolicyVMTWA))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if back.CoolingLoadW.Len() != res.CoolingLoadW.Len() {
-		t.Fatal("series length lost")
+	src := sessionConfig()
+	src.Source = &workload.SourceSpec{Kind: "bursty", Level: 0.3,
+		BurstUtil: 0.8, BurstProb: 0.2, EpochMin: 10}
+	src.Horizon = 40 * time.Minute
+	s, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range res.CoolingLoadW.Values {
-		if back.CoolingLoadW.Values[i] != v {
-			t.Fatalf("cooling value %d changed", i)
+	if err := s.Step(1000); err != nil {
+		t.Fatal(err)
+	}
+	srcRes, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gridRes.AirTempGrid) == 0 || faultRes.DomainTrips == 0 || faultRes.ReportsQuarantined == 0 ||
+		faultRes.TaskArrivals == 0 {
+		t.Fatal("the round-trip results do not exercise grids, domain trips, quarantines and task counts")
+	}
+
+	for name, res := range map[string]*Result{"grids": gridRes, "faults": faultRes, "source": srcRes} {
+		data := exportResult(t, res)
+		back, err := ReadResultJSON(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again := exportResult(t, back); !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-export differs:\n%s\nwant:\n%s", name, again, data)
+		}
+		if d := identicalOutcome(res, back); d != "" {
+			t.Fatalf("%s: read-back outcome: %s", name, d)
+		}
+		want, err := configKey(res.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := configKey(back.Config); err != nil || got != want {
+			t.Fatalf("%s: read-back config key %s (%v), want %s", name, got, err, want)
 		}
 	}
-	if back.HotGroupTempC == nil {
-		t.Fatal("hot group series lost")
-	}
-	if back.PeakCoolingW() != res.PeakCoolingW() {
-		t.Fatal("peak changed across round trip")
-	}
-	if len(back.AirTempGrid) != len(res.AirTempGrid) {
-		t.Fatal("grids lost")
+}
+
+// TestResultFieldsAllExported pins that no Result field is left out of
+// the export.
+func TestResultFieldsAllExported(t *testing.T) {
+	rt := reflect.TypeOf(Result{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if name := strings.Split(f.Tag.Get("json"), ",")[0]; name == "" || name == "-" {
+			t.Errorf("Result.%s has no JSON name, so WriteJSON drops it", f.Name)
+		}
 	}
 }
 
@@ -70,14 +115,54 @@ func TestResultJSONOmitsAbsentSeries(t *testing.T) {
 }
 
 func TestReadResultJSONErrors(t *testing.T) {
-	if _, err := ReadResultJSON(strings.NewReader("{garbage")); err == nil {
-		t.Fatal("bad json should fail")
+	cfg := BaselineScenario(3)
+	cfg.Trace = smallTrace()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadResultJSON(strings.NewReader(`{"step_seconds":0}`)); err == nil {
-		t.Fatal("zero step should fail")
+	valid := exportResult(t, res)
+	// edit applies change to the valid export's top-level object and
+	// its config object, and re-encodes the result.
+	type object = map[string]json.RawMessage
+	edit := func(change func(top, config object)) string {
+		var top, config object
+		if err := json.Unmarshal(valid, &top); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(top["config"], &config); err != nil {
+			t.Fatal(err)
+		}
+		change(top, config)
+		b, err := json.Marshal(config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top["config"] = b
+		if b, err = json.Marshal(top); err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	if _, err := ReadResultJSON(strings.NewReader(`{"step_seconds":60,"series":{}}`)); err == nil {
-		t.Fatal("missing cooling series should fail")
+	if _, err := ReadResultJSON(strings.NewReader(edit(func(_, _ object) {}))); err != nil {
+		t.Fatalf("the re-encoded export should read back: %v", err)
+	}
+	for _, tc := range []struct{ name, in, want string }{
+		{"bad json", "{garbage", "decoding result"},
+		{"unknown key", edit(func(top, _ object) { top["step_seconds"] = json.RawMessage("60") }),
+			`unknown field "step_seconds"`},
+		{"unknown config key", edit(func(_, config object) { config["inlet_temp_c"] = json.RawMessage("22") }),
+			`unknown field "inlet_temp_c"`},
+		{"invalid config", edit(func(_, config object) { config["servers"] = json.RawMessage("0") }),
+			"positive server count"},
+		{"missing cooling series", edit(func(top, _ object) { delete(top, "cooling_load_w") }), "cooling_load_w"},
+		{"zero-step cooling series", edit(func(top, _ object) {
+			top["cooling_load_w"] = json.RawMessage(`{"start_ns":0,"step_ns":0,"values":[1]}`)
+		}), "positive step"},
+	} {
+		if _, err := ReadResultJSON(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -96,8 +96,9 @@ func TestFaultRunReportsTotals(t *testing.T) {
 }
 
 // TestFaultRunBitIdenticalAcrossWorkersAndCache is the determinism
-// acceptance bar: the same Config+Plan produces bit-identical series
-// for PhysicsWorkers 1/2/8 and with the run cache on or off.
+// acceptance bar: the same Config+Plan produces a bit-identical
+// outcome, fault totals included, for PhysicsWorkers 1/2/8 and with
+// the run cache on or off.
 func TestFaultRunBitIdenticalAcrossWorkersAndCache(t *testing.T) {
 	for _, policy := range []Policy{PolicyVMTTA, PolicyVMTWA} {
 		base := faultScenario(policy)
@@ -113,12 +114,8 @@ func TestFaultRunBitIdenticalAcrossWorkersAndCache(t *testing.T) {
 				ref = res
 				continue
 			}
-			if d := identicalSeries(ref, res); d != "" {
+			if d := identicalOutcome(ref, res); d != "" {
 				t.Fatalf("%s workers=%d: %s", policy, workers, d)
-			}
-			if res.FaultCrashes != ref.FaultCrashes || res.EvacuatedJobs != ref.EvacuatedJobs ||
-				res.FaultRepairs != ref.FaultRepairs || res.LostJobs != ref.LostJobs {
-				t.Fatalf("%s workers=%d: fault totals diverged", policy, workers)
 			}
 		}
 
@@ -139,10 +136,10 @@ func TestFaultRunBitIdenticalAcrossWorkersAndCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := identicalSeries(ref, uncached[0]); d != "" {
+		if d := identicalOutcome(ref, uncached[0]); d != "" {
 			t.Fatalf("%s cache off: %s", policy, d)
 		}
-		if d := identicalSeries(ref, fresh[0]); d != "" {
+		if d := identicalOutcome(ref, fresh[0]); d != "" {
 			t.Fatalf("%s cache miss: %s", policy, d)
 		}
 		if replay[0] != fresh[0] {
@@ -166,11 +163,8 @@ func TestEmptyFaultPlanMatchesNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := identicalSeries(ref, res); d != "" {
+	if d := identicalOutcome(ref, res); d != "" {
 		t.Fatalf("empty plan changed the run: %s", d)
-	}
-	if res.FaultCrashes != 0 || res.EvacuatedJobs != 0 {
-		t.Fatal("empty plan reported fault totals")
 	}
 }
 
@@ -217,9 +211,10 @@ func TestFaultTelemetryCounters(t *testing.T) {
 // TestCorrelatedFaultRunBitIdentical extends the determinism
 // acceptance bar to the correlated and Byzantine fault machinery: the
 // same Config and plan — rack trips, zone derates, stochastic domain
-// draws, lying reports, quarantine decisions and all — produce
-// bit-identical series for PhysicsWorkers 1/2/8 and with the run
-// cache off, missed, and replayed.
+// draws, lying reports, quarantine decisions and all — produce a
+// bit-identical outcome, domain trips and quarantines included, for
+// PhysicsWorkers 1/2/8 and with the run cache off, missed, and
+// replayed.
 func TestCorrelatedFaultRunBitIdentical(t *testing.T) {
 	for _, policy := range []Policy{PolicyVMTTA, PolicyVMTWA} {
 		base := correlatedScenario(policy)
@@ -235,12 +230,8 @@ func TestCorrelatedFaultRunBitIdentical(t *testing.T) {
 				ref = res
 				continue
 			}
-			if d := identicalSeries(ref, res); d != "" {
+			if d := identicalOutcome(ref, res); d != "" {
 				t.Fatalf("%s workers=%d: %s", policy, workers, d)
-			}
-			if res.DomainTrips != ref.DomainTrips || res.ReportsQuarantined != ref.ReportsQuarantined ||
-				res.FaultCrashes != ref.FaultCrashes || res.LostJobs != ref.LostJobs {
-				t.Fatalf("%s workers=%d: correlated fault totals diverged", policy, workers)
 			}
 		}
 		if ref.DomainTrips == 0 {
@@ -263,10 +254,10 @@ func TestCorrelatedFaultRunBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := identicalSeries(ref, uncached[0]); d != "" {
+		if d := identicalOutcome(ref, uncached[0]); d != "" {
 			t.Fatalf("%s cache off: %s", policy, d)
 		}
-		if d := identicalSeries(ref, fresh[0]); d != "" {
+		if d := identicalOutcome(ref, fresh[0]); d != "" {
 			t.Fatalf("%s cache miss: %s", policy, d)
 		}
 		if replay[0] != fresh[0] {
@@ -316,11 +307,8 @@ func TestCorrelatedFaultFreeRunIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := identicalSeries(ref, res); d != "" {
+	if d := identicalOutcome(ref, res); d != "" {
 		t.Fatalf("topology-only plan changed the run: %s", d)
-	}
-	if res.DomainTrips != 0 || res.ReportsQuarantined != 0 {
-		t.Fatal("topology-only plan reported fault totals")
 	}
 }
 
@@ -439,14 +427,16 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 	cfg := BaselineScenario(4)
 	cfg.Trace = smallTrace()
 	reg := telemetry.NewRegistry()
-	first, err := RunManyCached([]Config{cfg}, BatchOptions{Metrics: reg})
+	SetDefaultObservers(Observers{Metrics: reg})
+	defer SetDefaultObservers(Observers{})
+	first, err := RunManyCached([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := first[0].CoolingLoadW.Values[0]
 	// Scribble on the shared cached result.
 	first[0].CoolingLoadW.Values[0] = good + 1
-	second, err := RunManyCached([]Config{cfg}, BatchOptions{Metrics: reg})
+	second, err := RunManyCached([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +453,7 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 		t.Fatalf("experiment_cache_corruptions = %d, want 1", got)
 	}
 	// The recomputed entry replaced the quarantined one.
-	third, err := RunManyCached([]Config{cfg}, BatchOptions{Metrics: reg})
+	third, err := RunManyCached([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

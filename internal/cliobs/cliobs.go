@@ -5,7 +5,8 @@
 //
 //	-trace out.json      write a Chrome trace_event file (Perfetto)
 //	-trace out.jsonl     write spans as JSON lines instead
-//	-metrics out.txt     dump the metrics registry on exit (.json for JSON)
+//	-metrics out.txt     dump the metrics registry on exit in the Prometheus
+//	                     text format (.json for JSON)
 //	-cpuprofile out.pprof  write a CPU profile for go tool pprof
 //	-debug-addr :8080    serve expvar + net/http/pprof while running
 //	-stream out.ndjson   stream windowed time-series telemetry, one
@@ -79,7 +80,7 @@ func RegisterFlags(fs *flag.FlagSet) *Observability {
 	fs.StringVar(&o.TracePath, "trace", "",
 		"write a run trace to this file (.json → Chrome trace_event for Perfetto, .jsonl → JSON lines)")
 	fs.StringVar(&o.MetricsPath, "metrics", "",
-		"dump the metrics registry to this file on exit (.json → JSON, otherwise text)")
+		"dump the metrics registry to this file on exit (.json → JSON, otherwise the Prometheus text format)")
 	fs.StringVar(&o.CPUProfilePath, "cpuprofile", "",
 		"write a CPU profile to this file")
 	fs.StringVar(&o.DebugAddr, "debug-addr", "",
@@ -345,7 +346,7 @@ func (o *Observability) Close() error {
 			if strings.EqualFold(filepath.Ext(o.MetricsPath), ".json") {
 				return o.registry.WriteJSON(f)
 			}
-			return o.registry.WriteText(f)
+			return telemetry.WritePrometheus(f, o.registry.Snapshot())
 		}))
 		o.metricsFile = nil
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -159,6 +160,53 @@ func TestJSONVariants(t *testing.T) {
 	var snap map[string]any
 	if err := json.Unmarshal(mraw, &snap); err != nil {
 		t.Fatalf("metrics .json is not JSON: %v", err)
+	}
+}
+
+// TestMetricsTextDumpIsCumulative: a -metrics dump to a non-.json path
+// is the Prometheus exposition format, whose histogram buckets are
+// cumulative — each le="x" line counts every observation at or below
+// x, so the counts never decrease and le="+Inf" equals the count.
+func TestMetricsTextDumpIsCumulative(t *testing.T) {
+	o := &Observability{MetricsPath: filepath.Join(t.TempDir(), "m.txt")}
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vmt.Run(smallCfg()); err != nil {
+		o.Close()
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(o.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buckets []uint64
+	inf, count := "", ""
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		switch {
+		case name == "pcm_melt_frac_count":
+			count = value
+		case strings.HasPrefix(name, "pcm_melt_frac_bucket{"):
+			n, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				t.Fatalf("bucket line %q: %v", line, err)
+			}
+			if len(buckets) > 0 && n < buckets[len(buckets)-1] {
+				t.Errorf("bucket counts decrease at %q: %v", line, buckets)
+			}
+			buckets = append(buckets, n)
+			if name == `pcm_melt_frac_bucket{le="+Inf"}` {
+				inf = value
+			}
+		}
+	}
+	if len(buckets) == 0 || count == "" || inf != count {
+		t.Fatalf("le=\"+Inf\" bucket %q, pcm_melt_frac_count %q over %d buckets; want equal:\n%s",
+			inf, count, len(buckets), raw)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // Start + i×Step. It is the common currency between the simulator
 // (which produces per-minute samples) and the reporting layer.
 type Series struct {
-	Start  time.Duration // simulation time of Values[0]
-	Step   time.Duration // sampling interval, > 0
-	Values []float64
+	Start  time.Duration `json:"start_ns"` // simulation time of Values[0]
+	Step   time.Duration `json:"step_ns"`  // sampling interval, > 0
+	Values []float64     `json:"values"`
 }
 
 // NewSeries returns an empty series with the given step.

@@ -173,9 +173,11 @@ func validateSpanEvent(ev SpanEvent) error {
 
 // ReadSnapshot decodes a metrics snapshot in the Registry.WriteJSON
 // format and validates it: names must be present and unique per
-// section, and histogram bucket counts must be cumulative with the
-// final +Inf (null le) bucket equal to the total count. It is the
-// inverse of WriteJSON for any snapshot a Registry can produce.
+// section, and each histogram's buckets must have increasing bounds
+// ending in the one +Inf (null le) bucket, with per-range counts (each
+// bucket counts the observations above the previous bound, unlike
+// Prometheus's cumulative buckets) that sum to the total count. It is
+// the inverse of WriteJSON for any snapshot a Registry can produce.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var snap Snapshot
 	dec := json.NewDecoder(r)

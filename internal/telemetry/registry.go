@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's observability layer: a metrics
 // registry (counters, gauges, fixed-bucket histograms), a run tracer
-// producing structured span events, and exporters for text, JSON,
-// JSONL, and Chrome trace_event formats.
+// producing structured span events, and exporters for the Prometheus
+// text format, JSON, JSONL, and Chrome trace_event formats.
 //
 // The package is stdlib-only and built around one invariant: telemetry
 // observes, it never perturbs. Instruments are updated with atomic
@@ -13,7 +13,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -277,37 +276,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
 	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
 	return snap
-}
-
-// WriteText renders the snapshot as aligned name/value lines, one
-// instrument per line (histograms expand to one line per bucket).
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	for _, c := range snap.Counters {
-		if _, err := fmt.Fprintf(w, "%s %d\n", c.Name, c.Value); err != nil {
-			return err
-		}
-	}
-	for _, g := range snap.Gauges {
-		if _, err := fmt.Fprintf(w, "%s %g\n", g.Name, g.Value); err != nil {
-			return err
-		}
-	}
-	for _, h := range snap.Histograms {
-		if _, err := fmt.Fprintf(w, "%s_count %d\n%s_sum %g\n", h.Name, h.Count, h.Name, h.Sum); err != nil {
-			return err
-		}
-		for _, b := range h.Buckets {
-			le := "+Inf"
-			if b.Le != nil {
-				le = fmt.Sprintf("%g", *b.Le)
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.Name, le, b.Count); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // WriteJSON renders the snapshot as one JSON document.

@@ -154,7 +154,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 	r.Histogram("melt", 0.5, 1).Observe(0.4)
 
 	var text bytes.Buffer
-	if err := r.WriteText(&text); err != nil {
+	if err := WritePrometheus(&text, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -162,7 +162,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 		"queue_hwm 7\n",
 		"melt_count 1\n",
 		`melt_bucket{le="0.5"} 1`,
-		`melt_bucket{le="+Inf"} 0`,
+		`melt_bucket{le="+Inf"} 1`,
 	} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("text output missing %q:\n%s", want, text.String())

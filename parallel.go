@@ -41,25 +41,6 @@ type BatchOptions struct {
 	// elapsed time and batch throughput — sweep feedback for long
 	// parameter studies.
 	Progress io.Writer
-	// Tracer, when non-nil, is shared across the batch: every run
-	// whose Config has no Tracer of its own emits into it, tagged with
-	// the run's index so exported traces keep runs apart. Must be safe
-	// for concurrent use (telemetry.Recorder is).
-	Tracer telemetry.Tracer
-	// Metrics, when non-nil, is applied to every run whose Config has
-	// no registry of its own; counters aggregate across the batch.
-	Metrics *telemetry.Registry
-	// Stream, when non-nil, is shared across the batch: every run
-	// whose Config has no Stream of its own gets a per-run fork
-	// (Stream.ForRun) writing into the shared sink, so interleaved
-	// window records stay separable by run index. Must be safe for
-	// concurrent use (telemetry.Stream and its NDJSON sink are).
-	Stream *telemetry.Stream
-	// Fleet, when non-nil, is applied to every run whose Config has no
-	// publisher of its own. The live view shows whichever run
-	// published last — last-writer-wins is the expected semantics for
-	// a batch's /fleet endpoint.
-	Fleet *telemetry.FleetPublisher
 	// Context, when non-nil, cancels the batch: queued runs are marked
 	// with ctx.Err() without starting, in-flight runs stop at their
 	// next tick, and completed indices keep their results — clean
@@ -93,7 +74,10 @@ func RunManyN(cfgs []Config, workers int) ([]*Result, error) {
 // index, and results at all successful indices are still populated —
 // callers that can use partial sweeps may inspect both. A run that
 // panics is isolated: the panic is recovered into that run's error
-// (with the stack) and its siblings are unaffected.
+// (with the stack) and its siblings are unaffected. Each run observes
+// through its Config's sinks, falling back on the process defaults
+// (SetDefaultObservers) with the shared tracer and stream tagged by
+// the run's index.
 func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -108,6 +92,7 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 	}
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
+	defaults := defaultObservers()
 
 	// runOne isolates a single run: a panic anywhere inside Run is
 	// recovered into an indexed error instead of tearing down the
@@ -169,9 +154,6 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 			defer wg.Done()
 			for i := range jobs {
 				cfg := cfgs[i]
-				if cfg.Metrics == nil {
-					cfg.Metrics = opts.Metrics
-				}
 				// Batch workers already saturate the cores; nested
 				// per-tick physics parallelism would only add
 				// contention. Results are bit-identical for any
@@ -179,33 +161,13 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 				if cfg.PhysicsWorkers == 0 {
 					cfg.PhysicsWorkers = 1
 				}
-				// Tag the batch tracer (or the process default) with
-				// the run index so exported traces keep runs apart; a
-				// per-Config tracer is the caller's own and passes
-				// through untagged.
-				if cfg.Tracer == nil {
-					shared := opts.Tracer
-					if shared == nil {
-						shared = defaultObservers().Tracer
-					}
-					cfg.Tracer = telemetry.WithRun(shared, i)
-				}
-				// Same per-run tagging for window streams: fork the
-				// shared stream (batch option or process default) so
-				// this run's records carry its index. ForRun on nil
-				// yields nil, and RunCtx then resolves defaults —
-				// which is fine, because a nil default stream stays
-				// nil.
-				if cfg.Stream == nil {
-					shared := opts.Stream
-					if shared == nil {
-						shared = defaultObservers().Stream
-					}
-					cfg.Stream = shared.ForRun(i)
-				}
-				if cfg.Fleet == nil {
-					cfg.Fleet = opts.Fleet
-				}
+				// Tag the shared default tracer and stream with the run
+				// index so exported traces and window records keep runs
+				// apart; a Config's own sinks pass through untagged.
+				shared := defaults
+				shared.Tracer = telemetry.WithRun(defaults.Tracer, i)
+				shared.Stream = defaults.Stream.ForRun(i)
+				cfg.Observers = cfg.Observers.or(shared)
 				runStart := time.Now() //vmtlint:allow detrand observational: progress-line timing only
 				results[i], errs[i] = runOne(cfg)
 				report(i, time.Since(runStart)) //vmtlint:allow detrand observational: progress-line timing only

@@ -128,7 +128,7 @@ func TestRunManyOptsProgressAndThroughput(t *testing.T) {
 	}
 }
 
-// TestRunManyOptsSharedStreamTagsRuns checks a batch-shared window
+// TestRunManyOptsSharedStreamTagsRuns checks the shared default window
 // stream forks per run: records from concurrent runs interleave in one
 // sink but stay separable by run index.
 func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
@@ -139,8 +139,9 @@ func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	sink := telemetry.NewNDJSONSink(&buf) // sink serializes concurrent emits itself
-	shared := telemetry.NewStream(telemetry.StreamOptions{WindowTicks: 4, Sink: sink})
-	if _, err := RunManyOpts(cfgs, BatchOptions{Workers: 3, Stream: shared}); err != nil {
+	SetDefaultObservers(Observers{Stream: telemetry.NewStream(telemetry.StreamOptions{WindowTicks: 4, Sink: sink})})
+	defer SetDefaultObservers(Observers{})
+	if _, err := RunManyOpts(cfgs, BatchOptions{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := telemetry.ReadWindows(&buf)
@@ -158,8 +159,8 @@ func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	}
 }
 
-// TestRunManyOptsSharedTracerTagsRuns checks a batch-shared recorder
-// separates runs by index, and a shared registry aggregates.
+// TestRunManyOptsSharedTracerTagsRuns checks the shared default
+// recorder separates runs by index, and a shared registry aggregates.
 func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
 	cfgs := make([]Config, 3)
 	for i := range cfgs {
@@ -168,7 +169,9 @@ func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
 	}
 	rec := telemetry.NewRecorder()
 	reg := telemetry.NewRegistry()
-	if _, err := RunManyOpts(cfgs, BatchOptions{Tracer: rec, Metrics: reg}); err != nil {
+	SetDefaultObservers(Observers{Tracer: rec, Metrics: reg})
+	defer SetDefaultObservers(Observers{})
+	if _, err := RunManyOpts(cfgs, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	runs := map[int]int{}

@@ -1,35 +1,53 @@
 package vmt
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"vmt/internal/stats"
 )
 
-// identicalSeries reports the first bit-level divergence between two
-// result series sets, or "" if every sample matches exactly.
-func identicalSeries(a, b *Result) string {
-	pairs := []struct {
-		name string
-		x, y *stats.Series
-	}{
-		{"cooling", a.CoolingLoadW, b.CoolingLoadW},
-		{"power", a.TotalPowerW, b.TotalPowerW},
-		{"air", a.MeanAirTempC, b.MeanAirTempC},
-		{"melt", a.MeanMeltFrac, b.MeanMeltFrac},
-		{"wax_energy", a.WaxEnergyJ, b.WaxEnergyJ},
-	}
-	for _, p := range pairs {
-		if p.x.Len() != p.y.Len() {
-			return p.name + ": length mismatch"
+// identicalOutcome reports the first divergence between two results'
+// outcomes, or "" if they match bit for bit. It compares their JSON
+// form field by field with the Config echo cleared, so every series,
+// counter and grid takes part: encoding/json writes each float in the
+// shortest form that parses back to the same bits, so equal bytes mean
+// equal bits. A result that cannot be encoded (a NaN sample) is a
+// divergence, never a match.
+func identicalOutcome(a, b *Result) string {
+	fields := func(r *Result) (map[string]json.RawMessage, error) {
+		out := *r
+		out.Config = Config{}
+		buf, err := json.Marshal(&out)
+		if err != nil {
+			return nil, err
 		}
-		for i := range p.x.Values {
-			if math.Float64bits(p.x.Values[i]) != math.Float64bits(p.y.Values[i]) {
-				return p.name + ": diverged"
-			}
+		var m map[string]json.RawMessage
+		return m, json.Unmarshal(buf, &m)
+	}
+	x, err := fields(a)
+	if err != nil {
+		return "encoding the first result: " + err.Error()
+	}
+	y, err := fields(b)
+	if err != nil {
+		return "encoding the second result: " + err.Error()
+	}
+	names := make([]string, 0, len(x)+len(y))
+	for name := range x {
+		names = append(names, name)
+	}
+	for name := range y {
+		if _, ok := x[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !bytes.Equal(x[name], y[name]) {
+			return name + ": diverged"
 		}
 	}
 	return ""
@@ -64,7 +82,7 @@ func TestPhysicsWorkersBitIdenticalProperty(t *testing.T) {
 				ref = res
 				continue
 			}
-			if d := identicalSeries(ref, res); d != "" {
+			if d := identicalOutcome(ref, res); d != "" {
 				t.Logf("workers=%d vs 1: %s", workers, d)
 				return false
 			}
@@ -96,7 +114,7 @@ func TestRunManyWorkerBoundsBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range cfgs {
-			if d := identicalSeries(ref[i], got[i]); d != "" {
+			if d := identicalOutcome(ref[i], got[i]); d != "" {
 				t.Fatalf("workers=%d, cfg %d: %s", workers, i, d)
 			}
 		}

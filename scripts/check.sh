@@ -132,4 +132,29 @@ if ! grep -q "internal/thermal/fleet.go:$mutline: \[kernelparity\].*diverges fro
     exit 1
 fi
 
+echo "== outcome-comparison self-check (a worker-dependent drift is caught)"
+# Nudge MaxCPUTempC, a series the bit-identity tests once skipped, only
+# when physics runs on more than one worker, and demand the
+# PhysicsWorkers property test fail: the determinism tests compare the
+# whole outcome, every series, counter and grid.
+outdir="$tmp/outcomemut"
+mkdir -p "$outdir"
+tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
+    --exclude ./vmt.test . | (cd "$outdir" && tar xf -)
+awk '!done && /^\treturn sample, nil$/ {
+        print "\tif c.workers > 1 {"; print "\t\tsample.MaxCPUTempC += 1e-9"; print "\t}"; done = 1
+    } { print }' internal/cluster/cluster.go > "$outdir/internal/cluster/cluster.go"
+if ! grep -q 'sample.MaxCPUTempC += 1e-9' "$outdir/internal/cluster/cluster.go"; then
+    echo "found no 'return sample, nil' in Cluster.Step to mutate" >&2
+    exit 1
+fi
+status=0
+(cd "$outdir" && go test -count=1 -short -run '^TestPhysicsWorkersBitIdenticalProperty$' .) \
+    > "$tmp/outcome.out" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPhysicsWorkersBitIdenticalProperty' "$tmp/outcome.out"; then
+    echo "TestPhysicsWorkersBitIdenticalProperty did not catch a worker-dependent MaxCPUTempC drift:" >&2
+    cat "$tmp/outcome.out" >&2
+    exit 1
+fi
+
 echo "ok"

@@ -139,7 +139,8 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	cfg = cfg.withDefaults().withDefaultObservability()
+	cfg = cfg.withDefaults()
+	cfg.Observers = cfg.Observers.or(defaultObservers())
 
 	cl, err := cluster.New(cluster.Config{
 		NumServers:     cfg.Servers,

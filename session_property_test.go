@@ -48,9 +48,10 @@ func stepSession(t *testing.T, cfg Config, chunks []int) *Result {
 }
 
 // The tentpole property: a session stepped tick-by-tick, or in ragged
-// chunks, is bit-identical (Float64bits, via identicalSeries) to the
-// monolithic Run of the same Config at every physics worker count —
-// fully instrumented, across policies and both load models.
+// chunks, has an outcome bit-identical (every series, counter and
+// grid, via identicalOutcome) to the monolithic Run of the same Config
+// at every physics worker count — fully instrumented, across policies
+// and both load models.
 func TestSessionSteppedBitIdenticalToRun(t *testing.T) {
 	f := func(peakPct, troughPct, noisePct uint8, seed uint64, wa, stream bool, c1, c2, c3 uint8) bool {
 		policy := PolicyVMTTA
@@ -78,14 +79,8 @@ func TestSessionSteppedBitIdenticalToRun(t *testing.T) {
 			}
 			for _, chunks := range [][]int{{1}, ragged} {
 				got := stepSession(t, instrumented(cfg), chunks)
-				if d := identicalSeries(ref, got); d != "" {
+				if d := identicalOutcome(ref, got); d != "" {
 					t.Logf("workers=%d chunks=%v: %s", workers, chunks, d)
-					return false
-				}
-				if got.ThrottleMinutes != ref.ThrottleMinutes ||
-					got.TaskArrivals != ref.TaskArrivals ||
-					got.TaskDrops != ref.TaskDrops {
-					t.Logf("workers=%d chunks=%v: scalar outcomes diverged", workers, chunks)
 					return false
 				}
 			}
@@ -101,8 +96,8 @@ func TestSessionSteppedBitIdenticalToRun(t *testing.T) {
 	}
 }
 
-// Hot-group series (absent from identicalSeries' five core series)
-// carry the same guarantee for the grouping policies.
+// The hot-group series, which only the grouping policies record,
+// carry the same guarantee.
 func TestSessionSteppedHotGroupBitIdentical(t *testing.T) {
 	cfg := Scenario(8, PolicyVMTPreserve, 24)
 	cfg.Trace = smallTrace()
@@ -111,23 +106,12 @@ func TestSessionSteppedHotGroupBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ref.HotGroupTempC == nil || ref.HotGroupSize == nil {
+		t.Fatal("a grouping policy recorded no hot-group series")
+	}
 	got := stepSession(t, cfg, []int{5, 1, 3})
-	for _, pair := range []struct {
-		name string
-		x, y []float64
-	}{
-		{"hot_group_temp", ref.HotGroupTempC.Values, got.HotGroupTempC.Values},
-		{"hot_group_size", ref.HotGroupSize.Values, got.HotGroupSize.Values},
-		{"max_cpu", ref.MaxCPUTempC.Values, got.MaxCPUTempC.Values},
-	} {
-		if len(pair.x) != len(pair.y) {
-			t.Fatalf("%s: length mismatch %d vs %d", pair.name, len(pair.x), len(pair.y))
-		}
-		for i := range pair.x {
-			if pair.x[i] != pair.y[i] { //vmtlint:allow floateq bit-identity assertion: stepped must equal monolithic exactly
-				t.Fatalf("%s diverged at sample %d", pair.name, i)
-			}
-		}
+	if d := identicalOutcome(ref, got); d != "" {
+		t.Fatalf("stepped session diverged from Run: %s", d)
 	}
 }
 
@@ -152,7 +136,7 @@ func TestSessionSteppedSourceBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		got := stepSession(t, cfg, []int{7, 2})
-		if d := identicalSeries(ref, got); d != "" {
+		if d := identicalOutcome(ref, got); d != "" {
 			t.Fatalf("%s: %s", kind, d)
 		}
 	}

@@ -44,7 +44,7 @@ func TestSessionStepToCompletionMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := identicalSeries(want, got); d != "" {
+	if d := identicalOutcome(want, got); d != "" {
 		t.Fatalf("stepped session diverged from Run: %s", d)
 	}
 	if got.CoolingLoadW.Len() != want.CoolingLoadW.Len() {
@@ -207,7 +207,7 @@ func TestSessionHorizonBoundsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := identicalSeries(res, got); d != "" {
+	if d := identicalOutcome(res, got); d != "" {
 		t.Fatalf("horizon-clamped session diverged: %s", d)
 	}
 }
@@ -244,7 +244,7 @@ func TestSessionHorizonNotMultipleOfStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := identicalSeries(want, got); d != "" {
+	if d := identicalOutcome(want, got); d != "" {
 		t.Fatalf("stepped session diverged from Run: %s", d)
 	}
 
@@ -294,7 +294,7 @@ func TestSessionStepOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := identicalSeries(want, got); d != "" {
+		if d := identicalOutcome(want, got); d != "" {
 			t.Fatalf("Step(MaxInt) diverged from Run: %s", d)
 		}
 	})

@@ -30,7 +30,6 @@ import (
 	"vmt/internal/pcm"
 	"vmt/internal/sched"
 	"vmt/internal/stats"
-	"vmt/internal/telemetry"
 	"vmt/internal/thermal"
 	"vmt/internal/trace"
 	"vmt/internal/workload"
@@ -165,43 +164,10 @@ type Config struct {
 	// in the run-cache key. Nil injects nothing and leaves the hot
 	// path untouched.
 	Faults *fault.Plan `json:"faults"`
-	// Metrics, when non-nil, receives run instrumentation: the tick
-	// count, scheduler placements and hot-group resizes, the fleet
-	// melt-fraction histogram, and time-above-PMT (and, with
-	// ProfileBands, each tick stage's wall time). Telemetry is strictly
-	// observational — results are bit-identical with or without it.
-	// Safe to share one registry across RunMany workers.
-	Metrics *telemetry.Registry `json:"-"`
-	// Tracer, when non-nil, receives one span event per tick stage
-	// (physics, then fault and guard when Faults is set, then schedule
-	// and sample; schedule alone at t=0) with wall-clock timings and
-	// key gauges; export via telemetry.Recorder as JSONL or Chrome
-	// trace_event JSON. Nil disables tracing at (near) zero cost.
-	Tracer telemetry.Tracer `json:"-"`
-	// Stream, when non-nil, receives windowed time-series telemetry:
-	// each sample tick feeds cooling_load_w, total_power_w,
-	// mean_air_temp_c, mean_melt_frac, max_cpu_temp_c (and
-	// hot_group_size for grouping policies) into bounded-memory
-	// samplers that aggregate fixed windows of ticks into
-	// min/max/mean/p99 and hand each sealed window to the stream's sink
-	// the moment it closes — telemetry that is on disk while the run is
-	// still going, with O(windows) memory regardless of run length.
-	// Strictly observational, like Metrics and Tracer.
-	Stream *telemetry.Stream `json:"-"`
-	// Fleet, when non-nil, receives one immutable FleetSnapshot per
-	// sample tick: per-server air temperature, melt fraction, placement
-	// group, and crash state. The publisher's atomic live view backs
-	// the cliobs /fleet endpoint (scrape-safe mid-run); its optional
-	// sink writes the NDJSON fleet log vmtdiff replays to find the
-	// first divergent tick between two runs. Strictly observational.
-	Fleet *telemetry.FleetPublisher `json:"-"`
-	// ProfileBands, when true and Metrics is set, profiles each tick
-	// stage (physics, fault, guard, schedule, sample): wall time and
-	// heap allocation deltas land on band_wall_ns_*/band_alloc_bytes_*/
-	// band_spans_* counters, with the profiler's own cost separated
-	// into profiler_self_ns, and allocation deltas attach to trace
-	// spans (Chrome trace counter tracks). Strictly observational.
-	ProfileBands bool `json:"-"`
+	// Observers are the run's telemetry sinks (Metrics, Tracer,
+	// Stream, Fleet, ProfileBands); unset ones fall back to the
+	// process defaults (SetDefaultObservers). Strictly observational.
+	Observers `json:"-"`
 }
 
 // Scenario returns a ready-to-run paper configuration for the given
@@ -294,57 +260,63 @@ func (c Config) Validate() error {
 	return c.Trace.Validate()
 }
 
-// Result holds the observables of one run, sampled once per Step.
+// Result holds the observables of one run, sampled once per Step. Its
+// JSON form (WriteJSON) is the one encoding of a run's outcome: every
+// field is tagged, so export, read-back and the bit-identity tests all
+// see every series, counter and grid.
 type Result struct {
 	// Config echoes the resolved configuration.
-	Config Config
+	Config Config `json:"config"`
 	// CoolingLoadW is the cluster cooling load over time — the series
 	// behind Figures 13 and 16.
-	CoolingLoadW *stats.Series
+	CoolingLoadW *stats.Series `json:"cooling_load_w"`
 	// TotalPowerW is the aggregate electrical draw over time.
-	TotalPowerW *stats.Series
+	TotalPowerW *stats.Series `json:"total_power_w"`
 	// MeanAirTempC is the fleet-average air temperature at the wax.
-	MeanAirTempC *stats.Series
+	MeanAirTempC *stats.Series `json:"mean_air_temp_c"`
 	// HotGroupTempC is the hot-group average air temperature (VMT
 	// policies only; nil otherwise) — Figures 12 and 15.
-	HotGroupTempC *stats.Series
+	HotGroupTempC *stats.Series `json:"hot_group_temp_c,omitempty"`
 	// HotGroupSize tracks the dynamic hot group (VMT policies only) —
 	// the expansions visible in Figure 14.
-	HotGroupSize *stats.Series
+	HotGroupSize *stats.Series `json:"hot_group_size,omitempty"`
 	// MeanMeltFrac is the fleet-average ground-truth melt fraction.
-	MeanMeltFrac *stats.Series
+	MeanMeltFrac *stats.Series `json:"mean_melt_frac"`
 	// WaxEnergyJ is the total latent+sensible energy currently parked
 	// in wax, relative to the run start.
-	WaxEnergyJ *stats.Series
+	WaxEnergyJ *stats.Series `json:"wax_energy_j"`
 	// MaxCPUTempC tracks the fleet's hottest estimated die
 	// temperature; ThrottleMinutes counts sample periods during which
 	// any server exceeded the CPU limit (must stay zero — the paper's
 	// wax deployment is constrained to never throttle).
-	MaxCPUTempC     *stats.Series
-	ThrottleMinutes int
+	MaxCPUTempC     *stats.Series `json:"max_cpu_temp_c"`
+	ThrottleMinutes int           `json:"throttle_minutes"`
 	// TaskArrivals and TaskDrops report the query-level load model's
 	// totals (JobStream runs only); drops are the QoS failure the
 	// paper attributes to undersized groups. TaskDrops counts drop
 	// events: one per task arrival that found no free core, one per
 	// task an evacuation could not re-place, and one per fluid resize
 	// that fell short of its target (an event, not a core count).
-	TaskArrivals, TaskDrops uint64
+	TaskArrivals uint64 `json:"task_arrivals"`
+	TaskDrops    uint64 `json:"task_drops"`
 	// FaultCrashes/FaultRepairs count injected server crashes and
 	// completed repairs; EvacuatedJobs jobs re-placed off crashed
 	// servers and LostJobs jobs dropped for lack of surviving
 	// capacity. All zero without Config.Faults.
-	FaultCrashes, FaultRepairs uint64
-	EvacuatedJobs, LostJobs    uint64
+	FaultCrashes  uint64 `json:"fault_crashes"`
+	FaultRepairs  uint64 `json:"fault_repairs"`
+	EvacuatedJobs uint64 `json:"evacuated_jobs"`
+	LostJobs      uint64 `json:"lost_jobs"`
 	// DomainTrips counts correlated failure-domain activations (PDU
 	// trips, cooling-zone failures); ReportsQuarantined counts
 	// defense-layer quarantine transitions of servers whose telemetry
 	// failed the plausibility cross-checks. Zero without Config.Faults.
-	DomainTrips        uint64
-	ReportsQuarantined uint64
+	DomainTrips        uint64 `json:"domain_trips"`
+	ReportsQuarantined uint64 `json:"reports_quarantined"`
 	// AirTempGrid and MeltFracGrid are [sample][server] snapshots,
 	// recorded only with Config.RecordGrids (Figures 9–11, 14).
-	AirTempGrid  [][]float64
-	MeltFracGrid [][]float64
+	AirTempGrid  [][]float64 `json:"air_temp_grid,omitempty"`
+	MeltFracGrid [][]float64 `json:"melt_frac_grid,omitempty"`
 }
 
 // CoolingSummary reduces the cooling-load series.
