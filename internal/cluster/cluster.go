@@ -76,12 +76,16 @@ type Cluster struct {
 	cfg     Config
 	servers []*Server
 	fleet   *thermal.Fleet
-	// ests is the dense estimator column: servers[i].est points at
-	// ests[i], so the per-tick estimator pass walks contiguous memory
-	// in step with the fleet's air-temperature slice instead of chasing
-	// per-server heap pointers.
+	// ests is the dense wax-state estimator column, nil until
+	// EnableEstimates; while it is nil, Step skips the estimator pass.
+	// Once enabled, servers[i].est points at ests[i], so the pass walks
+	// contiguous memory in step with the fleet's air-temperature slice
+	// instead of chasing per-server heap pointers.
 	ests []pcm.Estimator
-	reg  *registry
+	// stepped is set by the first Step; estimates can be enabled only
+	// before it.
+	stepped bool
+	reg     *registry
 	// workers is the resolved physics worker count (≥1; 1 = serial).
 	workers int
 	// Per-server scratch reused across Steps so the steady-state
@@ -145,13 +149,12 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	servers := make([]*Server, cfg.NumServers)
-	ests := make([]pcm.Estimator, cfg.NumServers)
 	for i := range servers {
 		inlet := cfg.InletTempC
 		if cfg.InletStdevC > 0 {
 			inlet = rng.Normal(cfg.InletTempC, cfg.InletStdevC)
 		}
-		s, err := newServer(i, cfg.Server, cfg.Material, inlet, reg, fleet, &ests[i])
+		s, err := newServer(i, cfg.Server, cfg.Material, inlet, reg, fleet)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +167,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		servers:  servers,
 		fleet:    fleet,
-		ests:     ests,
 		reg:      reg,
 		workers:  workers,
 		stepPow:  make([]float64, n),
@@ -173,6 +175,41 @@ func New(cfg Config) (*Cluster, error) {
 		chunkIdx: make([]int, 0, workers),
 		chunkErr: make([]error, 0, workers),
 	}, nil
+}
+
+// EnableEstimates gives every server a wax-state estimator, the
+// lookup-table model VMT-WA schedules by, and makes each later Step
+// run the estimator pass. Each estimator starts from its server's wax
+// temperature, which before the first Step is the drawn inlet. The
+// consumers of estimates (VMT-WA, the report guard, fault injection)
+// call it at construction. It is idempotent, and fails on a cluster
+// that has stepped without estimates: its estimators would start from
+// a state the wax has already left.
+func (c *Cluster) EnableEstimates() error {
+	if c.ests != nil {
+		return nil
+	}
+	if c.stepped {
+		return fmt.Errorf("cluster: estimates must be enabled before the first Step")
+	}
+	spec := c.cfg.Server
+	ests := make([]pcm.Estimator, len(c.servers))
+	if err := pcm.InitEstimator(&ests[0], c.cfg.Material, spec.WaxVolumeL, c.fleet.WaxTempC(0), spec.WaxConductanceWPerK); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	// The servers share one spec and material, so every other
+	// estimator is a copy of the first re-anchored at its own wax
+	// temperature: the state InitEstimator builds, without its
+	// per-server table and curve cache lookups.
+	for i := 1; i < len(ests); i++ {
+		ests[i] = ests[0]
+		ests[i].Reset(c.fleet.WaxTempC(i))
+	}
+	for i, s := range c.servers {
+		s.est = &ests[i]
+	}
+	c.ests = ests
+	return nil
 }
 
 // Fleet exposes the cluster's struct-of-arrays thermal store (tests,
@@ -333,6 +370,7 @@ type Sample struct {
 // order, which keeps every float sum in a fixed order and the result
 // bit-identical for any worker count.
 func (c *Cluster) Step(dt time.Duration) (Sample, error) {
+	c.stepped = true
 	// Power is a pure function of job occupancy, fixed for the whole
 	// step; gather it once so the fleet kernel reads a flat slice.
 	for i, s := range c.servers {
@@ -389,14 +427,16 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 
 // physBlock is the cache-blocking granularity of the physics pass:
 // stepBlocks walks its range in blocks of this many servers, running
-// the fleet kernel and then the estimator pass over the same block
-// while its air-temperature column is still cache-resident.
+// the fleet kernel and then, with estimates enabled, the estimator
+// pass over the same block while its air-temperature column is still
+// cache-resident.
 const physBlock = 2048
 
-// stepPhysics advances the fleet store by dt and feeds each server's
-// estimator the post-step air temperature. Every worker count runs the
-// same blocked loop (stepBlocks) over contiguous ID ranges: one range
-// stepped inline at one worker, or one range per goroutine above.
+// stepPhysics advances the fleet store by dt and, with estimates
+// enabled, feeds each server's estimator the post-step air
+// temperature. Every worker count runs the same blocked loop
+// (stepBlocks) over contiguous ID ranges: one range stepped inline at
+// one worker, or one range per goroutine above.
 // Per-server outcomes land in the fleet's slices either way, and the
 // per-server arithmetic is range-independent, so results are
 // bit-identical at any worker count. On error, the lowest-ID failure
@@ -442,9 +482,10 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 	return nil
 }
 
-// stepBlocks runs the fleet kernel and then the estimator pass over
-// servers [lo,hi), one physBlock at a time, stopping at the first
-// failure and returning its server index.
+// stepBlocks runs the fleet kernel over servers [lo,hi), one
+// physBlock at a time, each block followed by the estimator pass when
+// estimates are enabled (a nil column skips it). It stops at the first
+// failure and returns its server index.
 //
 //vmt:hotpath
 func (c *Cluster) stepBlocks(lo, hi int, dt time.Duration) (int, error) {
@@ -453,7 +494,9 @@ func (c *Cluster) stepBlocks(lo, hi int, dt time.Duration) (int, error) {
 		if idx, err := c.fleet.StepRange(b, e, c.stepPow, dt); err != nil {
 			return idx, err
 		}
-		c.updateEstimators(b, e, dt)
+		if c.ests != nil {
+			c.updateEstimators(b, e, dt)
+		}
 	}
 	return -1, nil
 }

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"vmt/internal/pcm"
 	"vmt/internal/stats"
 	"vmt/internal/workload"
 )
@@ -289,6 +292,9 @@ func TestBookkeepingProperty(t *testing.T) {
 // a realistic melt cycle.
 func TestReportedMeltTracksTruth(t *testing.T) {
 	c := newCluster(t, 1)
+	if err := c.EnableEstimates(); err != nil {
+		t.Fatal(err)
+	}
 	s := c.Server(0)
 	for i := 0; i < 30; i++ {
 		if err := s.Place(workload.VideoEncoding); err != nil {
@@ -306,6 +312,79 @@ func TestReportedMeltTracksTruth(t *testing.T) {
 	}
 	if s.MeltFrac() < 0.9 {
 		t.Fatalf("hot server should have melted most wax, frac=%v", s.MeltFrac())
+	}
+}
+
+// Estimates are opt-in. A new cluster has none; EnableEstimates gives
+// each server the estimator pcm.NewEstimator builds at its drawn inlet
+// and is idempotent; a cluster that has stepped without estimates
+// refuses them.
+func TestEnableEstimates(t *testing.T) {
+	cfg := PaperCluster(4)
+	cfg.InletStdevC = 1.5
+	cfg.Seed = 3
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Len(); i++ {
+		if c.Server(i).Estimator() != nil {
+			t.Fatalf("server %d has an estimator before EnableEstimates", i)
+		}
+	}
+	if err := c.EnableEstimates(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Len(); i++ {
+		s := c.Server(i)
+		est := s.Estimator()
+		if est == nil {
+			t.Fatalf("server %d has no estimator after EnableEstimates", i)
+		}
+		want, err := pcm.NewEstimator(cfg.Material, cfg.Server.WaxVolumeL, s.InletTempC(), cfg.Server.WaxConductanceWPerK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(est, want) {
+			t.Fatalf("server %d estimator differs from a new one at its inlet %v °C", i, s.InletTempC())
+		}
+	}
+	first := c.Server(0).Estimator()
+	if _, err := c.Step(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableEstimates(); err != nil || c.Server(0).Estimator() != first {
+		t.Fatalf("second EnableEstimates: err %v, column replaced %v", err, c.Server(0).Estimator() != first)
+	}
+	if n := first.Updates(); n != 1 {
+		t.Fatalf("estimator ran %d updates over one Step, want 1", n)
+	}
+
+	late := newCluster(t, 2)
+	if _, err := late.Step(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.EnableEstimates(); err == nil {
+		t.Fatal("EnableEstimates after a Step should fail")
+	}
+	if late.Server(0).Estimator() != nil {
+		t.Fatal("a refused EnableEstimates must leave no estimator behind")
+	}
+}
+
+// A reader of melt estimates on a cluster without them is a bug: the
+// report panics and names the server rather than fall back to ground
+// truth.
+func TestReportedMeltFracWithoutEstimatesPanics(t *testing.T) {
+	c := newCluster(t, 3)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		c.Server(2).ReportedMeltFrac()
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "server 2") {
+		t.Fatalf("ReportedMeltFrac without estimates: recovered %v, want a panic naming server 2", got)
 	}
 }
 

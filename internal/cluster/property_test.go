@@ -20,7 +20,7 @@ func TestEnergyConservationRandomJobs(t *testing.T) {
 	f := func(ops []uint8, seed uint64) bool {
 		const n = 4
 		c, err := New(PaperCluster(n))
-		if err != nil {
+		if err != nil || c.EnableEstimates() != nil {
 			return false
 		}
 		for k, op := range ops {

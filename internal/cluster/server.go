@@ -78,22 +78,16 @@ type ReportFilter interface {
 	FilterMeltFrac(estFrac float64) float64
 }
 
-// newServer wires server id into the cluster's dense stores: its
-// thermal slot in the fleet, and its estimator initialized in place in
-// the cluster-owned estimator column (so the per-tick estimator pass
-// streams contiguous memory).
-func newServer(id int, spec thermal.ServerSpec, mat pcm.Material, inletC float64, reg *registry, fleet *thermal.Fleet, est *pcm.Estimator) (*Server, error) {
+// newServer wires server id into its thermal slot in the cluster's
+// fleet store. Its estimator stays nil until Cluster.EnableEstimates.
+func newServer(id int, spec thermal.ServerSpec, mat pcm.Material, inletC float64, reg *registry, fleet *thermal.Fleet) (*Server, error) {
 	if err := fleet.Init(id, spec, mat, inletC); err != nil {
-		return nil, err
-	}
-	if err := pcm.InitEstimator(est, mat, spec.WaxVolumeL, inletC, spec.WaxConductanceWPerK); err != nil {
 		return nil, err
 	}
 	return &Server{
 		id:    id,
 		spec:  spec,
 		fleet: fleet,
-		est:   est,
 		cores: spec.Cores(),
 		reg:   reg,
 	}, nil
@@ -128,7 +122,8 @@ func (s *Server) FreeCores() int {
 func (s *Server) Failed() bool { return s.failed }
 
 // Estimator exposes the server's melt-fraction estimator so fault
-// injection can interpose a sensor and reset it on repair.
+// injection can interpose a sensor and reset it on repair. It is nil
+// until Cluster.EnableEstimates.
 func (s *Server) Estimator() *pcm.Estimator { return s.est }
 
 // Jobs returns the job count for workload w.
@@ -257,8 +252,13 @@ func (s *Server) MeltFrac() float64 { return s.fleet.MeltFrac(s.id) }
 // ReportedMeltFrac returns the melt fraction from the server's
 // lookup-table estimator — the value the cluster scheduler actually
 // sees (VMT-WA consumes this, not ground truth) — rewritten by the
-// report filter when one is installed.
+// report filter when one is installed. It panics on a cluster without
+// estimates: a reader that skipped Cluster.EnableEstimates is a bug,
+// and falling back to ground truth would hide it.
 func (s *Server) ReportedMeltFrac() float64 {
+	if s.est == nil {
+		panic(fmt.Sprintf("cluster: server %d: ReportedMeltFrac without estimates (Cluster.EnableEstimates was not called)", s.id))
+	}
 	f := s.est.MeltFrac()
 	if s.filter != nil {
 		return s.filter.FilterMeltFrac(f)

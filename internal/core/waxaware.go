@@ -60,10 +60,17 @@ type WaxAware struct {
 // degrades that server to thermal-aware placement.
 const DefaultMaxEstimateAge = 5 * time.Minute
 
-// NewWaxAware builds a VMT-WA scheduler over c.
+// NewWaxAware builds a VMT-WA scheduler over c. Unless cfg reads
+// ground truth (OracleWaxState), it enables c's wax-state estimates,
+// which fails once c has stepped without them.
 func NewWaxAware(c *cluster.Cluster, cfg Config) (*WaxAware, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if !cfg.OracleWaxState {
+		if err := c.EnableEstimates(); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.WaxThreshold == 0 { //vmtlint:allow floateq zero-value "unset" sentinel, exact by construction
 		cfg.WaxThreshold = DefaultWaxThreshold
@@ -132,11 +139,10 @@ func (wa *WaxAware) melted(s *cluster.Server) bool {
 	if id := s.ID(); id < len(wa.degraded) && wa.degraded[id] {
 		return false
 	}
-	frac := s.ReportedMeltFrac()
 	if wa.cfg.OracleWaxState {
-		frac = s.MeltFrac()
+		return s.MeltFrac() >= wa.cfg.WaxThreshold
 	}
-	return frac >= wa.cfg.WaxThreshold
+	return s.ReportedMeltFrac() >= wa.cfg.WaxThreshold
 }
 
 // refreshHealth recomputes the degraded set. A healthy-to-degraded

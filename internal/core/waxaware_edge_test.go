@@ -7,6 +7,58 @@ import (
 	"vmt/internal/workload"
 )
 
+// VMT-WA enables the cluster's estimates at construction, so it must
+// be built before the first Step and reports the cluster's refusal
+// after it. The oracle ablation reads ground truth and enables none.
+func TestWAEnablesEstimatesBeforeFirstStep(t *testing.T) {
+	c := newCluster(t, 4)
+	if _, err := c.Step(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	want := c.EnableEstimates()
+	if want == nil {
+		t.Fatal("EnableEstimates after a Step should fail")
+	}
+	if _, err := NewWaxAware(c, Config{GV: 22}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("NewWaxAware over a stepped cluster: %v, want %v", err, want)
+	}
+	if _, err := NewPreserving(c, Config{GV: 22}, time.Hour, 0.5); err == nil || err.Error() != want.Error() {
+		t.Fatalf("NewPreserving over a stepped cluster: %v, want %v", err, want)
+	}
+
+	oc := newCluster(t, 4)
+	oracle, err := NewWaxAware(oc, Config{GV: 22, OracleWaxState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oc.Server(0).Estimator() != nil {
+		t.Fatal("the oracle must not enable estimates")
+	}
+	// Placement, removal and the per-tick rebalance read ground truth
+	// only: none of them reaches the estimate (which would panic).
+	for i := 0; i < 40; i++ {
+		s, err := oracle.Place(workload.VideoEncoding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Place(workload.VideoEncoding); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 3*60; i++ {
+		if _, err := oc.Step(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		oracle.Tick(time.Duration(i) * time.Minute)
+	}
+	if _, err := oracle.SelectRemoval(workload.VideoEncoding); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWaxAware(oc, Config{GV: 22, OracleWaxState: true}); err != nil {
+		t.Fatalf("an oracle VMT-WA needs no estimates, so it may be built after a Step: %v", err)
+	}
+}
+
 // placeHot rule 2: when every current hot-group server is saturated,
 // the group extends sequentially until a usable server appears.
 func TestWAPlaceHotExtendsOnSpike(t *testing.T) {

@@ -78,8 +78,13 @@ type activeDerate struct {
 // NewInjector wires a plan onto a cluster. The plan must already be
 // validated for the cluster size. Sensor interposers are installed on
 // every server (a crashed server's estimator reads nothing while it
-// is down, whether or not it has explicit sensor faults).
+// is down, whether or not it has explicit sensor faults), so the
+// injector enables c's estimates; it must be built before c's first
+// Step, and panics otherwise.
 func NewInjector(p *Plan, c *cluster.Cluster, host Host, reg *telemetry.Registry) *Injector {
+	if err := c.EnableEstimates(); err != nil {
+		panic(err)
+	}
 	n := c.Len()
 	inj := &Injector{
 		plan:            *p,

@@ -253,3 +253,24 @@ func TestCrashMarksEstimatorStale(t *testing.T) {
 		t.Fatalf("StaleFor() = %v after repair, want 0", got)
 	}
 }
+
+// The injector installs sensors on every estimator, so it enables the
+// cluster's estimates when it is built, and a cluster that has stepped
+// without them is a construction-order bug it refuses.
+func TestNewInjectorEnablesEstimates(t *testing.T) {
+	c := testCluster(t, 2)
+	NewInjector(&Plan{}, c, &stubHost{}, nil)
+	if c.Server(1).Estimator() == nil {
+		t.Fatal("NewInjector left the cluster without estimates")
+	}
+	late := testCluster(t, 2)
+	if _, err := late.Step(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewInjector over a cluster stepped without estimates should panic")
+		}
+	}()
+	NewInjector(&Plan{}, late, &stubHost{}, nil)
+}

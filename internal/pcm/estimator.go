@@ -16,9 +16,11 @@ import (
 //
 // The lookup table quantizes the temperature difference, so the
 // estimate drifts slightly from the true pack state; tests bound that
-// drift. The update runs in constant time and is cheap enough to run
-// once per minute on every server with negligible overhead, as the
-// paper requires.
+// drift. The update runs in constant time, cheap enough for a cluster
+// whose scheduler reads the estimates to run it once per minute on
+// every server, as the paper requires. A cluster whose scheduler,
+// guard and fault injector never read them (fault-free VMT-TA and the
+// baselines) runs none; see cluster.Cluster.EnableEstimates.
 type Estimator struct {
 	// shadow is held by value so a fleet of estimators stored in a
 	// dense slice is fully contiguous — the estimator pass of a cluster

@@ -87,8 +87,13 @@ const (
 )
 
 // NewGuard builds a guard over c for the given workload mix, checking
-// once per step interval.
+// once per step interval. The guard reads every server's melt
+// estimate, so it enables c's estimates; it must be built before c's
+// first Step, and panics otherwise.
 func NewGuard(c *cluster.Cluster, mix *workload.Mix, step time.Duration, reg *telemetry.Registry) *Guard {
+	if err := c.EnableEstimates(); err != nil {
+		panic(err)
+	}
 	g := &Guard{
 		c:         c,
 		state:     make([]guardState, c.Len()),

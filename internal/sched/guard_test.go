@@ -156,3 +156,24 @@ func TestGuardForgivesCrashRepairJump(t *testing.T) {
 		t.Fatalf("crash/repair cycle scored as a violation: %d transitions", g.Quarantined())
 	}
 }
+
+// The guard reads every server's melt estimate, so it enables the
+// cluster's estimates when it is built, and a cluster that has stepped
+// without them is a construction-order bug it refuses.
+func TestNewGuardEnablesEstimates(t *testing.T) {
+	c := newCluster(t, 2)
+	NewGuard(c, nil, time.Minute, nil)
+	if c.Server(1).Estimator() == nil {
+		t.Fatal("NewGuard left the cluster without estimates")
+	}
+	late := newCluster(t, 2)
+	if _, err := late.Step(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGuard over a cluster stepped without estimates should panic")
+		}
+	}()
+	NewGuard(late, nil, time.Minute, nil)
+}

@@ -113,7 +113,7 @@ echo "== kernelparity self-check (one-token kernel drift is pinpointed)"
 # bit-identity story rests on.
 mutdir="$tmp/kernelmut"
 mkdir -p "$mutdir"
-tar cf - --exclude ./.git --exclude ./results \
+tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
     --exclude ./vmt.test . | (cd "$mutdir" && tar xf -)
 awk '!done && sub(/toWax \* subSec/, "toRoom * subSec") { done = 1 } { print }' \
     internal/thermal/fleet.go > "$mutdir/internal/thermal/fleet.go"

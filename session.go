@@ -227,7 +227,9 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	// is the matching defense: whenever faults are in play it
 	// cross-checks every server's reported telemetry against power
 	// residuals and melt-rate physics, quarantining implausible
-	// reporters (see internal/sched.Guard).
+	// reporters (see internal/sched.Guard). Both enable the cluster's
+	// wax-state estimates, so a faulted run steps the estimators
+	// whatever its policy; both are built here, before the first tick.
 	var injector *fault.Injector
 	var guard *sched.Guard
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
