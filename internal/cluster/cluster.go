@@ -291,6 +291,23 @@ func (c *Cluster) PlacementIndex() *PlacementIndex {
 // FailedServers returns how many servers are currently crashed.
 func (c *Cluster) FailedServers() int { return c.failedCount }
 
+// ReportEpoch returns a counter that moves whenever a server's air
+// temperature or reported melt fraction may have changed: on every
+// Step, on Server.SetReportFilter, and on ReportsChanged. A scheduler
+// that caches predicates over them (VMT-WA's wax-state mask) rebuilds
+// the cache once the epoch moves past the one it was built at. Job
+// moves, MarkFailed, MarkRepaired and inlet changes do not move it:
+// none of them changes an air temperature or a melt report before the
+// next Step.
+func (c *Cluster) ReportEpoch() uint64 { return c.reg.reportEpoch }
+
+// ReportsChanged moves the report epoch. Code that changes a server's
+// reported melt fraction between Steps other than by SetReportFilter
+// calls it after the change and before the scheduler next runs: fault
+// injection after resetting a repaired server's estimator, and after
+// refreshing the state its report filters read.
+func (c *Cluster) ReportsChanged() { c.reg.reportEpoch++ }
+
 // TotalCores returns the cluster-wide core count.
 func (c *Cluster) TotalCores() int {
 	return len(c.servers) * c.cfg.Server.Cores()
@@ -371,6 +388,7 @@ type Sample struct {
 // bit-identical for any worker count.
 func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	c.stepped = true
+	c.reg.reportEpoch++
 	// Power is a pure function of job occupancy, fixed for the whole
 	// step; gather it once so the fleet kernel reads a flat slice.
 	for i, s := range c.servers {

@@ -35,6 +35,10 @@ type registry struct {
 	// place is the placement index, nil unless Cluster.PlacementIndex
 	// built one; intern gives it trees for each new workload.
 	place *PlacementIndex
+	// reportEpoch is the cluster's report epoch (Cluster.ReportEpoch).
+	// It lives here, beside place, because Server.SetReportFilter moves
+	// it and servers reach the cluster only through the registry.
+	reportEpoch uint64
 
 	memoW   workload.Workload
 	memoI   int

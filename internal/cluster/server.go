@@ -69,7 +69,10 @@ type Server struct {
 // updated only on the sequential fault band: report accessors may be
 // called several times per tick by scheduler scans, so a filter that
 // consumed randomness per call would break bit-identity across worker
-// counts.
+// counts. Whoever updates that state calls Cluster.ReportsChanged
+// after the update, before the scheduler next runs: schedulers may
+// cache what the reports said until the report epoch moves, and
+// SetReportFilter moves it only when a filter is installed or removed.
 type ReportFilter interface {
 	// FilterUtilization maps the true utilization to the reported one.
 	FilterUtilization(trueUtil float64) float64
@@ -279,8 +282,12 @@ func (s *Server) ReportedUtilization() float64 {
 	return u
 }
 
-// SetReportFilter installs (or, with nil, removes) a report filter.
-func (s *Server) SetReportFilter(f ReportFilter) { s.filter = f }
+// SetReportFilter installs (or, with nil, removes) a report filter,
+// moving the cluster's report epoch.
+func (s *Server) SetReportFilter(f ReportFilter) {
+	s.filter = f
+	s.reg.reportEpoch++
+}
 
 // ReportsQuarantined reports whether the defense layer currently
 // distrusts this server's telemetry.

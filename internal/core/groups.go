@@ -106,16 +106,17 @@ func (g *groups) sizeForAlive(target int) int {
 }
 
 // leastBusy returns the best placement target with a free core among
-// servers [lo,hi) that satisfy keep (nil = all): fewest jobs of w
-// first (even per-workload spread keeps server thermal compositions
-// uniform within a group), then fewest busy cores, with ties rotating.
-// Returns nil if none qualify. Each call over a non-empty range
-// advances the cursor by exactly one; unfiltered calls go to the
-// placement index when there is one, which returns what the scan
-// would.
+// servers [lo,hi): fewest jobs of w first (even per-workload spread
+// keeps server thermal compositions uniform within a group), then
+// fewest busy cores, with ties rotating. A non-nil mask admits only the
+// servers whose byte has a bit of want set (VMT-WA's wax-state bits); a
+// nil mask admits all. Returns nil if none qualify. Each call over a
+// non-empty range advances the cursor by exactly one; unfiltered calls
+// go to the placement index when there is one, which returns what the
+// scan would.
 //
 //vmt:hotpath
-func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
+func (g *groups) leastBusy(lo, hi int, w workload.Workload, mask []uint8, want uint8) *cluster.Server {
 	wi := g.c.WorkloadIndex(w)
 	n := hi - lo
 	if n <= 0 {
@@ -123,18 +124,18 @@ func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.S
 	}
 	g.cursor++
 	from := lo + g.cursor%n
-	if keep == nil && g.idx != nil {
+	if mask == nil && g.idx != nil {
 		return g.idx.LeastBusy(wi, lo, hi, from)
 	}
-	return scanLeastBusy(g.c.Servers(), lo, hi, from, wi, keep)
+	return scanLeastBusy(g.c.Servers(), lo, hi, from, wi, mask, want)
 }
 
 // mostBusyWith returns the server in [lo,hi) running w with the most
-// jobs of w (ties rotating), optionally filtered by keep. Cursor and
-// index as for leastBusy.
+// jobs of w (ties rotating), filtered by mask and want as for
+// leastBusy. Cursor and index as for leastBusy.
 //
 //vmt:hotpath
-func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
+func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, mask []uint8, want uint8) *cluster.Server {
 	wi := g.c.WorkloadIndex(w)
 	n := hi - lo
 	if n <= 0 {
@@ -142,32 +143,33 @@ func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep func(*cluste
 	}
 	g.cursor++
 	from := lo + g.cursor%n
-	if keep == nil && g.idx != nil {
+	if mask == nil && g.idx != nil {
 		return g.idx.MostBusyWith(wi, lo, hi, from)
 	}
-	return scanMostBusyWith(g.c.Servers(), lo, hi, from, wi, keep)
+	return scanMostBusyWith(g.c.Servers(), lo, hi, from, wi, mask, want)
 }
 
 // scanLeastBusy is leastBusy's linear scan of servers[lo:hi], visiting
 // from first and wrapping to lo (lo ≤ from < hi), for workload index
-// wi. It serves keep-filtered calls and clusters without an index, and
-// is the reference the placement index is tested against.
+// wi. It serves masked calls and clusters without an index, and is the
+// reference the placement index is tested against.
 //
 // The rotating scan is written as a direct loop: placement scans run
 // hundreds of times per tick, and routing each visit through a
 // closure (capturing the comparison state) was a measurable share of
-// whole-run CPU.
+// whole-run CPU. The masked loop tests the server's mask byte before
+// it loads the server.
 //
 //vmt:hotpath
-func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, keep func(*cluster.Server) bool) *cluster.Server {
+func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, mask []uint8, want uint8) *cluster.Server {
 	var best *cluster.Server
 	bestJobs := 0
 	// Walk [from, hi) then [lo, from) with a wrapping index instead of
 	// a per-visit modulo — same visit order, two integer ops cheaper on
 	// a loop that runs for every placement decision. The common nil
-	// filter gets its own loop without the per-visit keep check.
+	// mask gets its own loop without the per-visit bit test.
 	idx := from
-	if keep == nil {
+	if mask == nil {
 		for i := lo; i < hi; i++ {
 			s := servers[idx]
 			idx++
@@ -186,15 +188,16 @@ func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, keep func(*c
 		return best
 	}
 	for i := lo; i < hi; i++ {
-		s := servers[idx]
+		k := idx
 		idx++
 		if idx == hi {
 			idx = lo
 		}
-		if s.FreeCores() == 0 {
+		if mask[k]&want == 0 {
 			continue
 		}
-		if !keep(s) {
+		s := servers[k]
+		if s.FreeCores() == 0 {
 			continue
 		}
 		j := s.JobsAt(wi)
@@ -210,11 +213,11 @@ func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, keep func(*c
 // visit order.
 //
 //vmt:hotpath
-func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, keep func(*cluster.Server) bool) *cluster.Server {
+func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, mask []uint8, want uint8) *cluster.Server {
 	var best *cluster.Server
 	bestJobs := 0
 	idx := from
-	if keep == nil {
+	if mask == nil {
 		for i := lo; i < hi; i++ {
 			s := servers[idx]
 			idx++
@@ -232,16 +235,17 @@ func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, keep func
 		return best
 	}
 	for i := lo; i < hi; i++ {
-		s := servers[idx]
+		k := idx
 		idx++
 		if idx == hi {
 			idx = lo
 		}
-		j := s.JobsAt(wi)
-		if j == 0 {
+		if mask[k]&want == 0 {
 			continue
 		}
-		if !keep(s) {
+		s := servers[k]
+		j := s.JobsAt(wi)
+		if j == 0 {
 			continue
 		}
 		if best == nil || j > bestJobs {

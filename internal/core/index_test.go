@@ -28,14 +28,14 @@ type oracleIndex struct {
 func (o *oracleIndex) LeastBusy(w, lo, hi, from int) *cluster.Server {
 	o.t.Helper()
 	got := o.x.LeastBusy(w, lo, hi, from)
-	o.check("LeastBusy", w, lo, hi, from, got, scanLeastBusy(o.c.Servers(), lo, hi, from, w, nil))
+	o.check("LeastBusy", w, lo, hi, from, got, scanLeastBusy(o.c.Servers(), lo, hi, from, w, nil, 0))
 	return got
 }
 
 func (o *oracleIndex) MostBusyWith(w, lo, hi, from int) *cluster.Server {
 	o.t.Helper()
 	got := o.x.MostBusyWith(w, lo, hi, from)
-	o.check("MostBusyWith", w, lo, hi, from, got, scanMostBusyWith(o.c.Servers(), lo, hi, from, w, nil))
+	o.check("MostBusyWith", w, lo, hi, from, got, scanMostBusyWith(o.c.Servers(), lo, hi, from, w, nil, 0))
 	return got
 }
 
@@ -78,10 +78,11 @@ func (meltedReports) FilterMeltFrac(float64) float64      { return 1 }
 // churn drives VMT-TA and VMT-WA over one cluster that already held jobs
 // when its index was built: policy and direct placements and evictions,
 // single-server and whole-rack crashes and repairs, GV retunes,
-// fault-driven hot-group resizes, and VMT-WA migrations. Every unfiltered
-// group query is answered by the index and checked against the scan from
-// the same cursor, and after every batch each tree node must equal a
-// from-scratch rebuild.
+// fault-driven hot-group resizes, VMT-WA migrations, and a report filter
+// installed mid-band. Every unfiltered group query is answered by the
+// index and checked against the scan from the same cursor, every read of
+// VMT-WA's wax-state mask against the live predicates, and after every
+// batch each tree node must equal a from-scratch rebuild.
 func TestPlacementIndexMatchesScan(t *testing.T) {
 	const (
 		rack    = 40
@@ -122,6 +123,7 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 	}
 	oracle := &oracleIndex{t: t, c: c, x: x}
 	ta.g.idx, wa.g.idx = oracle, oracle
+	mask := checkMaskLive(t, wa)
 	policies := []Tunable{ta, wa}
 	// A band of servers inside VMT-WA's base hot group reports melted
 	// wax and runs hot, so VMT-WA extends its group and migrates load
@@ -139,6 +141,14 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 			placeTenths = 3
 		}
 		for i := 0; i < ops; i++ {
+			if b == batches/2 && i == ops/2 {
+				// Mid-band, a second band starts reporting melted wax:
+				// the rest of the band's queries must see it before the
+				// next Tick.
+				for id := 300; id < 320; id++ {
+					c.Server(id).SetReportFilter(meltedReports{})
+				}
+			}
 			w := mix[rng.Intn(len(mix))]
 			p := policies[rng.Intn(len(policies))]
 			switch r := rng.Intn(10); {
@@ -206,7 +216,7 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 		t.Errorf("churn never migrated (%d) or resized (%d)",
 			counter("sched_migrations"), counter("sched_hot_group_resizes"))
 	}
-	t.Logf("%d index queries, %d migrations, %d resizes", oracle.queries,
+	t.Logf("%d index queries, %d mask reads, %d migrations, %d resizes", oracle.queries, mask.reads,
 		counter("sched_migrations"), counter("sched_hot_group_resizes"))
 }
 
@@ -264,7 +274,7 @@ func TestPlacementIndexEdgeCases(t *testing.T) {
 	// groups.leastBusy on an empty range returns nil without consuming
 	// a rotation step.
 	g := newGroups(c, 0)
-	if s := g.leastBusy(0, 0, workload.WebSearch, nil); s != nil || g.cursor != 0 {
+	if s := g.leastBusy(0, 0, workload.WebSearch, nil, 0); s != nil || g.cursor != 0 {
 		t.Fatalf("empty hot group: %s, cursor %d", serverName(s), g.cursor)
 	}
 }

@@ -88,7 +88,7 @@ func (p *Preserving) Place(w workload.Workload) (*cluster.Server, error) {
 	if !p.preserving() || w.Class != workload.Hot {
 		return p.wa.Place(w)
 	}
-	if s := p.wa.g.leastBusy(0, p.sacrificeSize, w, nil); s != nil {
+	if s := p.wa.g.leastBusy(0, p.sacrificeSize, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return p.wa.Place(w)
@@ -103,10 +103,10 @@ func (p *Preserving) SelectRemoval(w workload.Workload) (*cluster.Server, error)
 		return p.wa.SelectRemoval(w)
 	}
 	n := p.wa.g.c.Len()
-	if s := p.wa.g.mostBusyWith(p.sacrificeSize, n, w, nil); s != nil {
+	if s := p.wa.g.mostBusyWith(p.sacrificeSize, n, w, nil, 0); s != nil {
 		return s, nil
 	}
-	if s := p.wa.g.mostBusyWith(0, p.sacrificeSize, w, nil); s != nil {
+	if s := p.wa.g.mostBusyWith(0, p.sacrificeSize, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return nil, sched.ErrNoJob

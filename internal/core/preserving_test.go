@@ -161,10 +161,10 @@ func TestOracleWaxState(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Server(0)
-		if oracle.melted(s) != (s.MeltFrac() >= 0.5) {
+		if melted(oracle, s) != (s.MeltFrac() >= 0.5) {
 			t.Fatal("oracle must read ground truth")
 		}
-		if reported.melted(s) != (s.ReportedMeltFrac() >= 0.5) {
+		if melted(reported, s) != (s.ReportedMeltFrac() >= 0.5) {
 			t.Fatal("default must read the estimator")
 		}
 	}

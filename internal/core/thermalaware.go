@@ -94,10 +94,10 @@ func (t *ThermalAware) Place(w workload.Workload) (*cluster.Server, error) {
 	} else {
 		primLo, primHi, secLo, secHi = t.g.hotSize, n, 0, t.g.hotSize
 	}
-	if s := t.g.leastBusy(primLo, primHi, w, nil); s != nil {
+	if s := t.g.leastBusy(primLo, primHi, w, nil, 0); s != nil {
 		return s, nil
 	}
-	if s := t.g.leastBusy(secLo, secHi, w, nil); s != nil {
+	if s := t.g.leastBusy(secLo, secHi, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return nil, sched.ErrNoCapacity
@@ -115,10 +115,10 @@ func (t *ThermalAware) SelectRemoval(w workload.Workload) (*cluster.Server, erro
 	} else {
 		primLo, primHi, spillLo, spillHi = t.g.hotSize, n, 0, t.g.hotSize
 	}
-	if s := t.g.mostBusyWith(spillLo, spillHi, w, nil); s != nil {
+	if s := t.g.mostBusyWith(spillLo, spillHi, w, nil, 0); s != nil {
 		return s, nil
 	}
-	if s := t.g.mostBusyWith(primLo, primHi, w, nil); s != nil {
+	if s := t.g.mostBusyWith(primLo, primHi, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return nil, sched.ErrNoJob

@@ -53,7 +53,40 @@ type WaxAware struct {
 	// VMT-WA falls back to VMT-TA-style even placement for them
 	// instead of acting on bad data. Refreshed by refreshHealth.
 	degraded []bool
+
+	// mask holds one byte of wax-state bits per server (waxCanMeltMore,
+	// waxMolten, waxNotMelted), so the filtered scans and the
+	// rebalancing loops test a bit instead of re-reading the degraded
+	// flag, the estimate, the report filter and the air temperature on
+	// every visit. bits rebuilds it on its first read after
+	// refreshHealth marks it stale or the cluster's report epoch moves
+	// past maskEpoch: nothing else changes a bit, because placements
+	// and migrations move jobs, not wax state or air. meltedCount is
+	// the last build's count of melted servers.
+	mask        []uint8
+	maskEpoch   uint64
+	maskStale   bool
+	meltedCount int
+	// checkMask, when non-nil, is called with the mask on every read.
+	// Only tests set it, to re-derive each bit from its predicate.
+	checkMask func(mask []uint8)
 }
+
+// Wax-state bits. Each is computed from its own predicate over the
+// server's melted state (see buildMask) and air temperature; none is
+// the complement of another, since with a NaN air temperature neither
+// waxCanMeltMore nor waxMolten holds for a melted server.
+const (
+	// waxCanMeltMore: !melted || air < PMT. Hot load placed here can
+	// melt more wax or keep molten wax melted (the Section III-B
+	// placement predicate).
+	waxCanMeltMore uint8 = 1 << iota
+	// waxMolten: melted && air ≥ PMT. Already molten, so extra heat
+	// here does minimal damage.
+	waxMolten
+	// waxNotMelted: !melted.
+	waxNotMelted
+)
 
 // DefaultMaxEstimateAge is how old a melt estimate may grow (no
 // successful sensor reading) before VMT-WA stops trusting it and
@@ -93,6 +126,8 @@ func NewWaxAware(c *cluster.Cluster, cfg Config) (*WaxAware, error) {
 		migrations: cfg.Metrics.Counter("sched_migrations"),
 		fallbacks:  cfg.Metrics.Counter("sched_estimate_fallbacks"),
 		degraded:   make([]bool, c.Len()),
+		mask:       make([]uint8, c.Len()),
+		maskStale:  true,
 	}, nil
 }
 
@@ -130,26 +165,66 @@ func (wa *WaxAware) effectiveBase() int {
 // IsHot reports whether server s currently belongs to the hot group.
 func (wa *WaxAware) IsHot(s *cluster.Server) bool { return wa.g.isHot(s) }
 
-// melted reports whether the scheduler considers s fully melted: its
-// reported melt fraction exceeds the wax threshold. A degraded server
-// (crashed, stale, or garbage estimate) always reads as not melted —
-// the graceful-degradation rule that turns VMT-WA into VMT-TA for the
+// buildMask recomputes every server's wax-state bits and the melted
+// count. The scheduler considers a server fully melted when its
+// reported melt fraction (ground truth under the oracle ablation)
+// reaches the wax threshold. A degraded server (crashed, stale, or
+// garbage estimate) always reads as not melted — the
+// graceful-degradation rule that turns VMT-WA into VMT-TA for the
 // affected servers.
-func (wa *WaxAware) melted(s *cluster.Server) bool {
-	if id := s.ID(); id < len(wa.degraded) && wa.degraded[id] {
-		return false
+func (wa *WaxAware) buildMask() {
+	count := 0
+	for i, s := range wa.g.c.Servers() {
+		melted := false
+		if !wa.degraded[i] {
+			if wa.cfg.OracleWaxState {
+				melted = s.MeltFrac() >= wa.cfg.WaxThreshold
+			} else {
+				melted = s.ReportedMeltFrac() >= wa.cfg.WaxThreshold
+			}
+		}
+		air := s.AirTempC()
+		var b uint8
+		if !melted || air < wa.pmtC {
+			b |= waxCanMeltMore
+		}
+		if melted && air >= wa.pmtC {
+			b |= waxMolten
+		}
+		if !melted {
+			b |= waxNotMelted
+		} else {
+			count++
+		}
+		wa.mask[i] = b
 	}
-	if wa.cfg.OracleWaxState {
-		return s.MeltFrac() >= wa.cfg.WaxThreshold
-	}
-	return s.ReportedMeltFrac() >= wa.cfg.WaxThreshold
+	wa.meltedCount = count
+	wa.maskEpoch = wa.g.c.ReportEpoch()
+	wa.maskStale = false
 }
 
-// refreshHealth recomputes the degraded set. A healthy-to-degraded
-// transition increments sched_estimate_fallbacks. With the oracle
-// ablation only crashes degrade a server (ground truth cannot go
-// stale).
+// bits returns the wax-state mask, rebuilding it first if
+// refreshHealth has run or the cluster's report epoch has moved since
+// the last build. The first read can come before Tick: crash
+// evacuations place, and the stream manager's departures select,
+// between the tick's Step and the scheduler's Tick.
+func (wa *WaxAware) bits() []uint8 {
+	if wa.maskStale || wa.maskEpoch != wa.g.c.ReportEpoch() {
+		wa.buildMask()
+	}
+	if wa.checkMask != nil {
+		wa.checkMask(wa.mask)
+	}
+	return wa.mask
+}
+
+// refreshHealth recomputes the degraded set and marks the wax-state
+// mask stale (Preserving.Tick calls it without Tick). A
+// healthy-to-degraded transition increments sched_estimate_fallbacks.
+// With the oracle ablation only crashes degrade a server (ground truth
+// cannot go stale).
 func (wa *WaxAware) refreshHealth() {
+	wa.maskStale = true
 	servers := wa.g.c.Servers()
 	for i, s := range servers {
 		d := s.Failed()
@@ -176,7 +251,7 @@ func (wa *WaxAware) refreshHealth() {
 // or keep molten wax melted: s is below the threshold or below the
 // melting temperature (the Section III-B placement predicate).
 func (wa *WaxAware) canMeltMore(s *cluster.Server) bool {
-	return !wa.melted(s) || s.AirTempC() < wa.pmtC
+	return wa.bits()[s.ID()]&waxCanMeltMore != 0
 }
 
 // Tick implements sched.Scheduler: restart from the Equation-1
@@ -189,12 +264,8 @@ func (wa *WaxAware) canMeltMore(s *cluster.Server) bool {
 // melting after the initial hot group saturates (Figure 14).
 func (wa *WaxAware) Tick(time.Duration) {
 	wa.refreshHealth()
-	meltedCount := 0
-	for _, s := range wa.g.c.Servers() {
-		if wa.melted(s) {
-			meltedCount++
-		}
-	}
+	wa.bits() // refreshHealth forces a rebuild, which counts the melted servers
+	meltedCount := wa.meltedCount
 	if meltedCount > wa.prevMelted {
 		wa.trips.Add(uint64(meltedCount - wa.prevMelted))
 	}
@@ -269,11 +340,12 @@ func (wa *WaxAware) rebalanceMelted() {
 // for one cold job on an extension server, without needing any free
 // core. Reports whether an exchange happened.
 func (wa *WaxAware) swapOne() bool {
+	m := wa.bits()
 	for i := 0; i < wa.g.hotSize; i++ {
-		src := wa.g.c.Server(i)
-		if !wa.melted(src) || src.AirTempC() < wa.pmtC {
-			continue
+		if m[i]&waxCanMeltMore != 0 {
+			continue // a source is melted and at or above the PMT
 		}
+		src := wa.g.c.Server(i)
 		hot, ok := wa.largestJob(src, workload.Hot)
 		if !ok {
 			continue
@@ -283,10 +355,10 @@ func (wa *WaxAware) swapOne() bool {
 			continue
 		}
 		for j := wa.effBase; j < wa.g.hotSize; j++ {
-			e := wa.g.c.Server(j)
-			if e.ID() == src.ID() || !wa.canMeltMore(e) {
+			if j == i || m[j]&waxCanMeltMore == 0 {
 				continue
 			}
+			e := wa.g.c.Server(j)
 			cold, ok := wa.largestJob(e, workload.Cold)
 			if !ok {
 				continue
@@ -307,11 +379,12 @@ func (wa *WaxAware) swapOne() bool {
 // shedOneHot moves one hot job from a fully melted server with surplus
 // power to the current melt target. Reports whether a move happened.
 func (wa *WaxAware) shedOneHot() bool {
+	m := wa.bits()
 	for i := 0; i < wa.g.hotSize; i++ {
-		src := wa.g.c.Server(i)
-		if !wa.melted(src) || src.AirTempC() < wa.pmtC {
-			continue
+		if m[i]&waxCanMeltMore != 0 {
+			continue // a source is melted and at or above the PMT
 		}
+		src := wa.g.c.Server(i)
 		keep := wa.keepWarmPowerW(src)
 		w, ok := wa.largestJob(src, workload.Hot)
 		if !ok {
@@ -336,20 +409,22 @@ func (wa *WaxAware) shedOneHot() bool {
 // being filled, onto a melted hot-group server with a free core (where
 // extra heat is thermally harmless), making room for hot load.
 func (wa *WaxAware) clearOneCold() bool {
+	m := wa.bits()
 	for i := wa.effBase; i < wa.g.hotSize; i++ {
-		e := wa.g.c.Server(i)
-		if !wa.canMeltMore(e) {
+		if m[i]&waxCanMeltMore == 0 {
 			continue
 		}
+		e := wa.g.c.Server(i)
 		w, ok := wa.largestJob(e, workload.Cold)
 		if !ok {
 			continue // already converted to hot load; fill the next one
 		}
 		var dst *cluster.Server
 		for j := 0; j < wa.g.hotSize; j++ {
-			d := wa.g.c.Server(j)
-			if d.ID() != e.ID() && d.FreeCores() > 0 &&
-				wa.melted(d) && d.AirTempC() >= wa.pmtC {
+			if j == i || m[j]&waxMolten == 0 {
+				continue
+			}
+			if d := wa.g.c.Server(j); d.FreeCores() > 0 {
 				dst = d
 				break
 			}
@@ -385,24 +460,30 @@ func (wa *WaxAware) Place(w workload.Workload) (*cluster.Server, error) {
 // server only melts wax if it is driven above the melting temperature,
 // so spreading the surplus thinly would melt nothing (Section III-B:
 // "moves the additional load to the newly added server").
+//
+// excludeID (−1 for none) is never returned: its waxCanMeltMore bit is
+// cleared for the two queries and restored after.
 func (wa *WaxAware) meltTarget(w workload.Workload, excludeID int) *cluster.Server {
-	keep := func(s *cluster.Server) bool {
-		return s.ID() != excludeID && wa.canMeltMore(s)
+	m := wa.bits()
+	var saved uint8
+	if excludeID >= 0 {
+		saved = m[excludeID]
+		m[excludeID] &^= waxCanMeltMore
 	}
 	base := wa.effBase
 	if base > wa.g.hotSize {
 		base = wa.g.hotSize
 	}
-	if s := wa.g.leastBusy(0, base, w, keep); s != nil {
-		return s
-	}
-	for i := base; i < wa.g.hotSize; i++ {
-		s := wa.g.c.Server(i)
-		if s.FreeCores() > 0 && keep(s) {
-			return s
+	s := wa.g.leastBusy(0, base, w, m, waxCanMeltMore)
+	for i := base; s == nil && i < wa.g.hotSize; i++ {
+		if m[i]&waxCanMeltMore != 0 && wa.g.c.Server(i).FreeCores() > 0 {
+			s = wa.g.c.Server(i)
 		}
 	}
-	return nil
+	if excludeID >= 0 {
+		m[excludeID] = saved
+	}
+	return s
 }
 
 func (wa *WaxAware) placeHot(w workload.Workload) (*cluster.Server, error) {
@@ -423,10 +504,10 @@ func (wa *WaxAware) placeHot(w workload.Workload) (*cluster.Server, error) {
 	}
 	// 3. Corner case with every server in the hot group: any server
 	//    below the melted threshold, then any remaining server.
-	if s := wa.g.leastBusy(0, n, w, func(s *cluster.Server) bool { return !wa.melted(s) }); s != nil {
+	if s := wa.g.leastBusy(0, n, w, wa.bits(), waxNotMelted); s != nil {
 		return s, nil
 	}
-	if s := wa.g.leastBusy(0, n, w, nil); s != nil {
+	if s := wa.g.leastBusy(0, n, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return nil, sched.ErrNoCapacity
@@ -435,19 +516,16 @@ func (wa *WaxAware) placeHot(w workload.Workload) (*cluster.Server, error) {
 func (wa *WaxAware) placeCold(w workload.Workload) (*cluster.Server, error) {
 	n := wa.g.c.Len()
 	// 1. The cold group.
-	if s := wa.g.leastBusy(wa.g.hotSize, n, w, nil); s != nil {
+	if s := wa.g.leastBusy(wa.g.hotSize, n, w, nil, 0); s != nil {
 		return s, nil
 	}
 	// 2. A hot-group server already above the melted threshold and the
 	//    melting temperature — minimal thermal impact.
-	alreadyMolten := func(s *cluster.Server) bool {
-		return wa.melted(s) && s.AirTempC() >= wa.pmtC
-	}
-	if s := wa.g.leastBusy(0, wa.g.hotSize, w, alreadyMolten); s != nil {
+	if s := wa.g.leastBusy(0, wa.g.hotSize, w, wa.bits(), waxMolten); s != nil {
 		return s, nil
 	}
 	// 3. Any remaining hot-group server.
-	if s := wa.g.leastBusy(0, wa.g.hotSize, w, nil); s != nil {
+	if s := wa.g.leastBusy(0, wa.g.hotSize, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return nil, sched.ErrNoCapacity
@@ -463,25 +541,25 @@ func (wa *WaxAware) SelectRemoval(w workload.Workload) (*cluster.Server, error) 
 	n := wa.g.c.Len()
 	if w.Class == workload.Hot {
 		// Spilled hot jobs in the cold group first.
-		if s := wa.g.mostBusyWith(wa.g.hotSize, n, w, nil); s != nil {
+		if s := wa.g.mostBusyWith(wa.g.hotSize, n, w, nil, 0); s != nil {
 			return s, nil
 		}
 		// Then the same servers placements target (those still able to
 		// melt wax): minute-scale churn cycles within that set, so
 		// fully melted servers keep the load holding their wax molten.
-		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, wa.canMeltMore); s != nil {
+		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, wa.bits(), waxCanMeltMore); s != nil {
 			return s, nil
 		}
-		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, nil); s != nil {
+		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, nil, 0); s != nil {
 			return s, nil
 		}
 		return nil, sched.ErrNoJob
 	}
 	// Cold jobs: spilled into the hot group first, then cold group.
-	if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, nil); s != nil {
+	if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, nil, 0); s != nil {
 		return s, nil
 	}
-	if s := wa.g.mostBusyWith(wa.g.hotSize, n, w, nil); s != nil {
+	if s := wa.g.mostBusyWith(wa.g.hotSize, n, w, nil, 0); s != nil {
 		return s, nil
 	}
 	return nil, sched.ErrNoJob

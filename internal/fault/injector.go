@@ -191,7 +191,10 @@ func NewInjector(p *Plan, c *cluster.Cluster, host Host, reg *telemetry.Registry
 // finally the per-tick refresh of Byzantine report lies. Everything
 // here runs on the sequential fault band, so cluster mutation order —
 // and therefore every downstream scheduler decision — is identical for
-// any PhysicsWorkers setting.
+// any PhysicsWorkers setting. A repair's estimator reset and the lie
+// refresh change reported melt fractions between Steps, so each moves
+// the cluster's report epoch: the scheduler reads reports before its
+// Tick (crash evacuations, the stream manager's departures).
 func (inj *Injector) Tick(now, dt time.Duration) error {
 	inj.expireDerates(now)
 	for id := range inj.repairAt {
@@ -253,8 +256,11 @@ func (inj *Injector) Tick(now, dt time.Duration) error {
 			}
 		}
 	}
-	for _, id := range inj.byzServers {
-		inj.byz[id].refresh(now)
+	if len(inj.byzServers) > 0 {
+		for _, id := range inj.byzServers {
+			inj.byz[id].refresh(now)
+		}
+		inj.c.ReportsChanged()
 	}
 	return nil
 }
@@ -361,6 +367,7 @@ func (inj *Injector) repair(id int) {
 	// shadow at the current air temperature so the estimate restarts
 	// from a known state instead of the pre-crash trajectory.
 	s.Estimator().Reset(s.AirTempC())
+	inj.c.ReportsChanged()
 	inj.repaired++
 	inj.repairCount.Inc()
 }

@@ -26,9 +26,20 @@ type Scheduler interface {
 	// w should be evicted when load falls. It fails only if no server
 	// runs w.
 	SelectRemoval(w workload.Workload) (*cluster.Server, error)
-	// Tick runs once per scheduling period before any placements,
-	// letting stateful policies (VMT-WA) refresh group assignments
-	// from the reported wax state.
+	// Tick runs once per scheduling period, letting stateful policies
+	// (VMT-WA) refresh group assignments from the reported wax state.
+	// It is not the period's first call. A session tick runs, in order:
+	//   - the cluster's Step;
+	//   - fault injection, whose crash evacuations call Place, and the
+	//     report guard;
+	//   - the manager's Reconcile. The load manager calls Tick first.
+	//     The stream manager first completes the tasks due, calling
+	//     SelectRemoval for each whose job was migrated away, and then
+	//     calls Tick;
+	//   - after Tick, the placements and evictions that track the load.
+	// A policy that caches state derived from the servers' reports
+	// must not assume that Tick has run since the last Step (see
+	// cluster.Cluster.ReportEpoch).
 	Tick(now time.Duration)
 }
 
@@ -47,18 +58,26 @@ var ErrNoJob = fmt.Errorf("sched: no job of requested workload")
 // not have in practice). Removals cycle independently so load stays
 // even as it falls.
 type RoundRobin struct {
-	c         *cluster.Cluster
-	placeCur  map[workload.Workload]int
-	removeCur map[workload.Workload]int
+	c *cluster.Cluster
+	// placeCur and removeCur are indexed by Cluster.WorkloadIndex, so a
+	// call reads its cursor without hashing the Workload struct; a
+	// workload new to the scheduler starts at server 0.
+	placeCur  []int
+	removeCur []int
 }
 
 // NewRoundRobin returns a round-robin scheduler bound to c.
 func NewRoundRobin(c *cluster.Cluster) *RoundRobin {
-	return &RoundRobin{
-		c:         c,
-		placeCur:  make(map[workload.Workload]int),
-		removeCur: make(map[workload.Workload]int),
+	return &RoundRobin{c: c}
+}
+
+// growCursors extends cur with zero cursors until it covers workload
+// index wi.
+func growCursors(cur []int, wi int) []int {
+	for len(cur) <= wi {
+		cur = append(cur, 0)
 	}
+	return cur
 }
 
 // Name implements Scheduler.
@@ -71,11 +90,13 @@ func (r *RoundRobin) Tick(time.Duration) {}
 // with a free core.
 func (r *RoundRobin) Place(w workload.Workload) (*cluster.Server, error) {
 	n := r.c.Len()
-	cur := r.placeCur[w]
+	wi := r.c.WorkloadIndex(w)
+	r.placeCur = growCursors(r.placeCur, wi)
+	cur := r.placeCur[wi]
 	for i := 0; i < n; i++ {
 		s := r.c.Server((cur + i) % n)
 		if s.FreeCores() > 0 {
-			r.placeCur[w] = (s.ID() + 1) % n
+			r.placeCur[wi] = (s.ID() + 1) % n
 			return s, nil
 		}
 	}
@@ -87,11 +108,12 @@ func (r *RoundRobin) Place(w workload.Workload) (*cluster.Server, error) {
 func (r *RoundRobin) SelectRemoval(w workload.Workload) (*cluster.Server, error) {
 	n := r.c.Len()
 	wi := r.c.WorkloadIndex(w)
-	cur := r.removeCur[w]
+	r.removeCur = growCursors(r.removeCur, wi)
+	cur := r.removeCur[wi]
 	for i := 0; i < n; i++ {
 		s := r.c.Server((cur + i) % n)
 		if s.JobsAt(wi) > 0 {
-			r.removeCur[w] = (s.ID() + 1) % n
+			r.removeCur[wi] = (s.ID() + 1) % n
 			return s, nil
 		}
 	}

@@ -37,12 +37,16 @@ go test -short -count=1 \
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
 go test -count=1 -run 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
 
-echo "== placement index vs linear scan (same server at every decision)"
+echo "== placement index vs linear scan, wax-state mask vs live predicates"
 # Every unfiltered VMT placement and eviction query is answered by the
 # placement index and by the linear scan from the same rotation start,
 # under seeded churn, crashes, retunes and migrations; every tree node
-# must match a rebuild.
-go test -count=1 -run 'TestPlacementIndex' ./internal/cluster/ ./internal/core/
+# must match a rebuild. Every read of VMT-WA's wax-state mask must
+# equal the predicates evaluated live, through fault-injected runs of
+# VMT-WA, its oracle ablation and VMT-preserve under both managers, and
+# inside the window between each report change (a report filter, a
+# Byzantine lie, a repair's estimator reset) and the scheduler's Tick.
+go test -count=1 -run 'TestPlacementIndex|TestWaxMask' ./internal/cluster/ ./internal/core/
 
 echo "== completion queue vs container/heap, ties included"
 # The stream manager's typed completion heap and a container/heap
@@ -154,6 +158,31 @@ status=0
 if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPhysicsWorkersBitIdenticalProperty' "$tmp/outcome.out"; then
     echo "TestPhysicsWorkersBitIdenticalProperty did not catch a worker-dependent MaxCPUTempC drift:" >&2
     cat "$tmp/outcome.out" >&2
+    exit 1
+fi
+
+echo "== wax-mask invalidation self-check (a dropped report-epoch bump is caught)"
+# Delete the fault injector's report-epoch bump after its Byzantine
+# refresh and demand that the window test fail by name: without it, a
+# placement between the lie starting and the scheduler's Tick reads a
+# stale wax-state mask.
+maskdir="$tmp/maskmut"
+mkdir -p "$maskdir"
+tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
+    --exclude ./vmt.test . | (cd "$maskdir" && tar xf -)
+awk '/inj\.byz\[id\]\.refresh\(now\)/ { seen = 1 }
+    seen && !done && /inj\.c\.ReportsChanged\(\)/ { done = 1; next } { print }' \
+    internal/fault/injector.go > "$maskdir/internal/fault/injector.go"
+if cmp -s internal/fault/injector.go "$maskdir/internal/fault/injector.go"; then
+    echo "found no report-epoch bump after Injector.Tick's Byzantine refresh to delete" >&2
+    exit 1
+fi
+status=0
+(cd "$maskdir" && go test -count=1 -run '^TestWaxMaskWindowByzantineRefresh$' ./internal/core/) \
+    > "$tmp/mask.out" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestWaxMaskWindowByzantineRefresh' "$tmp/mask.out"; then
+    echo "TestWaxMaskWindowByzantineRefresh did not catch a dropped post-refresh report-epoch bump:" >&2
+    cat "$tmp/mask.out" >&2
     exit 1
 fi
 
