@@ -257,6 +257,7 @@ func (c *Cluster) MarkFailed(i int) {
 	if !s.failed {
 		s.failed = true
 		c.failedCount++
+		s.packRow()
 		if x := c.reg.place; x != nil {
 			x.capacityChanged(i)
 		}
@@ -269,6 +270,7 @@ func (c *Cluster) MarkRepaired(i int) {
 	if s.failed {
 		s.failed = false
 		c.failedCount--
+		s.packRow()
 		if x := c.reg.place; x != nil {
 			x.capacityChanged(i)
 		}
@@ -277,12 +279,13 @@ func (c *Cluster) MarkRepaired(i int) {
 
 // PlacementIndex returns the cluster's placement index, building it
 // over the current state on the first call when the cluster has at
-// least indexCrossover servers of at most maxIndexedCores cores. Other
-// clusters get nil and their schedulers scan: below the crossover a
-// scan is cheaper than keeping the index current on every Place and
-// Remove.
+// least indexCrossover servers; from then on LeastBusy and
+// MostBusyWith answer unfiltered queries from it. Smaller clusters get
+// nil and keep the slab scans: below the crossover a scan is cheaper
+// than keeping the index current on every Place and Remove. The VMT
+// schedulers call it at construction.
 func (c *Cluster) PlacementIndex() *PlacementIndex {
-	if c.reg.place == nil && len(c.servers) >= indexCrossover && c.cfg.Server.Cores() <= maxIndexedCores {
+	if c.reg.place == nil && len(c.servers) >= indexCrossover {
 		c.reg.place = newPlacementIndex(c.reg, c.servers)
 	}
 	return c.reg.place

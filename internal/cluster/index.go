@@ -6,51 +6,168 @@ import (
 	"math/bits"
 )
 
+// Place keys. Every (server, workload) pair has one 32-bit key in the
+// registry's key slab, kept current by Server.Place/Remove and
+// Cluster.MarkFailed/MarkRepaired, the only mutators of its fields:
+//
+//	full<<31 | jobs<<16 | busy
+//
+// jobs is the server's job count of the workload, busy its busy cores,
+// and full is set while the server is failed or has no free core.
+// ServerSpec.Validate caps a server at 32,767 cores, so jobs fits its
+// 15 bits and busy its 16 exactly. Comparing keys compares (full, jobs,
+// busy) lexicographically, which is the placement order: every server
+// with a free core before every full one, then the fewest jobs of the
+// workload, then the fewest busy cores. A key at or above fullBit is
+// never an answer.
+const (
+	fullBit   = 1 << 31
+	jobsShift = 16
+	jobsOne   = 1 << jobsShift
+	jobsMask  = 0x7fff << jobsShift
+)
+
+// evictKey orders the eviction choice by key: the most jobs of the
+// workload is the least key, and no job at all is fullBit, so a
+// server without the workload is never an answer. It ignores the full
+// bit: a job may be evicted from a full or failed server.
+//
+//vmt:hotpath
+func evictKey(k uint32) uint32 { return fullBit - k&jobsMask }
+
 // indexCrossover is the smallest cluster that gets a placement index.
 // Every Place and Remove must update the trees of all workloads, which
-// below this size costs more than the linear scans it saves; the value
+// below this size costs more than the slab scans it saves; the value
 // comes from the VMT-TA and VMT-WA rows of BenchmarkRunScale (see
 // DESIGN.md, "Placement index").
 const indexCrossover = 500
 
-// maxIndexedCores is the largest per-server core count that gets a
-// placement index: a place key packs jobs and busy cores into 16 bits
-// each. Servers with more cores than that keep the linear scans.
-const maxIndexedCores = 1<<16 - 1
-
-// none is the key of a server that cannot be the answer: no free core
-// in a place tree, no job of the workload in an evict tree.
+// none is a tree leaf's key when the server cannot be the answer, and
+// the key of a padding leaf past the last server.
 const none = math.MaxUint32
 
-// PlacementIndex answers the VMT schedulers' two unfiltered group
-// scans in O(log N) instead of O(N), with exactly the scans' answers:
+// LeastBusy returns the target the VMT schedulers place a job of the
+// workload with registry index w on, among servers [lo,hi) rotating
+// from from (lo ≤ from < hi; an empty range gives nil): among servers
+// with a free core, the fewest jobs of w, then the fewest busy cores,
+// ties to the first server at or after from, wrapping to lo. A non-nil
+// mask admits only the servers whose byte has a bit of want set (VMT-WA's
+// wax-state bits). Nil when no server qualifies.
 //
-//   - LeastBusy: the server in [lo,hi) with a free core and the fewest
-//     jobs of a workload, then the fewest busy cores;
-//   - MostBusyWith: the server in [lo,hi) with the most jobs of a
-//     workload;
+// Unfiltered queries go to the placement index when the cluster has
+// one; the rest are a rotating first-minimum scan of the key slab.
 //
-// ties going to the first server at or after a rotation start from,
-// wrapping to lo. It keeps two tournament trees of minima per interned
-// workload, kept current by Server.Place/Remove and
-// Cluster.MarkFailed/MarkRepaired, the only mutators of the keys.
+//vmt:hotpath
+func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Server {
+	if mask == nil && c.reg.place != nil {
+		return c.reg.place.first(2*w, lo, hi, from)
+	}
+	keys, stride := c.reg.keys, len(c.reg.list)
+	best, at := leastIn(keys, stride, w, from, hi, mask, want, fullBit, -1)
+	_, at = leastIn(keys, stride, w, lo, from, mask, want, best, at)
+	if at < 0 {
+		return nil
+	}
+	return c.servers[at]
+}
+
+// MostBusyWith returns the server the VMT schedulers evict a job of
+// the workload with registry index w from, among servers [lo,hi)
+// rotating from from: the most jobs of w, ties to the first server at
+// or after from, wrapping to lo; mask and want filter as for
+// LeastBusy. Nil when no admitted server runs w. It ignores whether a
+// server has failed: evacuations and departures may remove from one.
+//
+//vmt:hotpath
+func (c *Cluster) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *Server {
+	if mask == nil && c.reg.place != nil {
+		return c.reg.place.first(2*w+1, lo, hi, from)
+	}
+	keys, stride := c.reg.keys, len(c.reg.list)
+	best, at := mostIn(keys, stride, w, from, hi, mask, want, fullBit, -1)
+	_, at = mostIn(keys, stride, w, lo, from, mask, want, best, at)
+	if at < 0 {
+		return nil
+	}
+	return c.servers[at]
+}
+
+// leastIn scans column w of the key slab over servers [a,b) and returns
+// the least key below best with its server, the first one on ties, or
+// best and at unchanged. A non-nil mask skips the servers whose byte
+// has no bit of want.
+//
+//vmt:hotpath
+func leastIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best uint32, at int) (uint32, int) {
+	p := a*stride + w
+	if mask == nil {
+		for i := a; i < b; i, p = i+1, p+stride {
+			if k := keys[p]; k < best {
+				best, at = k, i
+			}
+		}
+		return best, at
+	}
+	for i := a; i < b; i, p = i+1, p+stride {
+		if k := keys[p]; k < best && mask[i]&want != 0 {
+			best, at = k, i
+		}
+	}
+	return best, at
+}
+
+// mostIn is leastIn over the eviction keys.
+//
+//vmt:hotpath
+func mostIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best uint32, at int) (uint32, int) {
+	p := a*stride + w
+	if mask == nil {
+		for i := a; i < b; i, p = i+1, p+stride {
+			if k := evictKey(keys[p]); k < best {
+				best, at = k, i
+			}
+		}
+		return best, at
+	}
+	for i := a; i < b; i, p = i+1, p+stride {
+		if k := evictKey(keys[p]); k < best && mask[i]&want != 0 {
+			best, at = k, i
+		}
+	}
+	return best, at
+}
+
+// PlacementIndex answers the unfiltered LeastBusy and MostBusyWith
+// queries in O(log N) instead of the slab scan's O(N), with exactly
+// the scan's answers. It keeps two tournament trees of minima per
+// interned workload, kept current by Server.Place/Remove and
+// Cluster.MarkFailed/MarkRepaired.
 type PlacementIndex struct {
-	reg     *registry
 	servers []*Server
+	// keys and stride are the registry's key slab and its row length,
+	// held here so a leaf read is one slice access; relayout updates
+	// them.
+	keys   []uint32
+	stride int
 	// size is the leaf count: the server count rounded up to a power of
 	// two. Leaves past the last server hold none.
 	size int
 	// trees[2w] is workload w's place tree and trees[2w+1] its evict
 	// tree. Node p (1 ≤ p < size) holds the least key below it, with
 	// children 2p and 2p+1; node size+i is server i. The leaf level is
-	// not stored — a leaf's key is read from its server — so a tree
-	// costs one key per server.
+	// not stored — a leaf's key is read from the slab — so a tree costs
+	// one key per server.
 	trees [][]uint32
 }
 
 // newPlacementIndex builds an index over the cluster's current state.
 func newPlacementIndex(reg *registry, servers []*Server) *PlacementIndex {
-	x := &PlacementIndex{reg: reg, servers: servers, size: 1 << bits.Len(uint(len(servers)-1))}
+	x := &PlacementIndex{
+		servers: servers,
+		keys:    reg.keys,
+		stride:  len(reg.list),
+		size:    1 << bits.Len(uint(len(servers)-1)),
+	}
 	for range reg.list {
 		x.addWorkload()
 	}
@@ -77,11 +194,11 @@ func (x *PlacementIndex) build(t int, tree []uint32) {
 	}
 }
 
-// Verify rebuilds every tree from the servers and reports the first
+// Verify rebuilds every tree from the key slab and reports the first
 // node that differs from the incrementally maintained one.
 func (x *PlacementIndex) Verify() error {
-	if len(x.trees) != 2*len(x.reg.list) {
-		return fmt.Errorf("cluster: placement index has %d trees for %d workloads", len(x.trees), len(x.reg.list))
+	if len(x.trees) != 2*x.stride {
+		return fmt.Errorf("cluster: placement index has %d trees for %d workloads", len(x.trees), x.stride)
 	}
 	want := make([]uint32, x.size)
 	for t, tree := range x.trees {
@@ -96,27 +213,25 @@ func (x *PlacementIndex) Verify() error {
 	return nil
 }
 
-// key is server i's key in tree t. In workload w's place tree it is
-// jobs of w in the high 16 bits and busy cores in the low 16, which
-// orders (jobs, busy) lexicographically as the scan does, or none
-// without a free core. In its evict tree it is the complement of jobs
-// of w, so the most jobs is the least key and no jobs is none; like the
-// scan, it ignores whether the server has failed.
+// key is server i's key in tree t: its place key of workload w = t/2
+// in w's place tree, its eviction key in w's evict tree, and none past
+// the last server or when the key is no answer. Reading every
+// non-answer as the one value none keeps a subtree of full servers
+// uniform, so the walks' comparisons over it stay predictable.
 //
 //vmt:hotpath
 func (x *PlacementIndex) key(t, i int) uint32 {
 	if i >= len(x.servers) {
 		return none
 	}
-	s := x.servers[i]
-	jobs := uint32(s.counts[t>>1])
+	k := x.keys[i*x.stride+t>>1]
 	if t&1 == 1 {
-		return ^jobs
+		k = evictKey(k)
 	}
-	if s.failed || s.busyCores >= s.cores {
+	if k >= fullBit {
 		return none
 	}
-	return jobs<<16 | uint32(s.busyCores)
+	return k
 }
 
 // node is node p of tree t, whose stored nodes are tree.
@@ -164,30 +279,9 @@ func (x *PlacementIndex) fix(t, i int) {
 	}
 }
 
-// LeastBusy returns the server that a linear scan of [lo,hi) rotating
-// from from (lo ≤ from < hi) picks for a job of workload w: among
-// servers with a free core, the fewest jobs of w, then the fewest busy
-// cores, ties to the first server at or after from, wrapping to lo.
-// Nil when no server in the range has a free core.
-//
-//vmt:hotpath
-func (x *PlacementIndex) LeastBusy(w, lo, hi, from int) *Server {
-	return x.first(2*w, lo, hi, from)
-}
-
-// MostBusyWith returns the server that a linear scan of [lo,hi)
-// rotating from from picks to evict a job of workload w: the most jobs
-// of w, ties to the first server at or after from, wrapping to lo. Nil
-// when no server in the range runs w.
-//
-//vmt:hotpath
-func (x *PlacementIndex) MostBusyWith(w, lo, hi, from int) *Server {
-	return x.first(2*w+1, lo, hi, from)
-}
-
 // first returns the server with the least key of tree t in [lo,hi),
-// ties to the first at or after from, wrapping to lo; nil if every key
-// is none.
+// ties to the first at or after from, wrapping to lo; nil if that key
+// is not an answer (fullBit or above).
 //
 //vmt:hotpath
 func (x *PlacementIndex) first(t, lo, hi, from int) *Server {
@@ -195,7 +289,7 @@ func (x *PlacementIndex) first(t, lo, hi, from int) *Server {
 	if v, q := x.minIn(t, lo, from); v < best {
 		best, p = v, q
 	}
-	if best == none {
+	if best >= fullBit {
 		return nil
 	}
 	// Descend to the first leaf holding the minimum.

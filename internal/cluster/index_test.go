@@ -5,17 +5,19 @@ import (
 	"testing"
 
 	"vmt/internal/stats"
+	"vmt/internal/thermal"
 	"vmt/internal/workload"
 )
 
-// scanLeast is the linear scan the index replaces, written
-// independently of it: the first server in rotation from from with a
-// free core and the least (jobs of w, busy cores).
-func scanLeast(c *Cluster, w, lo, hi, from int) *Server {
+// scanLeast is the placement scan, written independently of the key
+// slab: the first server in rotation from from with a free core whose
+// mask byte has a bit of want (every server for a nil mask), and the
+// least (jobs of w, busy cores).
+func scanLeast(c *Cluster, w, lo, hi, from int, mask []uint8, want uint8) *Server {
 	var best *Server
 	for k := 0; k < hi-lo; k++ {
 		s := c.servers[lo+(from-lo+k)%(hi-lo)]
-		if s.FreeCores() == 0 {
+		if s.FreeCores() == 0 || mask != nil && mask[s.id]&want == 0 {
 			continue
 		}
 		if best == nil || s.JobsAt(w) < best.JobsAt(w) ||
@@ -26,12 +28,15 @@ func scanLeast(c *Cluster, w, lo, hi, from int) *Server {
 	return best
 }
 
-// scanMost is the eviction scan: the first server in rotation with the
-// most jobs of w, failed or not.
-func scanMost(c *Cluster, w, lo, hi, from int) *Server {
+// scanMost is the eviction scan: the first admitted server in rotation
+// with the most jobs of w, failed or not.
+func scanMost(c *Cluster, w, lo, hi, from int, mask []uint8, want uint8) *Server {
 	var best *Server
 	for k := 0; k < hi-lo; k++ {
 		s := c.servers[lo+(from-lo+k)%(hi-lo)]
+		if mask != nil && mask[s.id]&want == 0 {
+			continue
+		}
 		if s.JobsAt(w) > 0 && (best == nil || s.JobsAt(w) > best.JobsAt(w)) {
 			best = s
 		}
@@ -39,11 +44,44 @@ func scanMost(c *Cluster, w, lo, hi, from int) *Server {
 	return best
 }
 
+// checkKeys fails t unless every word of c's key slab packs the fields
+// it stands for: jobs (from the model, keyed by server and workload),
+// busy cores, and the full bit while the server is failed or has no
+// free core. It also checks that each server's row and the placement
+// index's slab header alias the registry's slab.
+func checkKeys(t *testing.T, c *Cluster, jobs map[[2]int]int, when string) {
+	t.Helper()
+	stride := len(c.reg.list)
+	if len(c.reg.keys) != len(c.servers)*stride {
+		t.Fatalf("%s: key slab has %d words for %d servers × %d workloads", when, len(c.reg.keys), len(c.servers), stride)
+	}
+	if x := c.reg.place; x != nil && (x.stride != stride || len(x.keys) != len(c.reg.keys) || len(x.keys) > 0 && &x.keys[0] != &c.reg.keys[0]) {
+		t.Fatalf("%s: placement index reads a stale key slab", when)
+	}
+	for id, s := range c.servers {
+		if len(s.keys) != stride || stride > 0 && &s.keys[0] != &c.reg.keys[id*stride] {
+			t.Fatalf("%s: server %d's key row is not its row of the slab", when, id)
+		}
+		for wi := 0; wi < stride; wi++ {
+			want := uint32(jobs[[2]int{id, wi}])<<16 | uint32(s.BusyCores())
+			if s.Failed() || s.BusyCores() == s.Cores() {
+				want |= 1 << 31
+			}
+			if got := c.reg.keys[id*stride+wi]; got != want {
+				t.Fatalf("%s: server %d workload %d key %#08x, want %#08x (jobs %d, busy %d, failed %v)",
+					when, id, wi, got, want, jobs[[2]int{id, wi}], s.BusyCores(), s.Failed())
+			}
+		}
+	}
+}
+
 // At small sizes — one leaf, padded trees, exact powers of two — every
-// query over every range and rotation start matches the scan after each
-// random Place, Remove, crash or repair on tiny three-core servers, the
-// trees match a rebuild, and the job-count slab keeps every count
-// through the relayouts that interning causes. The index is built
+// query over every range and rotation start, masked and unmasked,
+// matches the independent scans after each random Place, Remove,
+// crash or repair on tiny three-core servers, answered both by the
+// placement index (unmasked) and by the key-slab scan; the trees match
+// a rebuild; and after every mutator, interning's relayouts included,
+// each key-slab word packs the server's state. The index is built
 // before any workload is interned, so each workload's trees are added
 // to a live index.
 func TestPlacementIndexSmallClusters(t *testing.T) {
@@ -58,46 +96,70 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 		c.reg.place = newPlacementIndex(c.reg, c.servers)
 		x := c.reg.place
 		want := make(map[[2]int]int) // (server, workload) → jobs
+		mask := make([]uint8, n)
 		rng := stats.NewRNG(uint64(n))
 		for step := 0; step < 200; step++ {
 			id := rng.Intn(n)
 			s := c.servers[id]
 			w := mix[rng.Intn(len(mix))]
+			var op string
 			switch rng.Intn(6) {
 			case 0, 1, 2:
+				op = "Place"
 				if s.Place(w) == nil {
 					want[[2]int{id, c.WorkloadIndex(w)}]++
 				}
 			case 3, 4:
+				op = "Remove"
 				if s.Remove(w) == nil {
 					want[[2]int{id, c.WorkloadIndex(w)}]--
 				}
 			default:
 				if s.Failed() {
+					op = "MarkRepaired"
 					c.MarkRepaired(id)
 				} else {
+					op = "MarkFailed"
 					c.MarkFailed(id)
 				}
 			}
+			checkKeys(t, c, want, fmt.Sprintf("n=%d step %d after %s on server %d", n, step, op, id))
 			if err := x.Verify(); err != nil {
 				t.Fatalf("n=%d step %d: %v", n, step, err)
+			}
+			for i := range mask {
+				mask[i] = uint8(rng.Intn(4))
 			}
 			for wi := range c.reg.list {
 				for id := range c.servers {
 					if got := c.servers[id].JobsAt(wi); got != want[[2]int{id, wi}] {
 						t.Fatalf("n=%d step %d: server %d has %d jobs of workload %d, want %d",
-							n, step, id, got, wi, want[[2]int{id, wi}])
+							n, step, id, got, want[[2]int{id, wi}], wi)
 					}
 				}
 				for lo := 0; lo < n; lo++ {
 					for hi := lo + 1; hi <= n; hi++ {
 						for from := lo; from < hi; from++ {
 							q := fmt.Sprintf("n=%d step %d workload %d [%d,%d) from %d", n, step, wi, lo, hi, from)
-							if got, want := x.LeastBusy(wi, lo, hi, from), scanLeast(c, wi, lo, hi, from); got != want {
-								t.Fatalf("%s: LeastBusy %v, scan %v", q, got, want)
+							// The unmasked query once from the index and
+							// once from the slab.
+							for _, idx := range []*PlacementIndex{x, nil} {
+								c.reg.place = idx
+								if got, want := c.LeastBusy(wi, lo, hi, from, nil, 0), scanLeast(c, wi, lo, hi, from, nil, 0); got != want {
+									t.Fatalf("%s, index %v: LeastBusy %v, scan %v", q, idx != nil, got, want)
+								}
+								if got, want := c.MostBusyWith(wi, lo, hi, from, nil, 0), scanMost(c, wi, lo, hi, from, nil, 0); got != want {
+									t.Fatalf("%s, index %v: MostBusyWith %v, scan %v", q, idx != nil, got, want)
+								}
 							}
-							if got, want := x.MostBusyWith(wi, lo, hi, from), scanMost(c, wi, lo, hi, from); got != want {
-								t.Fatalf("%s: MostBusyWith %v, scan %v", q, got, want)
+							c.reg.place = x
+							for want := uint8(1); want <= 2; want++ {
+								if got, ref := c.LeastBusy(wi, lo, hi, from, mask, want), scanLeast(c, wi, lo, hi, from, mask, want); got != ref {
+									t.Fatalf("%s, mask %v bit %d: LeastBusy %v, scan %v", q, mask, want, got, ref)
+								}
+								if got, ref := c.MostBusyWith(wi, lo, hi, from, mask, want), scanMost(c, wi, lo, hi, from, mask, want); got != ref {
+									t.Fatalf("%s, mask %v bit %d: MostBusyWith %v, scan %v", q, mask, want, got, ref)
+								}
 							}
 						}
 					}
@@ -107,9 +169,9 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 	}
 }
 
-// The index is built only where it pays and where its 16-bit key
-// fields are exact: at or above the crossover, on servers of at most
-// maxIndexedCores cores. Building is once per cluster.
+// The index is built only where it pays: at or above the crossover,
+// once per cluster, including on servers of ServerSpec.Validate's
+// largest core count.
 func TestPlacementIndexBuiltOnlyWhereItWins(t *testing.T) {
 	newC := func(n, coresPerCPU int) *Cluster {
 		t.Helper()
@@ -124,12 +186,9 @@ func TestPlacementIndexBuiltOnlyWhereItWins(t *testing.T) {
 	if newC(indexCrossover-1, 32).PlacementIndex() != nil {
 		t.Error("index built below the crossover")
 	}
-	c := newC(indexCrossover, maxIndexedCores)
+	c := newC(indexCrossover, thermal.MaxCores)
 	x := c.PlacementIndex()
 	if x == nil || c.PlacementIndex() != x {
 		t.Error("index not built once at the crossover")
-	}
-	if newC(indexCrossover, maxIndexedCores+1).PlacementIndex() != nil {
-		t.Error("index built for servers whose busy cores overflow 16 bits")
 	}
 }

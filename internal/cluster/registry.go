@@ -26,11 +26,13 @@ type registry struct {
 	// after warmup (the workload set is fixed per run).
 	byName []int
 
-	// servers' job counts share one slab: server id's counts slice is
-	// the row [id*stride, (id+1)*stride) of it, stride = len(list), so
-	// JobsAt stays one slice read. One slab instead of a slice per
-	// server is what pays for the placement index's trees. Interning a
-	// workload re-lays the slab at the new stride.
+	// keys is the place-key slab: one packed key (index.go) per
+	// server and workload, server id's row being [id*stride,
+	// (id+1)*stride) with stride = len(list). A server's keys slice is
+	// its row, so JobsAt stays one slice read, and the group scans read
+	// the slab itself at a stride instead of loading each server.
+	// Interning a workload re-lays the slab at the new stride.
+	keys    []uint32
 	servers []*Server
 	// place is the placement index, nil unless Cluster.PlacementIndex
 	// built one; intern gives it trees for each new workload.
@@ -72,15 +74,21 @@ func (r *registry) intern(w workload.Workload) int {
 	return i
 }
 
-// relayout widens the job-count slab to one column per interned
-// workload, keeping every server's counts and re-pointing its row.
+// relayout widens the key slab to one column per interned workload,
+// keeping every server's keys, giving it no job of the new workload,
+// and re-pointing its row.
 func (r *registry) relayout() {
 	stride := len(r.list)
-	slab := make([]int32, len(r.servers)*stride)
+	slab := make([]uint32, len(r.servers)*stride)
 	for id, s := range r.servers {
 		row := slab[id*stride : (id+1)*stride : (id+1)*stride]
-		copy(row, s.counts)
-		s.counts = row
+		copy(row, s.keys)
+		row[stride-1] = s.header()
+		s.keys = row
+	}
+	r.keys = slab
+	if r.place != nil {
+		r.place.keys, r.place.stride = slab, stride
 	}
 }
 

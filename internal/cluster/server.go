@@ -34,11 +34,11 @@ type Server struct {
 	// after construction.
 	cores int
 
-	// reg is the cluster-wide workload interner; counts[i] is the job
-	// count for the workload with registry index i, a row of the
-	// registry's job-count slab.
+	// reg is the cluster-wide workload interner; keys[i] is the place
+	// key (index.go) of the workload with registry index i, and keys is
+	// the server's row of the registry's key slab.
 	reg       *registry
-	counts    []int32
+	keys      []uint32
 	busyCores int
 	// dynamicPowerW tracks the summed per-core power of placed jobs
 	// incrementally. Summing counts on demand would be slow in the
@@ -144,18 +144,18 @@ func (s *Server) Jobs(w workload.Workload) int {
 //
 //vmt:hotpath
 func (s *Server) JobsAt(i int) int {
-	if i < 0 || i >= len(s.counts) {
+	if i < 0 || i >= len(s.keys) {
 		return 0
 	}
-	return int(s.counts[i])
+	return int(s.keys[i] & jobsMask >> jobsShift)
 }
 
 // Workloads returns the workloads currently running on the server,
 // sorted by name for deterministic iteration.
 func (s *Server) Workloads() []workload.Workload {
 	var out []workload.Workload
-	for i, n := range s.counts {
-		if n > 0 {
+	for i, k := range s.keys {
+		if k&jobsMask != 0 {
 			out = append(out, s.reg.list[i])
 		}
 	}
@@ -173,10 +173,7 @@ func (s *Server) LargestJob(class workload.Class) (workload.Workload, bool) {
 	bestN := 0
 	found := false
 	for _, i := range s.reg.byName {
-		if i >= len(s.counts) {
-			continue
-		}
-		n := int(s.counts[i])
+		n := s.JobsAt(i)
 		if n == 0 {
 			continue
 		}
@@ -202,8 +199,9 @@ func (s *Server) Place(w workload.Workload) error {
 		return fmt.Errorf("cluster: server %d full", s.id)
 	}
 	i := s.reg.intern(w)
-	s.counts[i]++
+	s.keys[i] += jobsOne
 	s.busyCores++
+	s.packRow()
 	s.dynamicPowerW += w.PerCorePowerW() * s.spec.PowerScale
 	if x := s.reg.place; x != nil {
 		x.jobsChanged(i, s.id)
@@ -217,8 +215,9 @@ func (s *Server) Remove(w workload.Workload) error {
 	if !ok || s.JobsAt(i) == 0 {
 		return fmt.Errorf("cluster: server %d has no %s job", s.id, w.Name)
 	}
-	s.counts[i]--
+	s.keys[i] -= jobsOne
 	s.busyCores--
+	s.packRow()
 	s.dynamicPowerW -= w.PerCorePowerW() * s.spec.PowerScale
 	if s.busyCores == 0 {
 		s.dynamicPowerW = 0 // shed any accumulated rounding residue
@@ -227,6 +226,30 @@ func (s *Server) Remove(w workload.Workload) error {
 		x.jobsChanged(i, s.id)
 	}
 	return nil
+}
+
+// header is the part of s's place keys that every workload shares:
+// the full bit while s is failed or has no free core, and its busy
+// cores.
+//
+//vmt:hotpath
+func (s *Server) header() uint32 {
+	h := uint32(s.busyCores)
+	if s.failed || s.busyCores >= s.cores {
+		h |= fullBit
+	}
+	return h
+}
+
+// packRow rewrites s's row of the key slab after its busy cores or
+// failed state changed, keeping each key's job count.
+//
+//vmt:hotpath
+func (s *Server) packRow() {
+	h := s.header()
+	for i, k := range s.keys {
+		s.keys[i] = k&jobsMask | h
+	}
 }
 
 // PowerW returns the server's current draw under the linear per-core

@@ -51,27 +51,24 @@ type groups struct {
 	// and that systematic bias (≈0.5 °C) smears per-server melt state
 	// far more than the paper's uniform groups.
 	cursor int
-	// idx answers the unfiltered scans when the cluster is large enough
-	// to have a placement index; nil means every scan is linear.
-	idx placementIndex
+	// q answers the group queries: the cluster itself, which alone
+	// knows its place-key format, or in the differential test a
+	// wrapper that checks every answer against a linear scan.
+	q groupQueries
 }
 
-// placementIndex is the part of *cluster.PlacementIndex that groups
-// calls; the differential test substitutes a wrapper that checks every
-// answer against the linear scan.
-type placementIndex interface {
-	LeastBusy(w, lo, hi, from int) *cluster.Server
-	MostBusyWith(w, lo, hi, from int) *cluster.Server
+// groupQueries is the part of *cluster.Cluster that groups queries.
+type groupQueries interface {
+	LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *cluster.Server
+	MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *cluster.Server
 }
 
-// newGroups returns groups over c with the given hot-group size, using
-// the cluster's placement index when it has one.
+// newGroups returns groups over c with the given hot-group size. A
+// cluster large enough for a placement index builds it here, so every
+// unfiltered query is answered from it.
 func newGroups(c *cluster.Cluster, hotSize int) groups {
-	g := groups{c: c, hotSize: hotSize}
-	if x := c.PlacementIndex(); x != nil {
-		g.idx = x
-	}
-	return g
+	c.PlacementIndex()
+	return groups{c: c, hotSize: hotSize, q: c}
 }
 
 func (g *groups) isHot(s *cluster.Server) bool { return s.ID() < g.hotSize }
@@ -111,9 +108,9 @@ func (g *groups) sizeForAlive(target int) int {
 // fewest busy cores, with ties rotating. A non-nil mask admits only the
 // servers whose byte has a bit of want set (VMT-WA's wax-state bits); a
 // nil mask admits all. Returns nil if none qualify. Each call over a
-// non-empty range advances the cursor by exactly one; unfiltered calls
-// go to the placement index when there is one, which returns what the
-// scan would.
+// non-empty range advances the cursor by exactly one, and the cluster
+// answers from the rotation start the cursor gives
+// (cluster.Cluster.LeastBusy).
 //
 //vmt:hotpath
 func (g *groups) leastBusy(lo, hi int, w workload.Workload, mask []uint8, want uint8) *cluster.Server {
@@ -123,16 +120,12 @@ func (g *groups) leastBusy(lo, hi int, w workload.Workload, mask []uint8, want u
 		return nil
 	}
 	g.cursor++
-	from := lo + g.cursor%n
-	if mask == nil && g.idx != nil {
-		return g.idx.LeastBusy(wi, lo, hi, from)
-	}
-	return scanLeastBusy(g.c.Servers(), lo, hi, from, wi, mask, want)
+	return g.q.LeastBusy(wi, lo, hi, lo+g.cursor%n, mask, want)
 }
 
 // mostBusyWith returns the server in [lo,hi) running w with the most
 // jobs of w (ties rotating), filtered by mask and want as for
-// leastBusy. Cursor and index as for leastBusy.
+// leastBusy, with leastBusy's cursor (cluster.Cluster.MostBusyWith).
 //
 //vmt:hotpath
 func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, mask []uint8, want uint8) *cluster.Server {
@@ -142,117 +135,7 @@ func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, mask []uint8, wan
 		return nil
 	}
 	g.cursor++
-	from := lo + g.cursor%n
-	if mask == nil && g.idx != nil {
-		return g.idx.MostBusyWith(wi, lo, hi, from)
-	}
-	return scanMostBusyWith(g.c.Servers(), lo, hi, from, wi, mask, want)
-}
-
-// scanLeastBusy is leastBusy's linear scan of servers[lo:hi], visiting
-// from first and wrapping to lo (lo ≤ from < hi), for workload index
-// wi. It serves masked calls and clusters without an index, and is the
-// reference the placement index is tested against.
-//
-// The rotating scan is written as a direct loop: placement scans run
-// hundreds of times per tick, and routing each visit through a
-// closure (capturing the comparison state) was a measurable share of
-// whole-run CPU. The masked loop tests the server's mask byte before
-// it loads the server.
-//
-//vmt:hotpath
-func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, mask []uint8, want uint8) *cluster.Server {
-	var best *cluster.Server
-	bestJobs := 0
-	// Walk [from, hi) then [lo, from) with a wrapping index instead of
-	// a per-visit modulo — same visit order, two integer ops cheaper on
-	// a loop that runs for every placement decision. The common nil
-	// mask gets its own loop without the per-visit bit test.
-	idx := from
-	if mask == nil {
-		for i := lo; i < hi; i++ {
-			s := servers[idx]
-			idx++
-			if idx == hi {
-				idx = lo
-			}
-			if s.FreeCores() == 0 {
-				continue
-			}
-			j := s.JobsAt(wi)
-			if best == nil || j < bestJobs ||
-				(j == bestJobs && s.BusyCores() < best.BusyCores()) {
-				best, bestJobs = s, j
-			}
-		}
-		return best
-	}
-	for i := lo; i < hi; i++ {
-		k := idx
-		idx++
-		if idx == hi {
-			idx = lo
-		}
-		if mask[k]&want == 0 {
-			continue
-		}
-		s := servers[k]
-		if s.FreeCores() == 0 {
-			continue
-		}
-		j := s.JobsAt(wi)
-		if best == nil || j < bestJobs ||
-			(j == bestJobs && s.BusyCores() < best.BusyCores()) {
-			best, bestJobs = s, j
-		}
-	}
-	return best
-}
-
-// scanMostBusyWith is mostBusyWith's linear scan, in scanLeastBusy's
-// visit order.
-//
-//vmt:hotpath
-func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, mask []uint8, want uint8) *cluster.Server {
-	var best *cluster.Server
-	bestJobs := 0
-	idx := from
-	if mask == nil {
-		for i := lo; i < hi; i++ {
-			s := servers[idx]
-			idx++
-			if idx == hi {
-				idx = lo
-			}
-			j := s.JobsAt(wi)
-			if j == 0 {
-				continue
-			}
-			if best == nil || j > bestJobs {
-				best, bestJobs = s, j
-			}
-		}
-		return best
-	}
-	for i := lo; i < hi; i++ {
-		k := idx
-		idx++
-		if idx == hi {
-			idx = lo
-		}
-		if mask[k]&want == 0 {
-			continue
-		}
-		s := servers[k]
-		j := s.JobsAt(wi)
-		if j == 0 {
-			continue
-		}
-		if best == nil || j > bestJobs {
-			best, bestJobs = s, j
-		}
-	}
-	return best
+	return g.q.MostBusyWith(wi, lo, hi, lo+g.cursor%n, mask, want)
 }
 
 // Config carries the knobs shared by both VMT policies.

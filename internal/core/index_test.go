@@ -15,36 +15,101 @@ import (
 // crossover, and not a power of two, so the trees have padding leaves.
 const indexServers = 613
 
-// oracleIndex stands in for the placement index inside groups: every
-// query goes to the index and to the linear scan from the same rotation
-// start, and the test fails unless both return the same server.
-type oracleIndex struct {
-	t       *testing.T
-	c       *cluster.Cluster
-	x       *cluster.PlacementIndex
-	queries int
+// scanLeastBusy is the reference for leastBusy: a linear scan of
+// servers[lo:hi] through the *Server API, visiting from first and
+// wrapping to lo (lo ≤ from < hi), for workload index wi. Among the
+// servers with a free core whose mask byte has a bit of want (all of
+// them for a nil mask), it keeps the first with the fewest jobs of wi,
+// then the fewest busy cores.
+func scanLeastBusy(servers []*cluster.Server, lo, hi, from, wi int, mask []uint8, want uint8) *cluster.Server {
+	var best *cluster.Server
+	bestJobs := 0
+	idx := from
+	for i := lo; i < hi; i++ {
+		k := idx
+		idx++
+		if idx == hi {
+			idx = lo
+		}
+		if mask != nil && mask[k]&want == 0 {
+			continue
+		}
+		s := servers[k]
+		if s.FreeCores() == 0 {
+			continue
+		}
+		j := s.JobsAt(wi)
+		if best == nil || j < bestJobs ||
+			(j == bestJobs && s.BusyCores() < best.BusyCores()) {
+			best, bestJobs = s, j
+		}
+	}
+	return best
 }
 
-func (o *oracleIndex) LeastBusy(w, lo, hi, from int) *cluster.Server {
+// scanMostBusyWith is the reference for mostBusyWith, in
+// scanLeastBusy's visit order: the first admitted server with the most
+// jobs of wi, failed or not.
+func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, mask []uint8, want uint8) *cluster.Server {
+	var best *cluster.Server
+	bestJobs := 0
+	idx := from
+	for i := lo; i < hi; i++ {
+		k := idx
+		idx++
+		if idx == hi {
+			idx = lo
+		}
+		if mask != nil && mask[k]&want == 0 {
+			continue
+		}
+		s := servers[k]
+		j := s.JobsAt(wi)
+		if j == 0 {
+			continue
+		}
+		if best == nil || j > bestJobs {
+			best, bestJobs = s, j
+		}
+	}
+	return best
+}
+
+// oracleQueries stands in for the cluster inside groups: every query
+// goes to the cluster (placement index or key-slab scan) and to the
+// reference scan from the same rotation start, and the test fails
+// unless both return the same server.
+type oracleQueries struct {
+	t               *testing.T
+	c               *cluster.Cluster
+	queries, masked int
+}
+
+func (o *oracleQueries) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *cluster.Server {
 	o.t.Helper()
-	got := o.x.LeastBusy(w, lo, hi, from)
-	o.check("LeastBusy", w, lo, hi, from, got, scanLeastBusy(o.c.Servers(), lo, hi, from, w, nil, 0))
+	got := o.c.LeastBusy(w, lo, hi, from, mask, want)
+	o.check("LeastBusy", w, lo, hi, from, mask, want, got, scanLeastBusy(o.c.Servers(), lo, hi, from, w, mask, want))
 	return got
 }
 
-func (o *oracleIndex) MostBusyWith(w, lo, hi, from int) *cluster.Server {
+func (o *oracleQueries) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *cluster.Server {
 	o.t.Helper()
-	got := o.x.MostBusyWith(w, lo, hi, from)
-	o.check("MostBusyWith", w, lo, hi, from, got, scanMostBusyWith(o.c.Servers(), lo, hi, from, w, nil, 0))
+	got := o.c.MostBusyWith(w, lo, hi, from, mask, want)
+	o.check("MostBusyWith", w, lo, hi, from, mask, want, got, scanMostBusyWith(o.c.Servers(), lo, hi, from, w, mask, want))
 	return got
 }
 
-func (o *oracleIndex) check(op string, w, lo, hi, from int, got, want *cluster.Server) {
+func (o *oracleQueries) check(op string, w, lo, hi, from int, mask []uint8, want uint8, got, ref *cluster.Server) {
 	o.t.Helper()
 	o.queries++
-	if got != want {
-		o.t.Fatalf("%s(workload %d, [%d,%d), from %d): index gives %s, scan gives %s",
-			op, w, lo, hi, from, serverName(got), serverName(want))
+	filter := "unmasked"
+	if mask != nil {
+		o.masked++
+		filter = fmt.Sprintf("mask bit %03b", want)
+	}
+	if got != ref {
+		o.t.Fatalf("%s(workload %d, [%d,%d), from %d, %s): cluster gives %s, reference scan gives %s",
+			op, w, lo, hi, from, filter, serverName(got), serverName(ref))
 	}
 }
 
@@ -74,31 +139,61 @@ type meltedReports struct{}
 func (meltedReports) FilterUtilization(u float64) float64 { return u }
 func (meltedReports) FilterMeltFrac(float64) float64      { return 1 }
 
-// The placement index makes the same decisions as the linear scan. Seeded
-// churn drives VMT-TA and VMT-WA over one cluster that already held jobs
-// when its index was built: policy and direct placements and evictions,
-// single-server and whole-rack crashes and repairs, GV retunes,
-// fault-driven hot-group resizes, VMT-WA migrations, and a report filter
-// installed mid-band. Every unfiltered group query is answered by the
-// index and checked against the scan from the same cursor, every read of
-// VMT-WA's wax-state mask against the live predicates, and after every
-// batch each tree node must equal a from-scratch rebuild.
+// frozenReports makes a server claim solid wax and a half-idle CPU
+// whatever its true state.
+type frozenReports struct{}
+
+func (frozenReports) FilterUtilization(float64) float64 { return 0.5 }
+func (frozenReports) FilterMeltFrac(float64) float64    { return 0 }
+
+// lateBatch is a workload that none of the tests' mixes start with, so
+// its first use interns it mid-run.
+var lateBatch = workload.Workload{Name: "LateBatch", CPUPowerW: 48, Class: workload.Hot}
+
+// The cluster's group queries make the same decisions as the reference
+// scan. At 8 and 100 servers (key-slab scans) and 613 (placement index
+// for unfiltered queries), seeded churn drives VMT-TA and VMT-WA over
+// one cluster that already held jobs when its index was built: policy
+// and direct placements and evictions near full load, single-server
+// and whole-rack crashes and repairs, GV retunes, fault-driven
+// hot-group resizes, VMT-WA migrations, Byzantine reports (servers
+// lying melted, one band starting mid-batch, servers lying solid, and
+// quarantines), and a workload first interned mid-run. Every group
+// query, masked or not, is checked against the reference scan from the
+// same cursor, every read of VMT-WA's wax-state mask against the live
+// predicates, and after every batch each tree node must equal a
+// from-scratch rebuild.
 func TestPlacementIndexMatchesScan(t *testing.T) {
+	for _, n := range []int{8, 100, indexServers} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			matchScan(t, n)
+		})
+	}
+}
+
+func matchScan(t *testing.T, n int) {
 	const (
-		rack    = 40
 		batches = 48
 		ops     = 1000
 	)
+	rack := min(40, n/4)
+	// band scales a server range of the 613-server layout to n servers,
+	// keeping it non-empty.
+	band := func(lo, hi int) (int, int) {
+		lo, hi = lo*n/indexServers, hi*n/indexServers
+		return lo, max(hi, lo+1)
+	}
 	mix := []workload.Workload{
 		workload.WebSearch, workload.DataCaching, workload.VideoEncoding,
 		workload.VirusScan, workload.Clustering,
 	}
-	c := newCluster(t, indexServers)
+	c := newCluster(t, n)
 	rng := stats.NewRNG(13)
 	// Start at about three quarters of the cores busy, so churn reaches
 	// full servers, full groups and spills.
-	for i := 0; i < 24*indexServers; i++ {
-		s := c.Server(rng.Intn(indexServers))
+	for i := 0; i < 24*n; i++ {
+		s := c.Server(rng.Intn(n))
 		if s.FreeCores() > 0 {
 			if err := s.Place(mix[rng.Intn(len(mix))]); err != nil {
 				t.Fatal(err)
@@ -115,20 +210,28 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := c.PlacementIndex()
-	if x == nil {
-		t.Fatalf("no placement index at %d servers; raise indexServers to the crossover", indexServers)
+	if (x != nil) != (n >= indexServers) {
+		t.Fatalf("%d servers: placement index present = %v", n, x != nil)
 	}
-	if err := x.Verify(); err != nil {
-		t.Fatalf("index built over existing jobs: %v", err)
+	verify := func(when string) {
+		t.Helper()
+		if x == nil {
+			return
+		}
+		if err := x.Verify(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
 	}
-	oracle := &oracleIndex{t: t, c: c, x: x}
-	ta.g.idx, wa.g.idx = oracle, oracle
+	verify("index built over existing jobs")
+	oracle := &oracleQueries{t: t, c: c}
+	ta.g.q, wa.g.q = oracle, oracle
 	mask := checkMaskLive(t, wa)
 	policies := []Tunable{ta, wa}
 	// A band of servers inside VMT-WA's base hot group reports melted
 	// wax and runs hot, so VMT-WA extends its group and migrates load
 	// off them.
-	for id := 100; id < 140; id++ {
+	lo, hi := band(100, 140)
+	for id := lo; id < hi; id++ {
 		c.Server(id).SetReportFilter(meltedReports{})
 		c.Server(id).SetInletTempC(40)
 	}
@@ -140,12 +243,33 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 		if b%8 >= 4 {
 			placeTenths = 3
 		}
+		switch b {
+		case batches / 4:
+			// Servers lie that their wax is solid, and the guard's
+			// quarantine (here by hand) distrusts a band.
+			lo, hi := band(200, 215)
+			for id := lo; id < hi; id++ {
+				c.Server(id).SetReportFilter(frozenReports{})
+			}
+			lo, hi = band(40, 60)
+			for id := lo; id < hi; id++ {
+				c.Server(id).SetReportsQuarantined(true)
+			}
+		case batches / 3:
+			mix = append(mix, lateBatch)
+		case 3 * batches / 4:
+			lo, hi := band(40, 60)
+			for id := lo; id < hi; id++ {
+				c.Server(id).SetReportsQuarantined(false)
+			}
+		}
 		for i := 0; i < ops; i++ {
 			if b == batches/2 && i == ops/2 {
 				// Mid-band, a second band starts reporting melted wax:
 				// the rest of the band's queries must see it before the
 				// next Tick.
-				for id := 300; id < 320; id++ {
+				lo, hi := band(300, 320)
+				for id := lo; id < hi; id++ {
 					c.Server(id).SetReportFilter(meltedReports{})
 				}
 			}
@@ -153,7 +277,7 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 			p := policies[rng.Intn(len(policies))]
 			switch r := rng.Intn(10); {
 			case r == 9:
-				s := c.Server(rng.Intn(indexServers))
+				s := c.Server(rng.Intn(n))
 				if s.FreeCores() > 0 && rng.Intn(2) == 0 {
 					_ = s.Place(w)
 				} else if s.JobsAt(c.WorkloadIndex(w)) > 0 {
@@ -175,20 +299,20 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 		}
 		switch b % 6 {
 		case 0:
-			c.MarkFailed(rng.Intn(indexServers))
+			c.MarkFailed(rng.Intn(n))
 		case 1:
-			for id := 0; id < indexServers; id++ {
+			for id := 0; id < n; id++ {
 				if c.Server(id).Failed() && rng.Intn(2) == 0 {
 					c.MarkRepaired(id)
 				}
 			}
 		case 2:
-			lo := rack * rng.Intn(indexServers/rack)
+			lo := rack * rng.Intn(n/rack)
 			for id := lo; id < lo+rack; id++ {
 				c.MarkFailed(id)
 			}
 		case 3:
-			lo := rack * rng.Intn(indexServers/rack)
+			lo := rack * rng.Intn(n/rack)
 			for id := lo; id < lo+rack; id++ {
 				c.MarkRepaired(id)
 			}
@@ -204,28 +328,30 @@ func TestPlacementIndexMatchesScan(t *testing.T) {
 		for _, p := range policies {
 			p.Tick(now)
 		}
-		if err := x.Verify(); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
+		verify(fmt.Sprintf("batch %d", b))
 	}
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
-	if oracle.queries < batches*ops/2 {
-		t.Errorf("only %d index queries checked", oracle.queries)
+	if oracle.queries < batches*ops/2 || oracle.masked == 0 {
+		t.Errorf("only %d queries checked, %d of them masked", oracle.queries, oracle.masked)
+	}
+	if c.JobCount(lateBatch) == 0 {
+		t.Errorf("the workload interned mid-run has no jobs")
 	}
 	if counter("sched_migrations") == 0 || counter("sched_hot_group_resizes") == 0 {
 		t.Errorf("churn never migrated (%d) or resized (%d)",
 			counter("sched_migrations"), counter("sched_hot_group_resizes"))
 	}
-	t.Logf("%d index queries, %d mask reads, %d migrations, %d resizes", oracle.queries, mask.reads,
+	t.Logf("%d queries (%d masked), %d mask reads, %d migrations, %d resizes", oracle.queries, oracle.masked, mask.reads,
 		counter("sched_migrations"), counter("sched_hot_group_resizes"))
 }
 
-// The index's boundary cases, each checked against the scan for every
-// workload and rotation start: an empty range, an all-full range, a
-// one-server range, and from = hi−1.
+// The group queries' boundary cases, each checked against the
+// reference scan for every workload, rotation start and filter: an
+// empty range, an all-full range, a one-server range, and from = hi−1,
+// on the placement index and on the key slab's masked scans.
 func TestPlacementIndexEdgeCases(t *testing.T) {
 	c, x := newIndexedCluster(t)
-	o := &oracleIndex{t: t, c: c, x: x}
+	o := &oracleQueries{t: t, c: c}
 	w := c.WorkloadIndex(workload.WebSearch)
 	v := c.WorkloadIndex(workload.VirusScan)
 	// Servers [200,210) are full, [210,220) hold a few jobs.
@@ -235,22 +361,35 @@ func TestPlacementIndexEdgeCases(t *testing.T) {
 	for id := 210; id < 220; id++ {
 		fillServer(t, c, id, workload.VirusScan, id%4)
 	}
+	// Masks: every other server, every server, and none.
+	alternate := make([]uint8, indexServers)
+	for i := range alternate {
+		alternate[i] = uint8(1 + i%2)
+	}
+	filters := []struct {
+		mask []uint8
+		want uint8
+	}{{nil, 0}, {alternate, 1}, {alternate, 2}, {alternate, 3}, {alternate, 4}}
 	queries := func(lo, hi int) {
 		for _, wi := range []int{w, v} {
 			for from := lo; from < hi; from++ {
-				o.LeastBusy(wi, lo, hi, from)
-				o.MostBusyWith(wi, lo, hi, from)
+				for _, f := range filters {
+					o.LeastBusy(wi, lo, hi, from, f.mask, f.want)
+					o.MostBusyWith(wi, lo, hi, from, f.mask, f.want)
+				}
 			}
 		}
 	}
-	if s := x.LeastBusy(w, 50, 50, 50); s != nil {
-		t.Fatalf("empty range placed on %s", serverName(s))
-	}
-	if s := x.MostBusyWith(w, 50, 50, 50); s != nil {
-		t.Fatalf("empty range evicted from %s", serverName(s))
-	}
-	if s := o.LeastBusy(w, 200, 210, 203); s != nil {
-		t.Fatalf("all-full range placed on %s", serverName(s))
+	for _, f := range filters {
+		if s := c.LeastBusy(w, 50, 50, 50, f.mask, f.want); s != nil {
+			t.Fatalf("empty range placed on %s", serverName(s))
+		}
+		if s := c.MostBusyWith(w, 50, 50, 50, f.mask, f.want); s != nil {
+			t.Fatalf("empty range evicted from %s", serverName(s))
+		}
+		if s := o.LeastBusy(w, 200, 210, 203, f.mask, f.want); s != nil {
+			t.Fatalf("all-full range placed on %s", serverName(s))
+		}
 	}
 	queries(200, 210) // all full
 	queries(205, 206) // one server, full
@@ -262,8 +401,10 @@ func TestPlacementIndexEdgeCases(t *testing.T) {
 	// root's two halves (leaves 0–511 and 512–1023).
 	for _, r := range [][2]int{{0, indexServers}, {200, 215}, {511, 513}, {0, 512}, {512, indexServers}} {
 		for _, wi := range []int{w, v} {
-			o.LeastBusy(wi, r[0], r[1], r[1]-1)
-			o.MostBusyWith(wi, r[0], r[1], r[1]-1)
+			for _, f := range filters {
+				o.LeastBusy(wi, r[0], r[1], r[1]-1, f.mask, f.want)
+				o.MostBusyWith(wi, r[0], r[1], r[1]-1, f.mask, f.want)
+			}
 		}
 	}
 	c.MarkFailed(213)

@@ -149,9 +149,6 @@ func maskRun(t *testing.T, n, workers int, policy, manager string) (string, *mas
 		}
 		pol = wa
 	}
-	if (n >= 500) != (wa.g.idx != nil) {
-		t.Fatalf("%d servers: placement index present = %v", n, wa.g.idx != nil)
-	}
 	st := checkMaskLive(t, wa)
 
 	mix := workload.PaperMix()

@@ -31,11 +31,13 @@ type StreamManager struct {
 	sched Scheduler
 	rng   *stats.RNG
 
-	// entries caches the mix decomposition (name order), and means[k]
-	// is entry k's mean task duration, 0 for a fluid service. The
-	// per-entry ledgers below are indexed like entries, so the per-task
-	// path neither rebuilds the entry list nor hashes Workload structs.
+	// entries caches the mix decomposition (name order), widx[k] is
+	// entry k's cluster registry index, and means[k] is its mean task
+	// duration, 0 for a fluid service. The per-entry ledgers below are
+	// indexed like entries, so the per-task path neither rebuilds the
+	// entry list nor hashes Workload structs.
 	entries     []workload.MixEntry
+	widx        []int
 	means       []time.Duration
 	fluidCounts []int
 	// lostCredits[k] counts tasks of entry k dropped during an
@@ -102,8 +104,10 @@ func NewStreamManager(c *cluster.Cluster, mix *workload.Mix, src workload.JobSou
 	}
 	entries := mix.Entries()
 	means := make([]time.Duration, len(entries))
+	widx := make([]int, len(entries))
 	for k, e := range entries {
 		means[k] = durations[e.Workload.Name]
+		widx[k] = c.WorkloadIndex(e.Workload)
 	}
 	return &StreamManager{
 		c:           c,
@@ -111,6 +115,7 @@ func NewStreamManager(c *cluster.Cluster, mix *workload.Mix, src workload.JobSou
 		sched:       s,
 		rng:         stats.NewRNG(seed ^ 0x9e3779b97f4a7c15),
 		entries:     entries,
+		widx:        widx,
 		means:       means,
 		fluidCounts: make([]int, len(entries)),
 		lostCredits: make([]int, len(entries)),
@@ -235,7 +240,7 @@ func (m *StreamManager) Reconcile(now time.Duration) error {
 func (m *StreamManager) finishTask(c completion) error {
 	w := m.entries[c.entry].Workload
 	s := m.c.Server(int(c.server))
-	if s.Jobs(w) == 0 {
+	if s.JobsAt(m.widx[c.entry]) == 0 {
 		var err error
 		s, err = m.sched.SelectRemoval(w)
 		if err != nil {
@@ -342,7 +347,7 @@ func (m *StreamManager) poisson(lambda float64) int {
 func (m *StreamManager) Evacuate(s *cluster.Server) (moved, lost int, err error) {
 	for k, e := range m.entries {
 		w := e.Workload
-		for s.Jobs(w) > 0 {
+		for s.JobsAt(m.widx[k]) > 0 {
 			if rerr := s.Remove(w); rerr != nil {
 				return moved, lost, fmt.Errorf("sched: evacuating %s from server %d: %w", w.Name, s.ID(), rerr)
 			}

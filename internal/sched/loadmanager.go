@@ -132,7 +132,9 @@ func (m *LoadManager) Reconcile(now time.Duration) error {
 // bookkeeping; the next Reconcile re-places them if capacity returns.
 func (m *LoadManager) Evacuate(s *cluster.Server) (moved, lost int, err error) {
 	for k, e := range m.entries {
-		for s.Jobs(e.Workload) > 0 {
+		// One registry lookup per entry, not one per job moved.
+		wi := m.c.WorkloadIndex(e.Workload)
+		for s.JobsAt(wi) > 0 {
 			if rerr := s.Remove(e.Workload); rerr != nil {
 				return moved, lost, fmt.Errorf("sched: evacuating %s from server %d: %w", e.Workload.Name, s.ID(), rerr)
 			}

@@ -110,6 +110,46 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
+// ObserveAll records every value of vs, leaving the histogram as a
+// loop of Observe over vs would: the same bucket counts and count, and
+// the same sum bit for bit, because the values are added to the sum
+// left to right onto the value it held. It buckets the values locally
+// and publishes each non-empty bucket and the count with one atomic
+// add, and the sum with one compare-and-swap, redoing the whole sum if
+// another writer moved it in between — the cost of a per-tick fleet
+// histogram is then one update per bucket, not three per server.
+func (h *Histogram) ObserveAll(vs []float64) {
+	if h == nil || len(vs) == 0 {
+		return
+	}
+	var local [32]uint64
+	var counts []uint64
+	if n := len(h.counts); n <= len(local) {
+		counts = local[:n]
+	} else {
+		counts = make([]uint64, n)
+	}
+	for _, v := range vs {
+		counts[sort.SearchFloat64s(h.bounds, v)]++
+	}
+	for i, n := range counts {
+		if n > 0 {
+			h.counts[i].Add(n)
+		}
+	}
+	h.count.Add(uint64(len(vs)))
+	for {
+		old := h.sum.bits.Load()
+		sum := math.Float64frombits(old)
+		for _, v := range vs {
+			sum += v
+		}
+		if h.sum.bits.CompareAndSwap(old, math.Float64bits(sum)) {
+			return
+		}
+	}
+}
+
 // Count returns the number of observations (zero for nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,90 @@ func TestHistogramBuckets(t *testing.T) {
 	// Re-asking with different bounds returns the existing histogram.
 	if r.Histogram("melt", 0.5) != h {
 		t.Fatal("same name should return the same histogram")
+	}
+}
+
+// observeAllCases are value sets for ObserveAll: values at, between,
+// below and above the bounds, signed zeros, infinities and NaN.
+var observeAllCases = [][]float64{
+	{},
+	{0.5},
+	{0.25, 0.5, 0.75, 1},
+	{0.1, 0.25, 0.3, 0.9, 1.5, -2, 0.5000001, 0.7499999},
+	{math.Copysign(0, -1), 0, 1e-300, -1e300, 1e300, 0.1, 0.2, 0.3},
+	{math.Inf(1), 0.4, math.Inf(-1)},
+	{0.6, math.NaN(), 0.2},
+}
+
+// ObserveAll leaves a histogram exactly as a loop of Observe does —
+// bucket counts, count and the sum's bits — from an empty histogram
+// and from one that already holds observations, with few buckets and
+// with more than ObserveAll counts on the stack.
+func TestObserveAllMatchesObserveLoop(t *testing.T) {
+	for _, bounds := range [][]float64{{0.25, 0.5, 0.75}, LinearBounds(0, 1, 40)} {
+		for i, vs := range observeAllCases {
+			for _, prior := range [][]float64{nil, {0.3, 0.7, 2}} {
+				loop, all := newHistogram(bounds), newHistogram(bounds)
+				for _, v := range prior {
+					loop.Observe(v)
+					all.Observe(v)
+				}
+				for _, v := range vs {
+					loop.Observe(v)
+				}
+				all.ObserveAll(vs)
+				if all.Count() != loop.Count() || math.Float64bits(all.Sum()) != math.Float64bits(loop.Sum()) {
+					t.Errorf("%d bounds, case %d, prior %v: ObserveAll count %d sum %v (%#x), Observe loop count %d sum %v (%#x)",
+						len(bounds), i, prior, all.Count(), all.Sum(), math.Float64bits(all.Sum()),
+						loop.Count(), loop.Sum(), math.Float64bits(loop.Sum()))
+				}
+				for b := range loop.counts {
+					if got, want := all.counts[b].Load(), loop.counts[b].Load(); got != want {
+						t.Errorf("%d bounds, case %d, prior %v: bucket %d holds %d, Observe loop %d", len(bounds), i, prior, b, got, want)
+					}
+				}
+			}
+		}
+	}
+	var nilH *Histogram
+	nilH.ObserveAll([]float64{1})
+}
+
+// Writers calling ObserveAll and Observe on one histogram at once lose
+// no observation: with values whose sums are exact in any order, the
+// count, every bucket and the sum come out exact. Run under -race.
+func TestObserveAllConcurrentWriters(t *testing.T) {
+	h := newHistogram([]float64{0.25, 0.5, 0.75})
+	vs := []float64{0.125, 0.25, 0.5, 0.625, 1, 0.75}
+	const workers, per = 6, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if w%3 == 0 {
+					for _, v := range vs {
+						h.Observe(v)
+					}
+				} else {
+					h.ObserveAll(vs)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const rounds = workers * per
+	if got := h.Count(); got != rounds*uint64(len(vs)) {
+		t.Fatalf("count %d, want %d", got, rounds*len(vs))
+	}
+	if got, want := h.Sum(), rounds*3.25; got != want {
+		t.Fatalf("sum %v, want %v", got, want)
+	}
+	for b, want := range []uint64{2 * rounds, rounds, 2 * rounds, rounds} {
+		if got := h.counts[b].Load(); got != want {
+			t.Fatalf("bucket %d holds %d, want %d", b, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -41,6 +42,31 @@ func TestSpecValidate(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// A server may have up to MaxCores = 32,767 cores, the most that the
+// scheduler's place keys hold exactly; the error for more names the
+// fields whose product is out of range.
+func TestSpecValidateCoreCap(t *testing.T) {
+	for _, c := range []struct{ cpus, perCPU int }{{1, MaxCores}, {32767, 1}, {7, 4681}} {
+		s := PaperServer()
+		s.CPUs, s.CoresPerCPU = c.cpus, c.perCPU
+		if err := s.Validate(); err != nil {
+			t.Errorf("%d×%d cores: %v", c.cpus, c.perCPU, err)
+		}
+	}
+	for _, c := range []struct{ cpus, perCPU int }{{1, MaxCores + 1}, {2, 1 << 14}, {32768, 1}, {3, 10923}} {
+		s := PaperServer()
+		s.CPUs, s.CoresPerCPU = c.cpus, c.perCPU
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%d×%d = %d cores accepted", c.cpus, c.perCPU, c.cpus*c.perCPU)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "CPUs") || !strings.Contains(msg, "CoresPerCPU") {
+			t.Errorf("%d×%d cores: error %q does not name CPUs and CoresPerCPU", c.cpus, c.perCPU, msg)
 		}
 	}
 }

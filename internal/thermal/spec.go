@@ -21,7 +21,6 @@ package thermal
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"vmt/internal/workload"
@@ -92,6 +91,11 @@ func PaperServer() ServerSpec {
 	}
 }
 
+// MaxCores is the most cores a server may have: the cluster's place
+// keys hold its busy cores and per-workload job counts in 16 and 15
+// bits.
+const MaxCores = 1<<15 - 1
+
 // Cores returns the total core count (32 for the paper server).
 func (s ServerSpec) Cores() int { return s.CPUs * s.CoresPerCPU }
 
@@ -100,9 +104,8 @@ func (s ServerSpec) Validate() error {
 	switch {
 	case s.CPUs <= 0 || s.CoresPerCPU <= 0:
 		return fmt.Errorf("thermal: need positive socket/core counts")
-	case s.CoresPerCPU > math.MaxInt32/s.CPUs:
-		// Server job counts are int32.
-		return fmt.Errorf("thermal: %d×%d cores exceeds %d", s.CPUs, s.CoresPerCPU, math.MaxInt32)
+	case s.CoresPerCPU > MaxCores/s.CPUs:
+		return fmt.Errorf("thermal: CPUs×CoresPerCPU is %d×%d, more than %d cores", s.CPUs, s.CoresPerCPU, MaxCores)
 	case s.IdlePowerW < 0 || s.PeakPowerW <= s.IdlePowerW:
 		return fmt.Errorf("thermal: need 0 <= idle < peak power, got %v/%v",
 			s.IdlePowerW, s.PeakPowerW)

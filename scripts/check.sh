@@ -37,16 +37,21 @@ go test -short -count=1 \
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
 go test -count=1 -run 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
 
-echo "== placement index vs linear scan, wax-state mask vs live predicates"
-# Every unfiltered VMT placement and eviction query is answered by the
-# placement index and by the linear scan from the same rotation start,
-# under seeded churn, crashes, retunes and migrations; every tree node
-# must match a rebuild. Every read of VMT-WA's wax-state mask must
-# equal the predicates evaluated live, through fault-injected runs of
-# VMT-WA, its oracle ablation and VMT-preserve under both managers, and
-# inside the window between each report change (a report filter, a
-# Byzantine lie, a repair's estimator reset) and the scheduler's Tick.
-go test -count=1 -run 'TestPlacementIndex|TestWaxMask' ./internal/cluster/ ./internal/core/
+echo "== placement index and key slab vs linear scan, wax-state mask vs live predicates"
+# Every VMT placement and eviction query, masked or not, is answered by
+# the cluster (placement index or key-slab scan) and by a linear scan
+# over the servers from the same rotation start, under seeded churn,
+# crashes, retunes, migrations, Byzantine reports and a workload
+# interned mid-run, at 8, 100 and 613 servers; every tree node must
+# match a rebuild, and every key-slab word the server fields it packs.
+# Servers are capped at the 32,767 cores the keys hold exactly. Every
+# read of VMT-WA's wax-state mask must equal the predicates evaluated
+# live, through fault-injected runs of VMT-WA, its oracle ablation and
+# VMT-preserve under both managers, and inside the window between each
+# report change (a report filter, a Byzantine lie, a repair's estimator
+# reset) and the scheduler's Tick.
+go test -count=1 -run 'TestPlacementIndex|TestWaxMask|TestSpecValidateCoreCap' \
+    ./internal/cluster/ ./internal/core/ ./internal/thermal/
 
 echo "== completion queue vs container/heap, ties included"
 # The stream manager's typed completion heap and a container/heap
@@ -183,6 +188,31 @@ status=0
 if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestWaxMaskWindowByzantineRefresh' "$tmp/mask.out"; then
     echo "TestWaxMaskWindowByzantineRefresh did not catch a dropped post-refresh report-epoch bump:" >&2
     cat "$tmp/mask.out" >&2
+    exit 1
+fi
+
+echo "== key-slab self-check (a crash that leaves its place keys alone is caught)"
+# Delete the row rewrite from Cluster.MarkFailed, so a crashed server's
+# place keys keep offering its free cores, and demand that the
+# decision-level test fail by name.
+keydir="$tmp/keymut"
+mkdir -p "$keydir"
+tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
+    --exclude ./vmt.test . | (cd "$keydir" && tar xf -)
+awk '/^func \(c \*Cluster\) MarkFailed\(/ { inside = 1 }
+    inside && !done && /^\t\ts\.packRow\(\)$/ { done = 1; next }
+    /^}/ { inside = 0 } { print }' \
+    internal/cluster/cluster.go > "$keydir/internal/cluster/cluster.go"
+if cmp -s internal/cluster/cluster.go "$keydir/internal/cluster/cluster.go"; then
+    echo "found no row rewrite in Cluster.MarkFailed to delete" >&2
+    exit 1
+fi
+status=0
+(cd "$keydir" && go test -count=1 -run '^TestPlacementIndexMatchesScan$' ./internal/core/) \
+    > "$tmp/key.out" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPlacementIndexMatchesScan' "$tmp/key.out"; then
+    echo "TestPlacementIndexMatchesScan did not catch a crash that left its place keys unchanged:" >&2
+    cat "$tmp/key.out" >&2
     exit 1
 fi
 

@@ -419,12 +419,16 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 			// How much of the fleet the physics memo is coasting
 			// through — observational only, no control decisions.
 			settledG.Set(float64(lastSample.SettledServers))
-			for i, f := range lastSample.MeltFrac {
-				meltHist.Observe(f)
-				if lastSample.AirTempC[i] >= pmtC {
-					abovePMT.Add(stepSecs)
+			// Both fleet instruments are published once per tick, not
+			// once per server.
+			meltHist.ObserveAll(lastSample.MeltFrac)
+			var above uint64
+			for _, air := range lastSample.AirTempC {
+				if air >= pmtC {
+					above++
 				}
 			}
+			abovePMT.Add(above * stepSecs)
 		}
 		res.CoolingLoadW.Append(lastSample.CoolingLoadW)
 		res.TotalPowerW.Append(lastSample.TotalPowerW)

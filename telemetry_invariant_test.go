@@ -9,8 +9,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
+	"vmt/internal/pcm"
 	"vmt/internal/telemetry"
 )
 
@@ -74,6 +77,75 @@ func TestInstrumentedRunIsBitIdentical(t *testing.T) {
 				t.Fatal("melt-fraction histogram recorded nothing")
 			}
 		})
+	}
+}
+
+// The sample stage publishes the fleet's melt-fraction histogram and
+// above-PMT time once per tick, and the registry ends the run exactly
+// where one Observe and one counter add per server per tick would
+// leave it: every bucket, the count, the sum's bits and the counter.
+// The reference replays each tick's per-server state from Observe.
+func TestFleetInstrumentsMatchPerServerUpdates(t *testing.T) {
+	cfg := Scenario(30, PolicyVMTWA, 22)
+	cfg.Trace = smallTrace()
+	cfg.InletTempC = Some(26.0)
+	cfg.InletStdevC = 1.5
+	cfg.Step = time.Minute
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := telemetry.NewRegistry()
+	refHist := ref.Histogram("pcm_melt_frac", telemetry.LinearBounds(0, 1, 10)...)
+	refAbove := ref.Counter("thermal_above_pmt_server_s")
+	pmtC := pcm.CommercialParaffin().MeltTempC
+	for !s.Done() {
+		if err := s.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range s.Observe().Servers {
+			refHist.Observe(srv.MeltFrac)
+			if srv.AirTempC >= pmtC {
+				refAbove.Add(uint64(cfg.Step.Seconds()))
+			}
+		}
+	}
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	find := func(snap telemetry.Snapshot) (telemetry.HistogramPoint, uint64) {
+		var h telemetry.HistogramPoint
+		for _, x := range snap.Histograms {
+			if x.Name == "pcm_melt_frac" {
+				h = x
+			}
+		}
+		var above uint64
+		for _, c := range snap.Counters {
+			if c.Name == "thermal_above_pmt_server_s" {
+				above = c.Value
+			}
+		}
+		return h, above
+	}
+	got, gotAbove := find(reg.Snapshot())
+	want, wantAbove := find(ref.Snapshot())
+	if want.Count == 0 || wantAbove == 0 {
+		t.Fatalf("reference saw %d melt observations and %d server-seconds above the PMT; want both nonzero", want.Count, wantAbove)
+	}
+	if gotAbove != wantAbove {
+		t.Errorf("thermal_above_pmt_server_s = %d, per-server adds give %d", gotAbove, wantAbove)
+	}
+	if got.Count != want.Count || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || len(got.Buckets) != len(want.Buckets) {
+		t.Fatalf("pcm_melt_frac count %d sum %v (%#x), per-server Observe gives count %d sum %v (%#x)",
+			got.Count, got.Sum, math.Float64bits(got.Sum), want.Count, want.Sum, math.Float64bits(want.Sum))
+	}
+	for i := range want.Buckets {
+		if got.Buckets[i].Count != want.Buckets[i].Count {
+			t.Errorf("pcm_melt_frac bucket %d holds %d, per-server Observe gives %d", i, got.Buckets[i].Count, want.Buckets[i].Count)
+		}
 	}
 }
 
