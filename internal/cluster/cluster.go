@@ -277,19 +277,12 @@ func (c *Cluster) MarkRepaired(i int) {
 	}
 }
 
-// PlacementIndex returns the cluster's placement index, building it
-// over the current state on the first call when the cluster has at
-// least indexCrossover servers; from then on LeastBusy and
-// MostBusyWith answer unfiltered queries from it. Smaller clusters get
-// nil and keep the slab scans: below the crossover a scan is cheaper
-// than keeping the index current on every Place and Remove. The VMT
-// schedulers call it at construction.
-func (c *Cluster) PlacementIndex() *PlacementIndex {
-	if c.reg.place == nil && len(c.servers) >= indexCrossover {
-		c.reg.place = newPlacementIndex(c.reg, c.servers)
-	}
-	return c.reg.place
-}
+// PlacementIndex returns the cluster's placement index, or nil until
+// the first unfiltered LeastBusy or MostBusyWith on a cluster of at
+// least indexCrossover servers builds it. Smaller clusters never get
+// one: below the crossover a slab scan is cheaper than keeping the
+// index current on every Place and Remove.
+func (c *Cluster) PlacementIndex() *PlacementIndex { return c.reg.place }
 
 // FailedServers returns how many servers are currently crashed.
 func (c *Cluster) FailedServers() int { return c.failedCount }

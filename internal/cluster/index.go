@@ -36,10 +36,10 @@ const (
 func evictKey(k uint32) uint32 { return fullBit - k&jobsMask }
 
 // indexCrossover is the smallest cluster that gets a placement index.
-// Every Place and Remove must update the trees of all workloads, which
-// below this size costs more than the slab scans it saves; the value
-// comes from the VMT-TA and VMT-WA rows of BenchmarkRunScale (see
-// DESIGN.md, "Placement index").
+// Every Place and Remove must then update the trees of all workloads,
+// which below this size saves nothing measurable over the slab scans;
+// the value comes from the VMT-TA and VMT-WA rows of BenchmarkRunScale
+// with the index forced on and off (see DESIGN.md, "Placement index").
 const indexCrossover = 500
 
 // none is a tree leaf's key when the server cannot be the answer, and
@@ -54,12 +54,13 @@ const none = math.MaxUint32
 // mask admits only the servers whose byte has a bit of want set (VMT-WA's
 // wax-state bits). Nil when no server qualifies.
 //
-// Unfiltered queries go to the placement index when the cluster has
-// one; the rest are a rotating first-minimum scan of the key slab.
+// Unfiltered queries go to the placement index, which the first one
+// builds on a cluster of at least indexCrossover servers (buildIndex);
+// the rest are a rotating first-minimum scan of the key slab.
 //
 //vmt:hotpath
 func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Server {
-	if mask == nil && c.reg.place != nil {
+	if mask == nil && (c.reg.place != nil || c.buildIndex()) {
 		return c.reg.place.first(2*w, lo, hi, from)
 	}
 	keys, stride := c.reg.keys, len(c.reg.list)
@@ -80,7 +81,7 @@ func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Serv
 //
 //vmt:hotpath
 func (c *Cluster) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *Server {
-	if mask == nil && c.reg.place != nil {
+	if mask == nil && (c.reg.place != nil || c.buildIndex()) {
 		return c.reg.place.first(2*w+1, lo, hi, from)
 	}
 	keys, stride := c.reg.keys, len(c.reg.list)
@@ -90,6 +91,24 @@ func (c *Cluster) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *S
 		return nil
 	}
 	return c.servers[at]
+}
+
+// buildIndex gives the cluster its placement index, built over the
+// current state, if it has at least indexCrossover servers, and
+// reports whether it did. LeastBusy and MostBusyWith call it on an
+// unfiltered query while the cluster has no index, so a cluster gets
+// its trees, and every Place and Remove starts paying to keep them
+// current, only once a query can use them: round robin and
+// coolest-first never query, and a wax-masked query is always a slab
+// scan.
+//
+//vmt:hotpath
+func (c *Cluster) buildIndex() bool {
+	if len(c.servers) < indexCrossover {
+		return false
+	}
+	c.reg.place = newPlacementIndex(c) //vmtlint:allow hotpath built once per cluster, on its first unfiltered query
+	return true
 }
 
 // leastIn scans column w of the key slab over servers [a,b) and returns
@@ -144,11 +163,8 @@ func mostIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best u
 // Cluster.MarkFailed/MarkRepaired.
 type PlacementIndex struct {
 	servers []*Server
-	// keys and stride are the registry's key slab and its row length,
-	// held here so a leaf read is one slice access; relayout updates
-	// them.
-	keys   []uint32
-	stride int
+	// reg holds the key slab the leaves read.
+	reg *registry
 	// size is the leaf count: the server count rounded up to a power of
 	// two. Leaves past the last server hold none.
 	size int
@@ -161,14 +177,13 @@ type PlacementIndex struct {
 }
 
 // newPlacementIndex builds an index over the cluster's current state.
-func newPlacementIndex(reg *registry, servers []*Server) *PlacementIndex {
+func newPlacementIndex(c *Cluster) *PlacementIndex {
 	x := &PlacementIndex{
-		servers: servers,
-		keys:    reg.keys,
-		stride:  len(reg.list),
-		size:    1 << bits.Len(uint(len(servers)-1)),
+		servers: c.servers,
+		reg:     c.reg,
+		size:    1 << bits.Len(uint(len(c.servers)-1)),
 	}
-	for range reg.list {
+	for range c.reg.list {
 		x.addWorkload()
 	}
 	return x
@@ -197,8 +212,8 @@ func (x *PlacementIndex) build(t int, tree []uint32) {
 // Verify rebuilds every tree from the key slab and reports the first
 // node that differs from the incrementally maintained one.
 func (x *PlacementIndex) Verify() error {
-	if len(x.trees) != 2*x.stride {
-		return fmt.Errorf("cluster: placement index has %d trees for %d workloads", len(x.trees), x.stride)
+	if len(x.trees) != 2*len(x.reg.list) {
+		return fmt.Errorf("cluster: placement index has %d trees for %d workloads", len(x.trees), len(x.reg.list))
 	}
 	want := make([]uint32, x.size)
 	for t, tree := range x.trees {
@@ -224,7 +239,7 @@ func (x *PlacementIndex) key(t, i int) uint32 {
 	if i >= len(x.servers) {
 		return none
 	}
-	k := x.keys[i*x.stride+t>>1]
+	k := x.reg.keys[i*len(x.reg.list)+t>>1]
 	if t&1 == 1 {
 		k = evictKey(k)
 	}

@@ -47,16 +47,13 @@ func scanMost(c *Cluster, w, lo, hi, from int, mask []uint8, want uint8) *Server
 // checkKeys fails t unless every word of c's key slab packs the fields
 // it stands for: jobs (from the model, keyed by server and workload),
 // busy cores, and the full bit while the server is failed or has no
-// free core. It also checks that each server's row and the placement
-// index's slab header alias the registry's slab.
+// free core. It also checks that each server's row aliases the
+// registry's slab.
 func checkKeys(t *testing.T, c *Cluster, jobs map[[2]int]int, when string) {
 	t.Helper()
 	stride := len(c.reg.list)
 	if len(c.reg.keys) != len(c.servers)*stride {
 		t.Fatalf("%s: key slab has %d words for %d servers × %d workloads", when, len(c.reg.keys), len(c.servers), stride)
-	}
-	if x := c.reg.place; x != nil && (x.stride != stride || len(x.keys) != len(c.reg.keys) || len(x.keys) > 0 && &x.keys[0] != &c.reg.keys[0]) {
-		t.Fatalf("%s: placement index reads a stale key slab", when)
 	}
 	for id, s := range c.servers {
 		if len(s.keys) != stride || stride > 0 && &s.keys[0] != &c.reg.keys[id*stride] {
@@ -93,7 +90,7 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.reg.place = newPlacementIndex(c.reg, c.servers)
+		c.reg.place = newPlacementIndex(c)
 		x := c.reg.place
 		want := make(map[[2]int]int) // (server, workload) → jobs
 		mask := make([]uint8, n)
@@ -134,7 +131,7 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 				for id := range c.servers {
 					if got := c.servers[id].JobsAt(wi); got != want[[2]int{id, wi}] {
 						t.Fatalf("n=%d step %d: server %d has %d jobs of workload %d, want %d",
-							n, step, id, got, want[[2]int{id, wi}], wi)
+							n, step, id, got, wi, want[[2]int{id, wi}])
 					}
 				}
 				for lo := 0; lo < n; lo++ {
@@ -169,11 +166,12 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 	}
 }
 
-// The index is built only where it pays: at or above the crossover,
-// once per cluster, including on servers of ServerSpec.Validate's
-// largest core count.
+// The index is built only where it pays: by the first unfiltered
+// query on a cluster at or above the crossover, once, including on
+// servers of ServerSpec.Validate's largest core count. A masked query
+// never builds it, and no query does below the crossover.
 func TestPlacementIndexBuiltOnlyWhereItWins(t *testing.T) {
-	newC := func(n, coresPerCPU int) *Cluster {
+	newC := func(n, coresPerCPU int) (*Cluster, int) {
 		t.Helper()
 		cfg := PaperCluster(n)
 		cfg.Server.CPUs, cfg.Server.CoresPerCPU = 1, coresPerCPU
@@ -181,14 +179,28 @@ func TestPlacementIndexBuiltOnlyWhereItWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		return c, c.WorkloadIndex(workload.WebSearch)
 	}
-	if newC(indexCrossover-1, 32).PlacementIndex() != nil {
+	mask := make([]uint8, indexCrossover)
+	c, w := newC(indexCrossover-1, 32)
+	c.LeastBusy(w, 0, c.Len(), 0, nil, 0)
+	c.MostBusyWith(w, 0, c.Len(), 0, nil, 0)
+	if c.PlacementIndex() != nil {
 		t.Error("index built below the crossover")
 	}
-	c := newC(indexCrossover, thermal.MaxCores)
+	c, w = newC(indexCrossover, thermal.MaxCores)
+	if c.PlacementIndex() != nil {
+		t.Error("index built before any query")
+	}
+	c.LeastBusy(w, 0, c.Len(), 0, mask, 1)
+	c.MostBusyWith(w, 0, c.Len(), 0, mask, 1)
+	if c.PlacementIndex() != nil {
+		t.Error("index built by a masked query")
+	}
+	c.MostBusyWith(w, 0, c.Len(), 0, nil, 0)
 	x := c.PlacementIndex()
+	c.LeastBusy(w, 0, c.Len(), 0, nil, 0)
 	if x == nil || c.PlacementIndex() != x {
-		t.Error("index not built once at the crossover")
+		t.Error("index not built once, by the first unfiltered query, at the crossover")
 	}
 }

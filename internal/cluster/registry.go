@@ -34,8 +34,9 @@ type registry struct {
 	// Interning a workload re-lays the slab at the new stride.
 	keys    []uint32
 	servers []*Server
-	// place is the placement index, nil unless Cluster.PlacementIndex
-	// built one; intern gives it trees for each new workload.
+	// place is the placement index, nil until the cluster's first
+	// unfiltered query builds one (Cluster.buildIndex); intern gives it
+	// trees for each new workload.
 	place *PlacementIndex
 	// reportEpoch is the cluster's report epoch (Cluster.ReportEpoch).
 	// It lives here, beside place, because Server.SetReportFilter moves
@@ -87,9 +88,6 @@ func (r *registry) relayout() {
 		s.keys = row
 	}
 	r.keys = slab
-	if r.place != nil {
-		r.place.keys, r.place.stride = slab, stride
-	}
 }
 
 // lookup returns the index without assigning.

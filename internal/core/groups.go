@@ -63,11 +63,8 @@ type groupQueries interface {
 	MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *cluster.Server
 }
 
-// newGroups returns groups over c with the given hot-group size. A
-// cluster large enough for a placement index builds it here, so every
-// unfiltered query is answered from it.
+// newGroups returns groups over c with the given hot-group size.
 func newGroups(c *cluster.Cluster, hotSize int) groups {
-	c.PlacementIndex()
 	return groups{c: c, hotSize: hotSize, q: c}
 }
 

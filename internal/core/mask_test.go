@@ -195,6 +195,11 @@ func maskRun(t *testing.T, n, workers int, policy, manager string) (string, *mas
 			t.Fatal(err)
 		}
 	}
+	// The policy's own queries gave the cluster its placement index
+	// exactly where it pays.
+	if (n >= indexServers) != (c.PlacementIndex() != nil) {
+		t.Fatalf("%d servers: placement index present = %v", n, c.PlacementIndex() != nil)
+	}
 	digest := fmt.Sprintf("hot %d:", wa.g.hotSize)
 	for _, s := range c.Servers() {
 		digest += fmt.Sprintf(" %d/%d", s.BusyCores(), s.Jobs(workload.WebSearch))
