@@ -89,11 +89,10 @@ type Cluster struct {
 	// workers is the resolved physics worker count (≥1; 1 = serial).
 	workers int
 	// Per-server scratch reused across Steps so the steady-state
-	// physics path allocates nothing. stepPow carries each server's
-	// draw into the fleet kernel; airBuf/meltBuf back the Sample
+	// physics path allocates nothing. airBuf/meltBuf back the Sample
 	// snapshots; chunkIdx/chunkErr carry each worker chunk's first
-	// failure to the sequential reduction.
-	stepPow  []float64
+	// failure to the sequential reduction. The fleet kernel reads each
+	// server's draw straight from the registry's power column.
 	airBuf   []float64
 	meltBuf  []float64
 	chunkIdx []int
@@ -149,6 +148,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	servers := make([]*Server, cfg.NumServers)
+	reg.pow = make([]float64, cfg.NumServers)
 	for i := range servers {
 		inlet := cfg.InletTempC
 		if cfg.InletStdevC > 0 {
@@ -158,6 +158,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.storePower()
 		servers[i] = s
 	}
 	reg.servers = servers
@@ -169,7 +170,6 @@ func New(cfg Config) (*Cluster, error) {
 		fleet:    fleet,
 		reg:      reg,
 		workers:  workers,
-		stepPow:  make([]float64, n),
 		airBuf:   make([]float64, n),
 		meltBuf:  make([]float64, n),
 		chunkIdx: make([]int, 0, workers),
@@ -258,6 +258,7 @@ func (c *Cluster) MarkFailed(i int) {
 		s.failed = true
 		c.failedCount++
 		s.packRow()
+		s.storePower()
 		if x := c.reg.place; x != nil {
 			x.capacityChanged(i)
 		}
@@ -271,6 +272,7 @@ func (c *Cluster) MarkRepaired(i int) {
 		s.failed = false
 		c.failedCount--
 		s.packRow()
+		s.storePower()
 		if x := c.reg.place; x != nil {
 			x.capacityChanged(i)
 		}
@@ -376,6 +378,10 @@ type Sample struct {
 
 // Step advances every server by dt and returns the aggregate sample.
 //
+// Each server's draw, fixed for the whole step, is its entry in the
+// registry's power column, which job moves, crashes and repairs keep
+// current; the fleet kernel and the aggregation read that column
+// directly, so a Step streams dense columns and loads no *Server.
 // The per-server physics is embarrassingly parallel (servers couple
 // only through the scheduler between steps), so it fans out across
 // PhysicsWorkers goroutines writing disjoint per-server slots; the
@@ -385,11 +391,6 @@ type Sample struct {
 func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	c.stepped = true
 	c.reg.reportEpoch++
-	// Power is a pure function of job occupancy, fixed for the whole
-	// step; gather it once so the fleet kernel reads a flat slice.
-	for i, s := range c.servers {
-		c.stepPow[i] = s.PowerW()
-	}
 	if err := c.stepPhysics(dt); err != nil {
 		return Sample{}, err
 	}
@@ -402,11 +403,12 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	cpus := float64(c.cfg.Server.CPUs)
 	rCPU := c.cfg.Server.CPUThermalResistanceKPerW
 	limitC := c.cfg.Server.CPULimitC
+	pow := c.reg.pow
 	var sumAir, sumMelt float64
 	for i := range c.servers {
 		air := v.AirTempC[i]
 		melt := v.MeltFrac[i]
-		pw := c.stepPow[i]
+		pw := pow[i]
 		sample.TotalPowerW += pw
 		sample.CoolingLoadW += v.CoolingLoadW[i]
 		sample.WaxFlowW += v.WaxFlowW[i]
@@ -505,7 +507,7 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 func (c *Cluster) stepBlocks(lo, hi int, dt time.Duration) (int, error) {
 	for b := lo; b < hi; b += physBlock {
 		e := min(b+physBlock, hi)
-		if idx, err := c.fleet.StepRange(b, e, c.stepPow, dt); err != nil {
+		if idx, err := c.fleet.StepRange(b, e, c.reg.pow, dt); err != nil {
 			return idx, err
 		}
 		if c.ests != nil {

@@ -19,7 +19,9 @@ import (
 // busy) lexicographically, which is the placement order: every server
 // with a free core before every full one, then the fewest jobs of the
 // workload, then the fewest busy cores. A key at or above fullBit is
-// never an answer.
+// never an answer. The jobs field is always exact; full and busy, the
+// row's header, are written only from the cluster's first group query
+// on (packKeys), as nothing reads them before it.
 const (
 	fullBit   = 1 << 31
 	jobsShift = 16
@@ -60,6 +62,9 @@ const none = math.MaxUint32
 //
 //vmt:hotpath
 func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Server {
+	if !c.reg.packed {
+		c.packKeys()
+	}
 	if mask == nil && (c.reg.place != nil || c.buildIndex()) {
 		return c.reg.place.first(2*w, lo, hi, from)
 	}
@@ -81,6 +86,9 @@ func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Serv
 //
 //vmt:hotpath
 func (c *Cluster) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *Server {
+	if !c.reg.packed {
+		c.packKeys()
+	}
 	if mask == nil && (c.reg.place != nil || c.buildIndex()) {
 		return c.reg.place.first(2*w+1, lo, hi, from)
 	}
@@ -91,6 +99,20 @@ func (c *Cluster) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *S
 		return nil
 	}
 	return c.servers[at]
+}
+
+// packKeys packs every row's header, which job moves, crashes and
+// repairs keep current from then on. LeastBusy and MostBusyWith call
+// it on the cluster's first group query, before they scan the slab or
+// build the index: until a query reads the headers, nothing writes
+// them, so round robin and coolest-first never pay for them.
+//
+//vmt:hotpath
+func (c *Cluster) packKeys() {
+	c.reg.packed = true
+	for _, s := range c.servers {
+		s.packRow()
+	}
 }
 
 // buildIndex gives the cluster its placement index, built over the

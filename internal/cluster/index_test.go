@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vmt/internal/stats"
@@ -72,15 +73,46 @@ func checkKeys(t *testing.T, c *Cluster, jobs map[[2]int]int, when string) {
 	}
 }
 
+// refPowerW is the draw PowerW computed from s's fields before the
+// power column held it: idle power plus the dynamic power of its jobs,
+// capped at the nameplate peak, and 0 while failed.
+func refPowerW(s *Server) float64 {
+	if s.failed {
+		return 0
+	}
+	p := s.spec.IdlePowerW + s.DynamicPowerW()
+	if p > s.spec.PeakPowerW {
+		p = s.spec.PeakPowerW
+	}
+	return p
+}
+
+// checkPower fails t unless every entry of c's power column bit-equals
+// refPowerW over its server's fields.
+func checkPower(t *testing.T, c *Cluster, when string) {
+	t.Helper()
+	if len(c.reg.pow) != len(c.servers) {
+		t.Fatalf("%s: power column has %d entries for %d servers", when, len(c.reg.pow), len(c.servers))
+	}
+	for id, s := range c.servers {
+		if got, want := c.reg.pow[id], refPowerW(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: server %d power column %v, its fields give %v (failed %v, busy %d)",
+				when, id, got, want, s.failed, s.busyCores)
+		}
+	}
+}
+
 // At small sizes — one leaf, padded trees, exact powers of two — every
 // query over every range and rotation start, masked and unmasked,
 // matches the independent scans after each random Place, Remove,
 // crash or repair on tiny three-core servers, answered both by the
 // placement index (unmasked) and by the key-slab scan; the trees match
 // a rebuild; and after every mutator, interning's relayouts included,
-// each key-slab word packs the server's state. The index is built
+// each key-slab word packs the server's state and each power-column
+// entry equals the draw its server's fields give. The index is built
 // before any workload is interned, so each workload's trees are added
-// to a live index.
+// to a live index; an empty query first packs the slab's headers, as
+// any cluster's first group query does.
 func TestPlacementIndexSmallClusters(t *testing.T) {
 	mix := []workload.Workload{workload.WebSearch, workload.VirusScan, workload.VideoEncoding}
 	for _, n := range []int{1, 2, 3, 5, 8, 9} {
@@ -90,6 +122,7 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.LeastBusy(0, 0, 0, 0, nil, 0)
 		c.reg.place = newPlacementIndex(c)
 		x := c.reg.place
 		want := make(map[[2]int]int) // (server, workload) → jobs
@@ -120,7 +153,9 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 					c.MarkFailed(id)
 				}
 			}
-			checkKeys(t, c, want, fmt.Sprintf("n=%d step %d after %s on server %d", n, step, op, id))
+			when := fmt.Sprintf("n=%d step %d after %s on server %d", n, step, op, id)
+			checkKeys(t, c, want, when)
+			checkPower(t, c, when)
 			if err := x.Verify(); err != nil {
 				t.Fatalf("n=%d step %d: %v", n, step, err)
 			}
@@ -161,6 +196,78 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// Until its first group query a cluster leaves the slab's headers
+// alone, round robin's case: through seeded Place, Remove, crash and
+// repair, and the relayouts of interning, every word holds its jobs
+// field, exact, and nothing else. The first query, a masked scan or an
+// unmasked one that builds the index, packs every word to
+// full<<31 | jobs<<16 | busy, and later moves keep them packed.
+func TestPlacementIndexPacksOnFirstQuery(t *testing.T) {
+	mix := []workload.Workload{workload.WebSearch, workload.VirusScan, workload.VideoEncoding}
+	for _, q := range []struct {
+		n    int
+		mask []uint8
+	}{{100, make([]uint8, 100)}, {indexCrossover, nil}} {
+		cfg := PaperCluster(q.n)
+		cfg.Server.CPUs, cfg.Server.CoresPerCPU = 1, 4
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[[2]int]int) // (server, workload) → jobs
+		rng := stats.NewRNG(uint64(q.n))
+		churn := func(steps int, when string) {
+			for step := 0; step < steps; step++ {
+				id := rng.Intn(q.n)
+				s := c.servers[id]
+				w := mix[rng.Intn(len(mix))]
+				switch rng.Intn(6) {
+				case 0, 1, 2:
+					if s.Place(w) == nil {
+						want[[2]int{id, c.WorkloadIndex(w)}]++
+					}
+				case 3, 4:
+					if s.Remove(w) == nil {
+						want[[2]int{id, c.WorkloadIndex(w)}]--
+					}
+				default:
+					if s.Failed() {
+						c.MarkRepaired(id)
+					} else {
+						c.MarkFailed(id)
+					}
+				}
+				checkPower(t, c, fmt.Sprintf("n=%d %s step %d", q.n, when, step))
+			}
+		}
+		churn(20*q.n, "unqueried")
+		stride := len(c.reg.list)
+		for id := range c.servers {
+			for wi := 0; wi < stride; wi++ {
+				if got, jobs := c.reg.keys[id*stride+wi], want[[2]int{id, wi}]; got != uint32(jobs)<<16 {
+					t.Fatalf("n=%d unqueried: server %d workload %d key %#08x, want %d jobs and no header",
+						q.n, id, wi, got, jobs)
+				}
+			}
+		}
+		if c.reg.packed || c.PlacementIndex() != nil {
+			t.Fatalf("n=%d: packed %v, index %v before any query", q.n, c.reg.packed, c.PlacementIndex() != nil)
+		}
+		c.LeastBusy(0, 0, q.n, 0, q.mask, 1)
+		checkKeys(t, c, want, fmt.Sprintf("n=%d first query", q.n))
+		if (c.PlacementIndex() != nil) != (q.mask == nil) {
+			t.Fatalf("n=%d: first query (mask %v) left index %v", q.n, q.mask != nil, c.PlacementIndex() != nil)
+		}
+		churn(2*q.n, "queried")
+		checkKeys(t, c, want, fmt.Sprintf("n=%d after churn", q.n))
+		if x := c.PlacementIndex(); x != nil {
+			if err := x.Verify(); err != nil {
+				t.Fatalf("n=%d: %v", q.n, err)
 			}
 		}
 	}

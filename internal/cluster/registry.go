@@ -32,7 +32,17 @@ type registry struct {
 	// its row, so JobsAt stays one slice read, and the group scans read
 	// the slab itself at a stride instead of loading each server.
 	// Interning a workload re-lays the slab at the new stride.
-	keys    []uint32
+	keys []uint32
+	// packed is set by the cluster's first group query (Cluster.packKeys),
+	// which packs every row's header. Until then job moves keep each
+	// key's jobs field exact and leave the headers alone, so round robin
+	// and coolest-first, which never query, never pay to pack them.
+	packed bool
+	// pow is the power column: server id's draw is pow[id], the value
+	// Server.PowerW returns. Server.Place/Remove and
+	// Cluster.MarkFailed/MarkRepaired rewrite it (Server.storePower), so
+	// Cluster.Step hands it to the physics as is.
+	pow     []float64
 	servers []*Server
 	// place is the placement index, nil until the cluster's first
 	// unfiltered query builds one (Cluster.buildIndex); intern gives it
@@ -76,15 +86,17 @@ func (r *registry) intern(w workload.Workload) int {
 }
 
 // relayout widens the key slab to one column per interned workload,
-// keeping every server's keys, giving it no job of the new workload,
-// and re-pointing its row.
+// keeping every server's keys, giving it no job of the new workload
+// (with its header once the slab is packed), and re-pointing its row.
 func (r *registry) relayout() {
 	stride := len(r.list)
 	slab := make([]uint32, len(r.servers)*stride)
 	for id, s := range r.servers {
 		row := slab[id*stride : (id+1)*stride : (id+1)*stride]
 		copy(row, s.keys)
-		row[stride-1] = s.header()
+		if r.packed {
+			row[stride-1] = s.header()
+		}
 		s.keys = row
 	}
 	r.keys = slab

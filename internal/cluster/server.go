@@ -41,9 +41,10 @@ type Server struct {
 	keys      []uint32
 	busyCores int
 	// dynamicPowerW tracks the summed per-core power of placed jobs
-	// incrementally. Summing counts on demand would be slow in the
-	// scheduler's scan loops, and map-based summation would add floats
-	// in randomized iteration order, breaking determinism.
+	// incrementally, the input storePower derives the server's entry in
+	// the power column from. Summing counts on demand would be slow, and
+	// map-based summation would add floats in randomized iteration
+	// order, breaking determinism.
 	dynamicPowerW float64
 
 	// failed marks a crashed server (fault injection): it draws no
@@ -194,15 +195,20 @@ func (s *Server) Utilization() float64 {
 }
 
 // Place assigns one job of workload w to a free core.
-func (s *Server) Place(w workload.Workload) error {
+func (s *Server) Place(w workload.Workload) error { return s.PlaceAt(s.reg.intern(w)) }
+
+// PlaceAt assigns one job of the workload with registry index i (see
+// Cluster.WorkloadIndex) to a free core — the hash-free form of Place
+// for callers that hold the index.
+func (s *Server) PlaceAt(i int) error {
 	if s.FreeCores() == 0 {
 		return fmt.Errorf("cluster: server %d full", s.id)
 	}
-	i := s.reg.intern(w)
 	s.keys[i] += jobsOne
 	s.busyCores++
 	s.packRow()
-	s.dynamicPowerW += w.PerCorePowerW() * s.spec.PowerScale
+	s.dynamicPowerW += s.reg.list[i].PerCorePowerW() * s.spec.PowerScale
+	s.storePower()
 	if x := s.reg.place; x != nil {
 		x.jobsChanged(i, s.id)
 	}
@@ -212,16 +218,26 @@ func (s *Server) Place(w workload.Workload) error {
 // Remove evicts one job of workload w.
 func (s *Server) Remove(w workload.Workload) error {
 	i, ok := s.reg.lookup(w)
-	if !ok || s.JobsAt(i) == 0 {
+	if !ok {
 		return fmt.Errorf("cluster: server %d has no %s job", s.id, w.Name)
+	}
+	return s.RemoveAt(i)
+}
+
+// RemoveAt evicts one job of the workload with registry index i (see
+// Cluster.WorkloadIndex) — the hash-free form of Remove.
+func (s *Server) RemoveAt(i int) error {
+	if s.JobsAt(i) == 0 {
+		return fmt.Errorf("cluster: server %d has no %s job", s.id, s.reg.list[i].Name)
 	}
 	s.keys[i] -= jobsOne
 	s.busyCores--
 	s.packRow()
-	s.dynamicPowerW -= w.PerCorePowerW() * s.spec.PowerScale
+	s.dynamicPowerW -= s.reg.list[i].PerCorePowerW() * s.spec.PowerScale
 	if s.busyCores == 0 {
 		s.dynamicPowerW = 0 // shed any accumulated rounding residue
 	}
+	s.storePower()
 	if x := s.reg.place; x != nil {
 		x.jobsChanged(i, s.id)
 	}
@@ -242,29 +258,44 @@ func (s *Server) header() uint32 {
 }
 
 // packRow rewrites s's row of the key slab after its busy cores or
-// failed state changed, keeping each key's job count.
+// failed state changed, keeping each key's job count. Before the
+// cluster's first group query it does nothing: that query packs every
+// row (Cluster.packKeys).
 //
 //vmt:hotpath
 func (s *Server) packRow() {
+	if !s.reg.packed {
+		return
+	}
 	h := s.header()
 	for i, k := range s.keys {
 		s.keys[i] = k&jobsMask | h
 	}
 }
 
+// storePower writes s's draw into the registry's power column after
+// its jobs or failed state changed: idle power plus the dynamic power
+// of its jobs, capped at the nameplate peak, and 0 while failed.
+func (s *Server) storePower() {
+	p := 0.0
+	if !s.failed {
+		p = s.spec.IdlePowerW + s.dynamicPowerW
+		if p > s.spec.PeakPowerW {
+			p = s.spec.PeakPowerW
+		}
+	}
+	s.reg.pow[s.id] = p
+}
+
+// DynamicPowerW returns the summed per-core power of the jobs placed on
+// the server, before the idle floor, the peak cap and the zero draw of
+// a crash, which PowerW applies.
+func (s *Server) DynamicPowerW() float64 { return s.dynamicPowerW }
+
 // PowerW returns the server's current draw under the linear per-core
 // model: idle power plus each occupied core's workload-specific
-// dynamic power, capped at the nameplate peak.
-func (s *Server) PowerW() float64 {
-	if s.failed {
-		return 0
-	}
-	p := s.spec.IdlePowerW + s.dynamicPowerW
-	if p > s.spec.PeakPowerW {
-		p = s.spec.PeakPowerW
-	}
-	return p
-}
+// dynamic power, capped at the nameplate peak, and 0 while failed.
+func (s *Server) PowerW() float64 { return s.reg.pow[s.id] }
 
 // AirTempC returns the current air temperature at the wax.
 func (s *Server) AirTempC() float64 { return s.fleet.AirTempC(s.id) }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"vmt/internal/cluster"
+	"vmt/internal/sched"
 	"vmt/internal/stats"
 	"vmt/internal/telemetry"
 	"vmt/internal/workload"
@@ -73,6 +75,29 @@ func scanMostBusyWith(servers []*cluster.Server, lo, hi, from, wi int, mask []ui
 		}
 	}
 	return best
+}
+
+// checkPower fails t unless every server's draw, which PowerW reads
+// from the cluster's power column, bit-equals the formula PowerW
+// evaluated over the server's fields before the column existed: 0
+// while failed, else idle power plus the dynamic power of its jobs,
+// capped at the nameplate peak.
+func checkPower(t *testing.T, c *cluster.Cluster, format string, args ...any) {
+	t.Helper()
+	spec := c.Config().Server
+	for _, s := range c.Servers() {
+		want := 0.0
+		if !s.Failed() {
+			want = spec.IdlePowerW + s.DynamicPowerW()
+			if want > spec.PeakPowerW {
+				want = spec.PeakPowerW
+			}
+		}
+		if got := s.PowerW(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: server %d draws %v in the power column, its fields give %v (failed %v, busy %d)",
+				fmt.Sprintf(format, args...), s.ID(), got, want, s.Failed(), s.BusyCores())
+		}
+	}
 }
 
 // oracleQueries stands in for the cluster inside groups: every query
@@ -162,8 +187,10 @@ var lateBatch = workload.Workload{Name: "LateBatch", CPUPowerW: 48, Class: workl
 // starting mid-batch, servers lying solid, and quarantines), and a
 // workload first interned mid-run. Every group query, masked or not,
 // is checked against the reference scan from the same cursor, every
-// read of VMT-WA's wax-state mask against the live predicates, and
-// after every batch each tree node must equal a from-scratch rebuild.
+// read of VMT-WA's wax-state mask against the live predicates, after
+// every mutator every server's entry in the power column against the
+// draw its fields give (checkPower), and after every batch each tree
+// node must equal a from-scratch rebuild.
 func TestPlacementIndexMatchesScan(t *testing.T) {
 	for _, n := range []int{8, 100, indexServers} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -293,6 +320,7 @@ func matchScan(t *testing.T, n int) {
 					}
 				}
 			}
+			checkPower(t, c, "batch %d op %d", b, i)
 		}
 		switch b % 6 {
 		case 0:
@@ -316,6 +344,7 @@ func matchScan(t *testing.T, n int) {
 		case 4:
 			policies[rng.Intn(len(policies))].SetGV(float64(14 + rng.Intn(17)))
 		}
+		checkPower(t, c, "batch %d", b)
 		for i := 0; i < 3; i++ {
 			if _, err := c.Step(time.Minute); err != nil {
 				t.Fatal(err)
@@ -325,6 +354,7 @@ func matchScan(t *testing.T, n int) {
 		for _, p := range policies {
 			p.Tick(now)
 		}
+		checkPower(t, c, "batch %d after Tick", b)
 		verify(fmt.Sprintf("batch %d", b))
 	}
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
@@ -343,6 +373,114 @@ func matchScan(t *testing.T, n int) {
 	}
 	t.Logf("%d queries (%d masked), %d mask reads, %d migrations, %d resizes", oracle.queries, oracle.masked, mask.reads,
 		counter("sched_migrations"), counter("sched_hot_group_resizes"))
+}
+
+// powerChecked is the policy a manager sees in the power-column test:
+// before each placement or eviction choice, so after every job move
+// the manager made before it, it checks the power column.
+type powerChecked struct {
+	sched.Scheduler
+	t         *testing.T
+	c         *cluster.Cluster
+	decisions int
+}
+
+func (p *powerChecked) Place(w workload.Workload) (*cluster.Server, error) {
+	p.t.Helper()
+	p.decisions++
+	checkPower(p.t, p.c, "before placement %d", p.decisions)
+	return p.Scheduler.Place(w)
+}
+
+func (p *powerChecked) SelectRemoval(w workload.Workload) (*cluster.Server, error) {
+	p.t.Helper()
+	p.decisions++
+	checkPower(p.t, p.c, "before eviction %d", p.decisions)
+	return p.Scheduler.SelectRemoval(w)
+}
+
+// Both managers keep the power column exact through their own job
+// moves: at 8, 100 and 613 servers, a load manager over VMT-TA and a
+// stream manager over VMT-WA reconcile a bursty trace through seeded
+// crashes, each evacuated by the manager, and repairs. Every server's
+// column entry must bit-equal the draw its fields give (checkPower)
+// before every placement and eviction choice and after every crash,
+// evacuation, repair and Reconcile.
+func TestPowerColumnMatchesFields(t *testing.T) {
+	for _, n := range []int{8, 100, indexServers} {
+		for _, manager := range []string{"load", "stream"} {
+			t.Run(fmt.Sprintf("n=%d/%s", n, manager), func(t *testing.T) {
+				t.Parallel()
+				powerRun(t, n, manager)
+			})
+		}
+	}
+}
+
+func powerRun(t *testing.T, n int, manager string) {
+	const ticks = 120
+	c := newCluster(t, n)
+	var (
+		pol sched.Scheduler
+		err error
+	)
+	if manager == "load" {
+		pol, err = NewThermalAware(c, Config{GV: 22})
+	} else {
+		pol, err = NewWaxAware(c, Config{GV: 22})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := &powerChecked{Scheduler: pol, t: t, c: c}
+	mix := workload.PaperMix()
+	src := workload.NewBurstySource(uint64(n), 20*time.Minute, 0.5, 0.95, 0.4)
+	var m interface {
+		Reconcile(time.Duration) error
+		Evacuate(*cluster.Server) (moved, lost int, err error)
+	}
+	if manager == "load" {
+		m, err = sched.NewLoadManager(c, mix, src, checked)
+	} else {
+		m, err = sched.NewStreamManager(c, mix, src, checked, sched.DefaultTaskDurations(), uint64(n))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(uint64(n))
+	evacuated, repaired := 0, 0
+	for k := 0; k <= ticks; k++ {
+		if k > 0 {
+			if _, err := c.Step(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id := rng.Intn(n); k > 0 && rng.Intn(3) == 0 && !c.Server(id).Failed() {
+			c.MarkFailed(id)
+			checkPower(t, c, "tick %d: crash of server %d", k, id)
+			moved, _, err := m.Evacuate(c.Server(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			evacuated += moved
+			checkPower(t, c, "tick %d: evacuation of server %d", k, id)
+		}
+		for id := 0; id < n; id++ {
+			if c.Server(id).Failed() && rng.Intn(10) == 0 {
+				c.MarkRepaired(id)
+				repaired++
+				checkPower(t, c, "tick %d: repair of server %d", k, id)
+			}
+		}
+		if err := m.Reconcile(time.Duration(k) * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		checkPower(t, c, "tick %d: after Reconcile", k)
+	}
+	if evacuated == 0 || repaired == 0 || checked.decisions == 0 {
+		t.Errorf("churn evacuated %d jobs, repaired %d servers, made %d decisions", evacuated, repaired, checked.decisions)
+	}
+	t.Logf("%d decisions, %d jobs evacuated, %d repairs", checked.decisions, evacuated, repaired)
 }
 
 // The group queries' boundary cases, each checked against the

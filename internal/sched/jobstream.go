@@ -253,7 +253,7 @@ func (m *StreamManager) finishTask(c completion) error {
 			return fmt.Errorf("sched: completing %s task: %w", w.Name, err)
 		}
 	}
-	if err := s.Remove(w); err != nil {
+	if err := s.RemoveAt(m.widx[c.entry]); err != nil {
 		return err
 	}
 	m.evictions.Inc()
@@ -262,7 +262,7 @@ func (m *StreamManager) finishTask(c completion) error {
 
 // resizeFluid adjusts fluid entry k's footprint to target cores.
 func (m *StreamManager) resizeFluid(k, target int, now time.Duration) error {
-	w := m.entries[k].Workload
+	w, wi := m.entries[k].Workload, m.widx[k]
 	cur := m.fluidCounts[k]
 	for cur < target {
 		s, err := m.sched.Place(w)
@@ -275,7 +275,7 @@ func (m *StreamManager) resizeFluid(k, target int, now time.Duration) error {
 			m.shed.Add(uint64(target - cur))
 			break
 		}
-		if err := s.Place(w); err != nil {
+		if err := s.PlaceAt(wi); err != nil {
 			return err
 		}
 		m.placements.Inc()
@@ -286,7 +286,7 @@ func (m *StreamManager) resizeFluid(k, target int, now time.Duration) error {
 		if err != nil {
 			return fmt.Errorf("sched: shrinking %s at %v: %w", w.Name, now, err)
 		}
-		if err := s.Remove(w); err != nil {
+		if err := s.RemoveAt(wi); err != nil {
 			return err
 		}
 		m.evictions.Inc()
@@ -320,7 +320,7 @@ func (m *StreamManager) arrivals(now, dt time.Duration) error {
 				m.shed.Inc()
 				continue
 			}
-			if err := s.Place(e.Workload); err != nil {
+			if err := s.PlaceAt(m.widx[k]); err != nil {
 				return err
 			}
 			m.placements.Inc()
@@ -346,9 +346,9 @@ func (m *StreamManager) poisson(lambda float64) int {
 // still-scheduled departures don't error.
 func (m *StreamManager) Evacuate(s *cluster.Server) (moved, lost int, err error) {
 	for k, e := range m.entries {
-		w := e.Workload
-		for s.JobsAt(m.widx[k]) > 0 {
-			if rerr := s.Remove(w); rerr != nil {
+		w, wi := e.Workload, m.widx[k]
+		for s.JobsAt(wi) > 0 {
+			if rerr := s.RemoveAt(wi); rerr != nil {
 				return moved, lost, fmt.Errorf("sched: evacuating %s from server %d: %w", w.Name, s.ID(), rerr)
 			}
 			dst, perr := m.sched.Place(w)
@@ -364,7 +364,7 @@ func (m *StreamManager) Evacuate(s *cluster.Server) (moved, lost int, err error)
 				}
 				continue
 			}
-			if perr := dst.Place(w); perr != nil {
+			if perr := dst.PlaceAt(wi); perr != nil {
 				return moved, lost, fmt.Errorf("sched: %s chose full server %d during evacuation: %w",
 					m.sched.Name(), dst.ID(), perr)
 			}

@@ -87,6 +87,13 @@ func (m *LoadManager) Reconcile(now time.Duration) error {
 	for k, e := range m.entries {
 		target := int(math.Round(u * m.shares[k] * totalCores))
 		cur := m.counts[k]
+		if cur == target {
+			continue
+		}
+		// One registry lookup per entry that moves jobs, resolved here
+		// rather than cached at construction so that building a
+		// manager interns nothing.
+		wi := m.c.WorkloadIndex(e.Workload)
 		for cur < target {
 			s, err := m.sched.Place(e.Workload)
 			if err != nil {
@@ -101,7 +108,7 @@ func (m *LoadManager) Reconcile(now time.Duration) error {
 				}
 				return fmt.Errorf("sched: placing %s at %v: %w", e.Workload.Name, now, err)
 			}
-			if err := s.Place(e.Workload); err != nil {
+			if err := s.PlaceAt(wi); err != nil {
 				return fmt.Errorf("sched: %s chose full server %d: %w",
 					m.sched.Name(), s.ID(), err)
 			}
@@ -113,7 +120,7 @@ func (m *LoadManager) Reconcile(now time.Duration) error {
 			if err != nil {
 				return fmt.Errorf("sched: evicting %s at %v: %w", e.Workload.Name, now, err)
 			}
-			if err := s.Remove(e.Workload); err != nil {
+			if err := s.RemoveAt(wi); err != nil {
 				return fmt.Errorf("sched: %s chose empty server %d: %w",
 					m.sched.Name(), s.ID(), err)
 			}
@@ -135,7 +142,7 @@ func (m *LoadManager) Evacuate(s *cluster.Server) (moved, lost int, err error) {
 		// One registry lookup per entry, not one per job moved.
 		wi := m.c.WorkloadIndex(e.Workload)
 		for s.JobsAt(wi) > 0 {
-			if rerr := s.Remove(e.Workload); rerr != nil {
+			if rerr := s.RemoveAt(wi); rerr != nil {
 				return moved, lost, fmt.Errorf("sched: evacuating %s from server %d: %w", e.Workload.Name, s.ID(), rerr)
 			}
 			dst, perr := m.sched.Place(e.Workload)
@@ -148,7 +155,7 @@ func (m *LoadManager) Evacuate(s *cluster.Server) (moved, lost int, err error) {
 				}
 				return moved, lost, perr
 			}
-			if perr := dst.Place(e.Workload); perr != nil {
+			if perr := dst.PlaceAt(wi); perr != nil {
 				return moved, lost, fmt.Errorf("sched: %s chose full server %d during evacuation: %w",
 					m.sched.Name(), dst.ID(), perr)
 			}

@@ -82,12 +82,19 @@ type Fleet struct {
 
 	// memo holds each server's two-slot step-transition memo (the
 	// vectorized form of Node.memo): keys are raw IEEE-754 bit
-	// patterns matched with integer equality, valid is the explicit
-	// unset marker. A hit replays the recorded post-state and ledger
-	// deltas bit-identically; everything derivable (projections,
-	// mean flows, input energy) is recomputed from the same pure
-	// functions that produced it, so nothing redundant is stored.
+	// patterns matched with integer equality. A hit replays the
+	// recorded post-state and ledger deltas bit-identically;
+	// everything derivable (projections, mean flows, input energy) is
+	// recomputed from the same pure functions that produced it, so
+	// nothing redundant is stored.
 	memo []memoPair
+	// memoState is each memo's bookkeeping byte: which slots hold a
+	// record (memoValid0, memoValid1) and which one the next record
+	// overwrites (memoNext). It is the explicit unset marker, kept out
+	// of the slots so that StepRange reads a server's slots only when
+	// the byte shows a record: where no server settles, the memo check
+	// streams one byte per server.
+	memoState []uint8
 
 	// Construction records, kept for snapshots and accessors.
 	specs []ServerSpec
@@ -95,9 +102,9 @@ type Fleet struct {
 	init  []bool
 }
 
-// memoSlot is one recorded step transition of one server.
+// memoSlot is one recorded step transition of one server. Whether it
+// holds a record is the server's memoState byte's business.
 type memoSlot struct {
-	valid    bool
 	airBits  uint64
 	waxHBits uint64
 	powBits  uint64
@@ -109,21 +116,30 @@ type memoSlot struct {
 }
 
 // matches reports whether slot m recorded a step from exactly this
-// pre-state and input. It is small enough to inline: with the slots
-// tested one after the other instead of in a loop, StepRange's
-// per-server path keeps its state in registers.
+// pre-state and input; the caller has checked that it holds a record.
+// It is small enough to inline: with the slots tested one after the
+// other instead of in a loop, StepRange's per-server path keeps its
+// state in registers.
 //
 //vmt:hotpath
 func (m *memoSlot) matches(airBits, waxHBits, powBits uint64, dt time.Duration) bool {
-	return m.valid && m.airBits == airBits && m.waxHBits == waxHBits &&
+	return m.airBits == airBits && m.waxHBits == waxHBits &&
 		m.powBits == powBits && m.dt == dt
 }
 
-// memoPair is a server's two-slot round-robin memo.
-type memoPair struct {
-	slot [2]memoSlot
-	next uint8
-}
+// memoPair is a server's two-slot round-robin memo; its bookkeeping is
+// the server's memoState byte.
+type memoPair [2]memoSlot
+
+// memoState bits: slot 0 and slot 1 hold a record, and the next record
+// goes to slot 1 (clear: slot 0).
+const (
+	memoValid0 = 1 << iota
+	memoValid1
+	memoNext
+
+	memoValid = memoValid0 | memoValid1
+)
 
 // NewFleet allocates a store for n servers. Every server must be
 // initialized with Init before the fleet can step.
@@ -158,6 +174,7 @@ func NewFleet(n int) (*Fleet, error) {
 		waxFlowW:  make([]float64, n),
 		settled:   make([]bool, n),
 		memo:      make([]memoPair, n),
+		memoState: make([]uint8, n),
 		specs:     make([]ServerSpec, n),
 		mats:      make([]pcm.Material, n),
 		init:      make([]bool, n),
@@ -216,6 +233,7 @@ func (f *Fleet) Init(i int, spec ServerSpec, mat pcm.Material, inletC float64) e
 	f.waxFlowW[i] = 0
 	f.settled[i] = false
 	f.memo[i] = memoPair{}
+	f.memoState[i] = 0
 	f.init[i] = true
 	return nil
 }
@@ -290,25 +308,31 @@ func (f *Fleet) StepRange(lo, hi int, power []float64, dt time.Duration) (int, e
 		// Memo check: a hit replays the recorded transition. The key is
 		// (air, enthalpy, power, dt) exactly as in Node.Step — the
 		// cached wax temperature is derived state under every reachable
-		// pre-state, so it does not key.
-		airBits := math.Float64bits(f.airC[i])
-		waxHBits := math.Float64bits(f.waxHJ[i])
-		powBits := math.Float64bits(powerW)
-		mp := &f.memo[i]
-		m := &mp.slot[0]
-		if !m.matches(airBits, waxHBits, powBits, dt) {
-			m = &mp.slot[1]
-		}
-		if m.matches(airBits, waxHBits, powBits, dt) {
-			f.airC[i] = m.postAirC
-			f.commitWax(i, m.postWaxH)
-			f.inputJ[i] += powerW * sec
-			f.ejectJ[i] += m.ejectJ
-			f.storedJ[i] += m.storedJ
-			f.coolingW[i] = m.ejectJ / sec
-			f.waxFlowW[i] = m.storedJ / sec
-			f.settled[i] = true
-			continue
+		// pre-state, so it does not key. Slot 0 is tried first, as in
+		// Node.Step, and a server whose byte shows no record skips the
+		// slots entirely.
+		if st := f.memoState[i]; st&memoValid != 0 {
+			airBits := math.Float64bits(f.airC[i])
+			waxHBits := math.Float64bits(f.waxHJ[i])
+			powBits := math.Float64bits(powerW)
+			mp := &f.memo[i]
+			var m *memoSlot
+			if st&memoValid0 != 0 && mp[0].matches(airBits, waxHBits, powBits, dt) {
+				m = &mp[0]
+			} else if st&memoValid1 != 0 && mp[1].matches(airBits, waxHBits, powBits, dt) {
+				m = &mp[1]
+			}
+			if m != nil {
+				f.airC[i] = m.postAirC
+				f.commitWax(i, m.postWaxH)
+				f.inputJ[i] += powerW * sec
+				f.ejectJ[i] += m.ejectJ
+				f.storedJ[i] += m.storedJ
+				f.coolingW[i] = m.ejectJ / sec
+				f.waxFlowW[i] = m.storedJ / sec
+				f.settled[i] = true
+				continue
+			}
 		}
 
 		if w > 0 && f.subStep[i] != sub {
@@ -425,18 +449,19 @@ func (f *Fleet) stepLanes(lanes []int, power []float64, sec float64, dt time.Dur
 		// Memoize stationary-wax transitions only, like Node.Step: an
 		// actively charging or discharging pre-state never recurs.
 		if math.Float64bits(waxHV[j]) == math.Float64bits(waxH0V[j]) {
-			mp := &f.memo[i]
-			m := &mp.slot[mp.next]
-			m.valid = true
-			m.airBits = math.Float64bits(air0V[j])
-			m.waxHBits = math.Float64bits(waxH0V[j])
-			m.powBits = math.Float64bits(powV[j])
-			m.dt = dt
-			m.postAirC = airV[j]
-			m.postWaxH = waxHV[j]
-			m.ejectJ = ejV[j]
-			m.storedJ = stV[j]
-			mp.next = 1 - mp.next
+			st := f.memoState[i]
+			next := st & memoNext >> 2 // the slot to overwrite: memoNext is bit 2
+			f.memo[i][next] = memoSlot{
+				airBits:  math.Float64bits(air0V[j]),
+				waxHBits: math.Float64bits(waxH0V[j]),
+				powBits:  math.Float64bits(powV[j]),
+				dt:       dt,
+				postAirC: airV[j],
+				postWaxH: waxHV[j],
+				ejectJ:   ejV[j],
+				storedJ:  stV[j],
+			}
+			f.memoState[i] = (st | memoValid0<<next) ^ memoNext
 		}
 	}
 }
@@ -520,8 +545,7 @@ func (f *Fleet) InletTempC(i int) float64 { return f.inletC[i] }
 // Node.SetInletTempC does.
 func (f *Fleet) SetInletTempC(i int, c float64) {
 	f.inletC[i] = c
-	f.memo[i].slot[0].valid = false
-	f.memo[i].slot[1].valid = false
+	f.memoState[i] &^= memoValid
 }
 
 // Settled reports whether server i's last step replayed a memoized

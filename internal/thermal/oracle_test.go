@@ -299,6 +299,10 @@ func requireFleetsBitIdentical(t *testing.T, step int, a, b *Fleet) {
 		if a.memo[i] != b.memo[i] {
 			t.Fatalf("step %d server %d: step-transition memo diverged", step, i)
 		}
+		if a.memoState[i] != b.memoState[i] {
+			t.Fatalf("step %d server %d: step-transition memo state diverged: %03b vs %03b",
+				step, i, a.memoState[i], b.memoState[i])
+		}
 	}
 }
 

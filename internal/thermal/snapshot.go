@@ -105,6 +105,7 @@ func (f *Fleet) RestoreState(st *FleetState) error {
 		f.waxFlowW[i] = 0
 		f.settled[i] = false
 		f.memo[i] = memoPair{}
+		f.memoState[i] = 0
 	}
 	return nil
 }

@@ -37,20 +37,24 @@ go test -short -count=1 \
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
 go test -count=1 -run 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
 
-echo "== placement index and key slab vs linear scan, wax-state mask vs live predicates"
+echo "== placement index, key slab and power column vs references, wax-state mask vs live predicates"
 # Every VMT placement and eviction query, masked or not, is answered by
 # the cluster (placement index or key-slab scan) and by a linear scan
 # over the servers from the same rotation start, under seeded churn,
 # crashes, retunes, migrations, Byzantine reports and a workload
 # interned mid-run, at 8, 100 and 613 servers; every tree node must
-# match a rebuild, and every key-slab word the server fields it packs.
-# Servers are capped at the 32,767 cores the keys hold exactly. Every
-# read of VMT-WA's wax-state mask must equal the predicates evaluated
-# live, through fault-injected runs of VMT-WA, its oracle ablation and
-# VMT-preserve under both managers, and inside the window between each
-# report change (a report filter, a Byzantine lie, a repair's estimator
-# reset) and the scheduler's Tick.
-go test -count=1 -run 'TestPlacementIndex|TestWaxMask|TestSpecValidateCoreCap' \
+# match a rebuild, and every key-slab word the server fields it packs,
+# once the cluster's first query has packed them (until then only the
+# jobs fields are kept). After every place, remove, crash, repair and
+# evacuation by either manager, every server's entry in the power
+# column must bit-equal the draw its fields give. Servers are capped at
+# the 32,767 cores the keys hold exactly. Every read of VMT-WA's
+# wax-state mask must equal the predicates evaluated live, through
+# fault-injected runs of VMT-WA, its oracle ablation and VMT-preserve
+# under both managers, and inside the window between each report
+# change (a report filter, a Byzantine lie, a repair's estimator reset)
+# and the scheduler's Tick.
+go test -count=1 -run 'TestPlacementIndex|TestPowerColumn|TestWaxMask|TestSpecValidateCoreCap' \
     ./internal/cluster/ ./internal/core/ ./internal/thermal/
 
 echo "== completion queue vs container/heap, ties included"
@@ -213,6 +217,31 @@ status=0
 if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPlacementIndexMatchesScan' "$tmp/key.out"; then
     echo "TestPlacementIndexMatchesScan did not catch a crash that left its place keys unchanged:" >&2
     cat "$tmp/key.out" >&2
+    exit 1
+fi
+
+echo "== power-column self-check (a repair that leaves its draw at zero is caught)"
+# Delete the power-column write from Cluster.MarkRepaired, so a
+# repaired server keeps drawing nothing in the physics until its next
+# job move, and demand that the power-column test fail by name.
+powdir="$tmp/powmut"
+mkdir -p "$powdir"
+tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
+    --exclude ./vmt.test . | (cd "$powdir" && tar xf -)
+awk '/^func \(c \*Cluster\) MarkRepaired\(/ { inside = 1 }
+    inside && !done && /^\t\ts\.storePower\(\)$/ { done = 1; next }
+    /^}/ { inside = 0 } { print }' \
+    internal/cluster/cluster.go > "$powdir/internal/cluster/cluster.go"
+if cmp -s internal/cluster/cluster.go "$powdir/internal/cluster/cluster.go"; then
+    echo "found no power-column write in Cluster.MarkRepaired to delete" >&2
+    exit 1
+fi
+status=0
+(cd "$powdir" && go test -count=1 -run '^TestPowerColumnMatchesFields$' ./internal/core/) \
+    > "$tmp/pow.out" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPowerColumnMatchesFields' "$tmp/pow.out"; then
+    echo "TestPowerColumnMatchesFields did not catch a repair that left its power column at zero:" >&2
+    cat "$tmp/pow.out" >&2
     exit 1
 fi
 
