@@ -75,26 +75,18 @@ type PreserveStudy struct {
 // RunPreserveStudy evaluates the extension at the given scale and GV.
 func RunPreserveStudy(servers int, gv, dayOnePeak float64) (PreserveStudy, error) {
 	tr := AsymmetricTwoDay(dayOnePeak)
-	run := func(policy Policy) (*Result, error) {
-		cfg := Scenario(servers, policy, gv)
-		cfg.Trace = tr
-		return Run(cfg)
+	cfgs := make([]Config, 3)
+	for i, policy := range []Policy{PolicyRoundRobin, PolicyVMTWA, PolicyVMTPreserve} {
+		cfgs[i] = Scenario(servers, policy, gv)
+		cfgs[i].Trace = tr
 	}
-	baseline, err := run(PolicyRoundRobin)
-	if err != nil {
-		return PreserveStudy{}, err
-	}
-	wa, err := run(PolicyVMTWA)
-	if err != nil {
-		return PreserveStudy{}, err
-	}
-	pres, err := run(PolicyVMTPreserve)
+	runs, err := RunMany(cfgs, BatchOptions{})
 	if err != nil {
 		return PreserveStudy{}, err
 	}
 	study := PreserveStudy{DayOnePeakUtil: dayOnePeak}
-	study.WADay1, study.WA = dayPeakReductions(baseline, wa)
-	study.PresDay1, study.Preserve = dayPeakReductions(baseline, pres)
+	study.WADay1, study.WA = dayPeakReductions(runs[0], runs[1])
+	study.PresDay1, study.Preserve = dayPeakReductions(runs[0], runs[2])
 	return study, nil
 }
 
@@ -139,7 +131,7 @@ func RunEnergyCostStudy(servers int, gv float64, tariff energy.Tariff) (EnergyCo
 	runs, err := RunMany([]Config{
 		BaselineScenario(servers),
 		Scenario(servers, PolicyVMTWA, gv),
-	})
+	}, BatchOptions{})
 	if err != nil {
 		return EnergyCostStudy{}, err
 	}
@@ -180,10 +172,11 @@ type ZonePlacementStudy struct {
 func RunZonePlacementStudy(servers, zoneCount int, gv float64) (ZonePlacementStudy, error) {
 	cfg := Scenario(servers, PolicyVMTTA, gv)
 	cfg.RecordGrids = true
-	res, err := Run(cfg)
+	runs, err := RunMany([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		return ZonePlacementStudy{}, err
 	}
+	res := runs[0]
 	// Per-server cooling load ≈ KAir×(Tair−Tinlet); reuse the recorded
 	// air-temperature grid.
 	kAir := res.Config.Server.Value().AirConductanceWPerK

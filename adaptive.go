@@ -139,7 +139,7 @@ func RunAdaptiveGVStudy(servers, tuneServers int, dayPeaks, gvGrid []float64) (A
 	// Cached batch: the round-robin base and the static winner are
 	// exactly the configurations bestStaticGV just ran, so only the
 	// adaptive schedule simulates here.
-	runs, err := RunManyCached([]Config{base, adaptive, static}, BatchOptions{})
+	runs, err := RunMany([]Config{base, adaptive, static}, BatchOptions{})
 	if err != nil {
 		return AdaptiveGVStudy{}, err
 	}

@@ -24,15 +24,17 @@ import (
 // size; the 1,000-server headline runs in TestShape* and vmtreport.
 const benchServers = 100
 
-// benchNoCache disables the session run cache for one benchmark, so
-// study benchmarks keep measuring from-scratch regeneration (their
-// meaning in earlier BENCH records) instead of cache-hit time after
-// the first iteration. The explicit Cached/Uncached pair below is the
-// one place the cache itself is measured.
-func benchNoCache(b *testing.B) {
-	b.Helper()
+// noRunCache disables the session run cache for one test or
+// benchmark, so every configuration it batches simulates fresh. Study
+// benchmarks keep measuring from-scratch regeneration (their meaning
+// in earlier BENCH records) instead of cache-hit time after the first
+// iteration, and batch tests never compare a cached result with
+// itself. The explicit Cached/Uncached pair below is the one place the
+// cache itself is measured.
+func noRunCache(tb testing.TB) {
+	tb.Helper()
 	RunCache().SetEnabled(false)
-	b.Cleanup(func() { RunCache().SetEnabled(true) })
+	tb.Cleanup(func() { RunCache().SetEnabled(true) })
 }
 
 func BenchmarkTable01WorkloadCatalog(b *testing.B) {
@@ -107,6 +109,7 @@ func BenchmarkFig06ColocationQoS(b *testing.B) {
 }
 
 func BenchmarkFig07Reliability(b *testing.B) {
+	noRunCache(b)
 	var delta float64
 	for i := 0; i < b.N; i++ {
 		_, threeYr, err := ReliabilityStudy(benchServers, 22)
@@ -134,6 +137,7 @@ func BenchmarkFig08Trace(b *testing.B) {
 // reports the fleet peak melt fraction.
 func heatmapBench(b *testing.B, policy Policy, gv float64) {
 	b.Helper()
+	noRunCache(b)
 	var melt float64
 	for i := 0; i < b.N; i++ {
 		study, err := RunHeatmapStudy(benchServers, policy, gv)
@@ -162,6 +166,7 @@ func BenchmarkFig11VMTTAHeatmap(b *testing.B)        { heatmapBench(b, PolicyVMT
 func BenchmarkFig14VMTWAHeatmap(b *testing.B)        { heatmapBench(b, PolicyVMTWA, 20) }
 
 func BenchmarkTable02GVMapping(b *testing.B) {
+	noRunCache(b)
 	var span float64
 	for i := 0; i < b.N; i++ {
 		rows, err := GVMapping(benchServers, []float64{20, 22, 24, 26})
@@ -206,7 +211,7 @@ func BenchmarkFig15HotGroupTempWA(b *testing.B) { hotGroupTempBench(b, PolicyVMT
 // coolingLoadBench reports the GV=22 peak reduction (Figures 13/16).
 func coolingLoadBench(b *testing.B, policy Policy) {
 	b.Helper()
-	benchNoCache(b)
+	noRunCache(b)
 	var best float64
 	for i := 0; i < b.N; i++ {
 		study, err := RunCoolingLoadStudy(benchServers, policy, []float64{20, 22, 24})
@@ -222,10 +227,10 @@ func BenchmarkFig13CoolingLoadTA(b *testing.B) { coolingLoadBench(b, PolicyVMTTA
 func BenchmarkFig16CoolingLoadWA(b *testing.B) { coolingLoadBench(b, PolicyVMTWA) }
 
 func BenchmarkFig17WaxThreshold(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var plateau float64
 	for i := 0; i < b.N; i++ {
-		pts, err := WaxThresholdSweep(benchServers, 22, []float64{0.85, 0.95, 0.98})
+		pts, err := WaxThresholdSweep(benchServers, 22, []float64{0.85, 0.95, 0.98}, BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,10 +240,10 @@ func BenchmarkFig17WaxThreshold(b *testing.B) {
 }
 
 func BenchmarkFig18GVSweep(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var best float64
 	for i := 0; i < b.N; i++ {
-		pts, err := GVSweep(benchServers, PolicyVMTTA, []float64{18, 20, 22, 24, 26})
+		pts, err := GVSweep(benchServers, PolicyVMTTA, []float64{18, 20, 22, 24, 26}, BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +261,7 @@ func BenchmarkFig18GVSweep(b *testing.B) {
 // run in cmd/vmtreport).
 func inletVariationBench(b *testing.B, policy Policy) {
 	b.Helper()
-	benchNoCache(b)
+	noRunCache(b)
 	var worst float64
 	for i := 0; i < b.N; i++ {
 		pts, err := InletVariationStudy(benchServers, policy, []float64{22}, []float64{0, 2}, 2)
@@ -307,7 +312,7 @@ func BenchmarkClusterStep(b *testing.B) {
 // BenchmarkAblationWaxFeedback quantifies the wax-state feedback loop:
 // VMT-WA vs VMT-TA at a GV where only feedback preserves benefit.
 func BenchmarkAblationWaxFeedback(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		pts, err := AblationStudy(benchServers, 20)
@@ -326,6 +331,7 @@ func BenchmarkAblationWaxFeedback(b *testing.B) {
 // BenchmarkAblationOracleWaxState measures what perfect wax sensing
 // would add over the per-server lookup-table estimator.
 func BenchmarkAblationOracleWaxState(b *testing.B) {
+	noRunCache(b)
 	var delta float64
 	for i := 0; i < b.N; i++ {
 		def, err := PeakReductionPct(Scenario(benchServers, PolicyVMTWA, 22))
@@ -373,6 +379,7 @@ func BenchmarkAblationPreserve(b *testing.B) {
 // BenchmarkAblationTraceSharpness measures how the diurnal peak shape
 // moves the headline reduction (the pre-peak melt budget).
 func BenchmarkAblationTraceSharpness(b *testing.B) {
+	noRunCache(b)
 	var spread float64
 	for i := 0; i < b.N; i++ {
 		reds := make([]float64, 0, 2)
@@ -395,6 +402,7 @@ func BenchmarkAblationTraceSharpness(b *testing.B) {
 // BenchmarkOversubscription validates the more-servers-same-cooling
 // claim in simulation (Section V-E) with a 25% safety derate.
 func BenchmarkOversubscription(b *testing.B) {
+	noRunCache(b)
 	var headroom float64
 	for i := 0; i < b.N; i++ {
 		st, err := RunOversubscriptionStudy(benchServers*2, PolicyVMTTA, 22, 0.25)
@@ -412,7 +420,7 @@ func BenchmarkOversubscription(b *testing.B) {
 // BenchmarkAdaptabilityAmbient quantifies the Section I motivation:
 // VMT's advantage over fixed wax at a cool ambient where TTS strands.
 func BenchmarkAdaptabilityAmbient(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		pts, err := AmbientSweep(benchServers, []float64{20}, []float64{18, 20, 22})
@@ -427,7 +435,7 @@ func BenchmarkAdaptabilityAmbient(b *testing.B) {
 // BenchmarkAdaptabilityDrift quantifies the lifetime-drift motivation
 // at a reduced workload power level.
 func BenchmarkAdaptabilityDrift(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		pts, err := DriftSweep(benchServers, []float64{1.3}, []float64{18, 20, 22})
@@ -445,9 +453,10 @@ func BenchmarkRunMany(b *testing.B) {
 	for i := range cfgs {
 		cfgs[i] = Scenario(25, PolicyVMTTA, 20+float64(i))
 	}
+	noRunCache(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMany(cfgs); err != nil {
+		if _, err := RunMany(cfgs, BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +489,7 @@ func BenchmarkJobStream(b *testing.B) {
 // → retune) on a regime-shift week and reports the adaptive-vs-static
 // margin.
 func BenchmarkAdaptiveGV(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var margin float64
 	for i := 0; i < b.N; i++ {
 		st, err := RunAdaptiveGVStudy(benchServers, 50,
@@ -497,6 +506,7 @@ func BenchmarkAdaptiveGV(b *testing.B) {
 // BenchmarkEnergyCost prices the time-of-use cooling bill of VMT
 // against round robin (the paper's closing off-peak-energy point).
 func BenchmarkEnergyCost(b *testing.B) {
+	noRunCache(b)
 	var savings float64
 	for i := 0; i < b.N; i++ {
 		st, err := RunEnergyCostStudy(benchServers, 22, energy.TypicalTOU())
@@ -512,6 +522,7 @@ func BenchmarkEnergyCost(b *testing.B) {
 // group parenthetical: extra CRAC capacity a physically clustered hot
 // group would demand.
 func BenchmarkZonePlacement(b *testing.B) {
+	noRunCache(b)
 	var oversize float64
 	for i := 0; i < b.N; i++ {
 		st, err := RunZonePlacementStudy(benchServers, 5, 22)
@@ -525,7 +536,7 @@ func BenchmarkZonePlacement(b *testing.B) {
 
 // BenchmarkPMTSweep quantifies the melting-point purchasing cliff.
 func BenchmarkPMTSweep(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var cliff float64
 	for i := 0; i < b.N; i++ {
 		pts, err := PMTSweep(60, []float64{35.7, 40}, []float64{20, 22, 24})
@@ -540,7 +551,7 @@ func BenchmarkPMTSweep(b *testing.B) {
 // BenchmarkVolumeSweep quantifies what doubling the 4 L deployment
 // would buy.
 func BenchmarkVolumeSweep(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		pts, err := VolumeSweep(60, []float64{4, 8}, []float64{20, 22, 24})
@@ -654,7 +665,7 @@ func BenchmarkRunFullObservability(b *testing.B) {
 // every iteration (session cache disabled) — the pre-engine cost of
 // the study.
 func BenchmarkAblationStudyUncached(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := AblationStudy(benchServers, 20); err != nil {
 			b.Fatal(err)
@@ -695,7 +706,7 @@ func runAdaptiveGVBench(b *testing.B) {
 // disabled: every tuning run, the static sweep, and the final
 // three-way comparison all simulate.
 func BenchmarkAdaptiveGVStudyUncached(b *testing.B) {
-	benchNoCache(b)
+	noRunCache(b)
 	for i := 0; i < b.N; i++ {
 		runAdaptiveGVBench(b)
 	}

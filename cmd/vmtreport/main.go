@@ -368,22 +368,22 @@ func (r *reporter) table2() error {
 }
 
 func (r *reporter) hotGroupTemps(name string, policy vmt.Policy, gvs []float64) error {
-	var names []string
-	var series []*stats.Series
+	cfgs := []vmt.Config{vmt.BaselineScenario(r.servers)}
 	for _, gv := range gvs {
-		res, err := vmt.Run(vmt.Scenario(r.servers, policy, gv))
-		if err != nil {
-			return err
-		}
-		names = append(names, fmt.Sprintf("GV=%g", gv))
-		series = append(series, res.HotGroupTempC)
+		cfgs = append(cfgs, vmt.Scenario(r.servers, policy, gv))
 	}
-	rr, err := vmt.Run(vmt.BaselineScenario(r.servers))
+	runs, err := vmt.RunMany(cfgs, vmt.BatchOptions{})
 	if err != nil {
 		return err
 	}
+	var names []string
+	var series []*stats.Series
+	for i, gv := range gvs {
+		names = append(names, fmt.Sprintf("GV=%g", gv))
+		series = append(series, runs[i+1].HotGroupTempC)
+	}
 	names = append(names, "RoundRobinAvg")
-	series = append(series, rr.MeanAirTempC)
+	series = append(series, runs[0].MeanAirTempC)
 	tb := report.Table{
 		Title:   fmt.Sprintf("%s: average hot group temperature using %s (°C, wax melts at 35.7)", name, policy),
 		Headers: append([]string{"Hour"}, names...),
@@ -467,7 +467,7 @@ func (r *reporter) coolingLoads(name string, policy vmt.Policy) error {
 
 func (r *reporter) fig17() error {
 	pts, err := vmt.WaxThresholdSweep(r.sweepServers, 22,
-		[]float64{0.85, 0.90, 0.95, 0.98, 0.99, 1.00})
+		[]float64{0.85, 0.90, 0.95, 0.98, 0.99, 1.00}, vmt.BatchOptions{})
 	if err != nil {
 		return err
 	}
@@ -483,11 +483,11 @@ func (r *reporter) fig17() error {
 
 func (r *reporter) fig18() error {
 	gvs := []float64{10, 12, 14, 16, 18, 20, 21, 22, 23, 24, 26, 28, 30}
-	ta, err := vmt.GVSweep(r.sweepServers, vmt.PolicyVMTTA, gvs)
+	ta, err := vmt.GVSweep(r.sweepServers, vmt.PolicyVMTTA, gvs, vmt.BatchOptions{})
 	if err != nil {
 		return err
 	}
-	wa, err := vmt.GVSweep(r.sweepServers, vmt.PolicyVMTWA, gvs)
+	wa, err := vmt.GVSweep(r.sweepServers, vmt.PolicyVMTWA, gvs, vmt.BatchOptions{})
 	if err != nil {
 		return err
 	}
@@ -637,23 +637,21 @@ func (r *reporter) extJobStream() error {
 		Title:   "Extension: query-level load model (Poisson arrivals, sampled durations)",
 		Headers: []string{"Policy", "Peak reduction (%)", "Arrivals", "Drops", "Drop rate (%)"},
 	}
-	rrCfg := vmt.BaselineScenario(r.sweepServers)
-	rrCfg.JobStream = true
-	base, err := vmt.Run(rrCfg)
+	cfgs := []vmt.Config{vmt.BaselineScenario(r.sweepServers),
+		vmt.Scenario(r.sweepServers, vmt.PolicyVMTTA, 22), vmt.Scenario(r.sweepServers, vmt.PolicyVMTWA, 22)}
+	for i := range cfgs {
+		cfgs[i].JobStream = true
+	}
+	runs, err := vmt.RunMany(cfgs, vmt.BatchOptions{})
 	if err != nil {
 		return err
 	}
+	base := runs[0]
 	tb.AddRow("round-robin", "0.0", base.TaskArrivals, base.TaskDrops,
 		fmt.Sprintf("%.4f", float64(base.TaskDrops)/float64(base.TaskArrivals)*100))
-	for _, p := range []vmt.Policy{vmt.PolicyVMTTA, vmt.PolicyVMTWA} {
-		cfg := vmt.Scenario(r.sweepServers, p, 22)
-		cfg.JobStream = true
-		res, err := vmt.Run(cfg)
-		if err != nil {
-			return err
-		}
+	for _, res := range runs[1:] {
 		red := (base.PeakCoolingW() - res.PeakCoolingW()) / base.PeakCoolingW() * 100
-		tb.AddRow(string(p), fmt.Sprintf("%.1f", red), res.TaskArrivals, res.TaskDrops,
+		tb.AddRow(string(res.Config.Policy), fmt.Sprintf("%.1f", red), res.TaskArrivals, res.TaskDrops,
 			fmt.Sprintf("%.4f", float64(res.TaskDrops)/float64(res.TaskArrivals)*100))
 	}
 	return tb.Render(r.out)

@@ -83,7 +83,7 @@ func main() {
 }
 
 func sweepGV(policy vmt.Policy, servers int, gvs []float64, batch vmt.BatchOptions) error {
-	pts, err := vmt.GVSweepOpts(servers, policy, gvs, batch)
+	pts, err := vmt.GVSweep(servers, policy, gvs, batch)
 	if err != nil {
 		return err
 	}
@@ -98,7 +98,7 @@ func sweepGV(policy vmt.Policy, servers int, gvs []float64, batch vmt.BatchOptio
 }
 
 func sweepThreshold(servers int, gv float64, batch vmt.BatchOptions) error {
-	pts, err := vmt.WaxThresholdSweepOpts(servers, gv,
+	pts, err := vmt.WaxThresholdSweep(servers, gv,
 		[]float64{0.85, 0.90, 0.95, 0.98, 0.99, 1.00}, batch)
 	if err != nil {
 		return err

@@ -24,7 +24,8 @@ type Facility struct {
 
 // FacilityResult aggregates a facility run.
 type FacilityResult struct {
-	// PerCluster holds each member cluster's result.
+	// PerCluster holds each member cluster's result. Results may be
+	// shared with the session run cache — treat them as read-only.
 	PerCluster []*Result
 	// CoolingLoadW is the summed facility cooling load.
 	CoolingLoadW *stats.Series
@@ -44,7 +45,7 @@ func RunFacility(f Facility, plantOpt Optional[chiller.Plant]) (*FacilityResult,
 	if len(f.Clusters) == 0 {
 		return nil, fmt.Errorf("vmt: facility needs at least one cluster")
 	}
-	results, err := RunMany(f.Clusters)
+	results, err := RunMany(f.Clusters, BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -119,22 +120,21 @@ func RunOversubscriptionStudy(servers int, policy Policy, gv, safetyFrac float64
 	if safetyFrac < 0 || safetyFrac >= 1 {
 		return OversubscriptionStudy{}, fmt.Errorf("vmt: safety fraction %v out of [0,1)", safetyFrac)
 	}
-	baseline, err := Run(BaselineScenario(servers))
+	same, err := RunMany([]Config{BaselineScenario(servers), Scenario(servers, policy, gv)}, BatchOptions{})
 	if err != nil {
 		return OversubscriptionStudy{}, err
 	}
-	budget := baseline.PeakCoolingW()
-	vmtSame, err := Run(Scenario(servers, policy, gv))
-	if err != nil {
-		return OversubscriptionStudy{}, err
-	}
-	reduction := (budget - vmtSame.PeakCoolingW()) / budget * 100
+	budget := same[0].PeakCoolingW()
+	reduction := (budget - same[1].PeakCoolingW()) / budget * 100
 	r := reduction / 100 * (1 - safetyFrac)
 	extra := int(math.Floor((1/(1-r) - 1) * float64(servers)))
-	enlarged, err := Run(Scenario(servers+extra, policy, gv))
+	// The enlarged fleet's size depends on the measured reduction, so it
+	// runs as a second batch.
+	grown, err := RunMany([]Config{Scenario(servers+extra, policy, gv)}, BatchOptions{})
 	if err != nil {
 		return OversubscriptionStudy{}, err
 	}
+	enlarged := grown[0]
 	study := OversubscriptionStudy{
 		BaselineServers:      servers,
 		ExtraServers:         extra,

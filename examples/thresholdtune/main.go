@@ -23,7 +23,7 @@ func main() {
 	thresholds := []float64{0.85, 0.90, 0.95, 0.98, 0.99, 1.00}
 
 	fmt.Printf("Sweeping the VMT-WA wax threshold on %d servers at GV=%d...\n\n", servers, gv)
-	pts, err := vmt.WaxThresholdSweep(servers, gv, thresholds)
+	pts, err := vmt.WaxThresholdSweep(servers, gv, thresholds, vmt.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

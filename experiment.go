@@ -3,7 +3,6 @@ package vmt
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -22,10 +21,11 @@ import (
 // This file binds the declarative experiment engine
 // (internal/experiment) to the simulator: the decoding of spec
 // settings onto Configs, the canonical Config hash behind the
-// content-addressed run cache, the spec executor on top of
-// RunManyOpts, and the named reducers. The root studies in
-// experiments.go / ablation.go / adaptability.go / adaptive.go are
-// thin spec-builder + reducer adapters over this core.
+// content-addressed run cache that RunMany plans every batch through,
+// the spec executor on top of RunMany, and the named reducers. The
+// root studies in experiments.go / ablation.go / adaptability.go /
+// adaptive.go build their configurations, as specs or directly, and
+// run them through RunMany.
 
 // ---------------------------------------------------------------------
 // Canonical Config hashing.
@@ -129,60 +129,6 @@ func resultFingerprint(v any) uint64 {
 // measurements, or read its hit/miss Stats.
 func RunCache() *experiment.Cache { return runCache }
 
-// RunManyCached is RunManyOpts through the session run cache: cached
-// and intra-batch-duplicate configurations are answered without
-// simulating, and fresh results are stored for the rest of the
-// process. Cache traffic lands on the "experiment_cache_hits" /
-// "experiment_cache_misses" counters of the process default registry
-// (SetDefaultObservers). Like RunManyOpts, a failure is reported as a
-// *RunError carrying the index into cfgs, with results at all other
-// indices still populated.
-func RunManyCached(cfgs []Config, opts BatchOptions) ([]*Result, error) {
-	keys := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		k, err := configKey(cfg)
-		if err != nil {
-			return nil, &RunError{Index: i, Err: err}
-		}
-		keys[i] = k
-	}
-	plan := runCache.Plan(keys)
-
-	metrics := defaultObservers().Metrics
-	metrics.Counter("experiment_cache_hits").Add(uint64(len(cfgs) - plan.Misses()))
-	metrics.Counter("experiment_cache_misses").Add(uint64(plan.Misses()))
-	if n := plan.Corrupt(); n > 0 {
-		metrics.Counter("experiment_cache_corruptions").Add(uint64(n))
-	}
-
-	toRun := make([]Config, len(plan.Run))
-	for j, i := range plan.Run {
-		toRun[j] = cfgs[i]
-	}
-	runs, runErr := RunManyOpts(toRun, opts)
-	fresh := make([]any, len(toRun))
-	for j, r := range runs {
-		if r != nil {
-			fresh[j] = r
-		}
-	}
-	merged := runCache.Commit(plan, fresh)
-	out := make([]*Result, len(cfgs))
-	for i, v := range merged {
-		if v != nil {
-			out[i] = v.(*Result)
-		}
-	}
-	if runErr != nil {
-		var re *RunError
-		if errors.As(runErr, &re) {
-			return out, &RunError{Index: plan.Run[re.Index], Err: re.Err}
-		}
-		return out, runErr
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------
 // Settings → Config.
 
@@ -284,8 +230,8 @@ func (sr *SpecRun) BaselineFor(i int) *Result {
 }
 
 // RunSpecResults validates and executes a spec: the baselines and the
-// full grid run as one deduplicated batch through the session run
-// cache on top of RunManyOpts.
+// full grid run as one RunMany batch, deduplicated through the session
+// run cache.
 func RunSpecResults(spec experiment.Spec, opts BatchOptions) (*SpecRun, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -311,7 +257,7 @@ func RunSpecResults(spec experiment.Spec, opts BatchOptions) (*SpecRun, error) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	runs, err := RunManyCached(cfgs, opts)
+	runs, err := RunMany(cfgs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func TestConfigKeyCanonical(t *testing.T) {
 	}
 }
 
-func TestRunManyCachedDedup(t *testing.T) {
+func TestRunManyDedup(t *testing.T) {
 	defer runCache.SetEnabled(true)
 	runCache.SetEnabled(true)
 
@@ -104,7 +104,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 	cfg.Seed = 777
 	vmtCfg.Seed = 777
 
-	runs, err := RunManyCached([]Config{cfg, vmtCfg, cfg}, BatchOptions{})
+	runs, err := RunMany([]Config{cfg, vmtCfg, cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 
 	// Second batch: everything is cached, and cached results are the
 	// same pointers.
-	runs2, err := RunManyCached([]Config{cfg, vmtCfg}, BatchOptions{})
+	runs2, err := RunMany([]Config{cfg, vmtCfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 
 // Cache-on and cache-off executions are bit-identical: the cache only
 // skips simulating configurations whose result is already known.
-func TestRunManyCachedBitIdenticalDisabled(t *testing.T) {
+func TestRunManyBitIdenticalCacheDisabled(t *testing.T) {
 	defer runCache.SetEnabled(true)
 
 	cfg := Scenario(4, PolicyVMTWA, 20)
@@ -142,12 +142,12 @@ func TestRunManyCachedBitIdenticalDisabled(t *testing.T) {
 	cfg.Seed = 778
 
 	runCache.SetEnabled(true)
-	on, err := RunManyCached([]Config{cfg, cfg}, BatchOptions{})
+	on, err := RunMany([]Config{cfg, cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runCache.SetEnabled(false)
-	off, err := RunManyCached([]Config{cfg, cfg}, BatchOptions{})
+	off, err := RunMany([]Config{cfg, cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestRunManyCachedBitIdenticalDisabled(t *testing.T) {
 	}
 }
 
-func TestRunManyCachedPartialFailure(t *testing.T) {
+func TestRunManyCachePartialFailure(t *testing.T) {
 	good := BaselineScenario(3)
 	good.Trace = smallTrace()
 	good.Seed = 779
 	bad := Scenario(0, PolicyRoundRobin, 0) // zero servers: fails validation
-	_, err := RunManyCached([]Config{good, bad}, BatchOptions{})
+	_, err := RunMany([]Config{good, bad}, BatchOptions{})
 	re, ok := err.(*RunError)
 	if !ok {
 		t.Fatalf("want *RunError, got %v", err)
@@ -180,7 +180,7 @@ func TestRunManyCachedPartialFailure(t *testing.T) {
 		t.Fatalf("failure index = %d, want 1 (remapped through the plan)", re.Index)
 	}
 	// The failed config must not poison the cache.
-	if _, err := RunManyCached([]Config{good}, BatchOptions{}); err != nil {
+	if _, err := RunMany([]Config{good}, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -432,9 +432,9 @@ func TestConfigFromSettingsErrors(t *testing.T) {
 	}
 }
 
-// RunManyCached is safe under concurrent study execution; check.sh
-// runs this under -race (the TestRunMany pattern matches it).
-func TestRunManyCachedConcurrentStudies(t *testing.T) {
+// RunMany is safe under concurrent study execution; check.sh runs this
+// under -race (the TestRunMany pattern matches it).
+func TestRunManyConcurrentStudies(t *testing.T) {
 	defer runCache.SetEnabled(true)
 	runCache.SetEnabled(true)
 	cfg := BaselineScenario(3)
@@ -447,7 +447,7 @@ func TestRunManyCachedConcurrentStudies(t *testing.T) {
 	errc := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			_, err := RunManyCached([]Config{cfg, vmtCfg}, BatchOptions{})
+			_, err := RunMany([]Config{cfg, vmtCfg}, BatchOptions{})
 			errc <- err
 		}()
 	}

@@ -26,15 +26,11 @@ import (
 func PeakReductionPct(cfg Config) (float64, error) {
 	base := cfg
 	base.Policy = PolicyRoundRobin
-	baseline, err := Run(base)
+	runs, err := RunMany([]Config{base, cfg}, BatchOptions{})
 	if err != nil {
 		return 0, err
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return cooling.PeakReductionPct(baseline.CoolingLoadW, res.CoolingLoadW)
+	return cooling.PeakReductionPct(runs[0].CoolingLoadW, runs[1].CoolingLoadW)
 }
 
 // GVSweepPoint is one sample of the Figure 18 sweep.
@@ -45,23 +41,18 @@ type GVSweepPoint struct {
 
 // GVSweep reproduces the Figure 18 axis: peak cooling load reduction
 // versus GV for one policy, against a shared round-robin baseline. The
-// points run concurrently via RunMany, so a batch tracer sees one
-// tagged run per sweep point (run 0 is the baseline).
-func GVSweep(servers int, policy Policy, gvs []float64) ([]GVSweepPoint, error) {
-	return GVSweepOpts(servers, policy, gvs, BatchOptions{})
-}
-
-// GVSweepOpts is GVSweep with batch options: a worker bound for the
-// concurrent points and an optional progress writer for long sweeps.
-func GVSweepOpts(servers int, policy Policy, gvs []float64, opts BatchOptions) ([]GVSweepPoint, error) {
+// baseline and the points run as one RunMany batch, tagged by batch
+// index: the baseline is run 0 and point i is run i+1. A configuration
+// the run cache answers does not run, so a batch tracer sees no run
+// with its index.
+func GVSweep(servers int, policy Policy, gvs []float64, opts BatchOptions) ([]GVSweepPoint, error) {
 	sr, err := RunSpecResults(GVSweepSpec(servers, policy, gvs), opts)
 	if err != nil {
 		return nil, err
 	}
-	baseline := sr.Baselines[0]
 	out := make([]GVSweepPoint, 0, len(gvs))
 	for i, gv := range gvs {
-		red, err := cooling.PeakReductionPct(baseline.CoolingLoadW, sr.Results[i].CoolingLoadW)
+		red, err := sr.pointReduction(i)
 		if err != nil {
 			return nil, err
 		}
@@ -78,20 +69,14 @@ type ThresholdSweepPoint struct {
 
 // WaxThresholdSweep reproduces Figure 17: VMT-WA peak reduction as the
 // wax threshold varies (paper: 100 servers, GV=22, thresholds 0.85–1).
-func WaxThresholdSweep(servers int, gv float64, thresholds []float64) ([]ThresholdSweepPoint, error) {
-	return WaxThresholdSweepOpts(servers, gv, thresholds, BatchOptions{})
-}
-
-// WaxThresholdSweepOpts is WaxThresholdSweep with batch options.
-func WaxThresholdSweepOpts(servers int, gv float64, thresholds []float64, opts BatchOptions) ([]ThresholdSweepPoint, error) {
+func WaxThresholdSweep(servers int, gv float64, thresholds []float64, opts BatchOptions) ([]ThresholdSweepPoint, error) {
 	sr, err := RunSpecResults(WaxThresholdSweepSpec(servers, gv, thresholds), opts)
 	if err != nil {
 		return nil, err
 	}
-	baseline := sr.Baselines[0]
 	out := make([]ThresholdSweepPoint, 0, len(thresholds))
 	for i, th := range thresholds {
-		red, err := cooling.PeakReductionPct(baseline.CoolingLoadW, sr.Results[i].CoolingLoadW)
+		red, err := sr.pointReduction(i)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +166,7 @@ func GVMapping(servers int, gvs []float64) ([]GVMappingRow, error) {
 	for _, gv := range gvs {
 		cfgs = append(cfgs, Scenario(servers, PolicyVMTTA, gv))
 	}
-	runs, err := RunMany(cfgs)
+	runs, err := RunMany(cfgs, BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -244,10 +229,11 @@ func ColocationStudy() ([]qos.CachingPoint, []qos.SearchPoint, error) {
 // fleet-mean temperatures, then evaluates the MTBF model over 6- and
 // 36-month horizons under the paper's 20%/month rotation.
 func ReliabilityStudy(servers int, gv float64) (sixMo, threeYr reliability.Comparison, err error) {
-	res, err := Run(Scenario(servers, PolicyVMTWA, gv))
+	runs, err := RunMany([]Config{Scenario(servers, PolicyVMTWA, gv)}, BatchOptions{})
 	if err != nil {
 		return
 	}
+	res := runs[0]
 	hot := res.HotGroupTempC.Mean()
 	mean := res.MeanAirTempC.Mean()
 	// Cold-group mean follows from the fleet decomposition:
@@ -368,10 +354,11 @@ type HeatmapStudy struct {
 func RunHeatmapStudy(servers int, policy Policy, gv float64) (*HeatmapStudy, error) {
 	cfg := Scenario(servers, policy, gv)
 	cfg.RecordGrids = true
-	res, err := Run(cfg)
+	runs, err := RunMany([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
+	res := runs[0]
 	return &HeatmapStudy{
 		Policy:       policy,
 		GV:           gv,
@@ -411,41 +398,41 @@ func GVMappingFusion(servers int, deltas, gvGrid []float64) ([]FusionMappingRow,
 		}
 		return e / 1e6
 	}
-	// VMT-TA stored-energy peaks across the grid, computed once.
-	vmtEnergy := make([]float64, len(gvGrid))
-	for i, gv := range gvGrid {
-		res, err := Run(Scenario(servers, PolicyVMTTA, gv))
-		if err != nil {
-			return nil, err
-		}
-		vmtEnergy[i] = peakEnergyMJ(res)
-	}
+	// One batch: VMT-TA at every grid GV, then per delta a passive TTS
+	// run per grid GV, its wax's fusion scaled to the hot group's share.
 	mat := pcm.CommercialParaffin()
-	rows := make([]FusionMappingRow, 0, len(deltas))
+	cfgs := make([]Config, 0, len(gvGrid)*(1+len(deltas)))
+	for _, gv := range gvGrid {
+		cfgs = append(cfgs, Scenario(servers, PolicyVMTTA, gv))
+	}
 	for _, delta := range deltas {
-		pmt := mat.MeltTempC + delta
-		bestRow := FusionMappingRow{DeltaPMTC: delta, PMTC: pmt}
-		bestGap := math.Inf(1)
-		for i, gv := range gvGrid {
-			// Hypothetical wax: swept PMT, fusion scaled to the hot
-			// group's share of the fleet's storage.
+		for _, gv := range gvGrid {
 			frac := gv / mat.MeltTempC
 			if frac > 1 {
 				frac = 1
 			}
 			cfg := BaselineScenario(servers)
-			cfg.Material = Some(mat.WithMeltTemp(pmt).
+			cfg.Material = Some(mat.WithMeltTemp(mat.MeltTempC + delta).
 				WithLatentHeat(mat.LatentHeatJPerKg * frac))
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			ttsE := peakEnergyMJ(res)
-			if gap := math.Abs(ttsE - vmtEnergy[i]); gap < bestGap {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	runs, err := RunMany(cfgs, BatchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FusionMappingRow, 0, len(deltas))
+	for di, delta := range deltas {
+		bestRow := FusionMappingRow{DeltaPMTC: delta, PMTC: mat.MeltTempC + delta}
+		bestGap := math.Inf(1)
+		for i, gv := range gvGrid {
+			vmtE := peakEnergyMJ(runs[i])
+			ttsE := peakEnergyMJ(runs[(1+di)*len(gvGrid)+i])
+			if gap := math.Abs(ttsE - vmtE); gap < bestGap {
 				bestGap = gap
 				bestRow.GV = gv
 				bestRow.TTSEnergyMJ = ttsE
-				bestRow.VMTEnergyMJ = vmtEnergy[i]
+				bestRow.VMTEnergyMJ = vmtE
 			}
 		}
 		rows = append(rows, bestRow)

@@ -123,16 +123,16 @@ func TestFaultRunBitIdenticalAcrossWorkersAndCache(t *testing.T) {
 		cache := RunCache()
 		cache.Reset()
 		cache.SetEnabled(false)
-		uncached, err := RunManyCached([]Config{base}, BatchOptions{})
+		uncached, err := RunMany([]Config{base}, BatchOptions{})
 		cache.SetEnabled(true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := RunManyCached([]Config{base}, BatchOptions{})
+		fresh, err := RunMany([]Config{base}, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := RunManyCached([]Config{base}, BatchOptions{})
+		replay, err := RunMany([]Config{base}, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,16 +241,16 @@ func TestCorrelatedFaultRunBitIdentical(t *testing.T) {
 		cache := RunCache()
 		cache.Reset()
 		cache.SetEnabled(false)
-		uncached, err := RunManyCached([]Config{base}, BatchOptions{})
+		uncached, err := RunMany([]Config{base}, BatchOptions{})
 		cache.SetEnabled(true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := RunManyCached([]Config{base}, BatchOptions{})
+		fresh, err := RunMany([]Config{base}, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := RunManyCached([]Config{base}, BatchOptions{})
+		replay, err := RunMany([]Config{base}, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,9 +335,10 @@ func TestRunManyPanicIsolation(t *testing.T) {
 		cfg.Trace = smallTrace()
 		return cfg
 	}
+	noRunCache(t)
 	cfgs := []Config{mk(), mk(), mk()}
 	cfgs[1].Tracer = panicTracer{}
-	results, err := RunMany(cfgs)
+	results, err := RunMany(cfgs, BatchOptions{})
 	var re *RunError
 	if !errors.As(err, &re) || re.Index != 1 {
 		t.Fatalf("err = %v, want *RunError at index 1", err)
@@ -368,9 +369,10 @@ func TestRunManyCancellation(t *testing.T) {
 	}
 	// Sequential dispatch: run 0 completes, run 1 cancels the batch at
 	// its first span, run 2 is never dispatched.
+	noRunCache(t)
 	cfgs := []Config{mk(), mk(), mk()}
 	cfgs[1].Tracer = cancelTracer{cancel: cancel}
-	results, err := RunManyOpts(cfgs, BatchOptions{Workers: 1, Context: ctx})
+	results, err := RunMany(cfgs, BatchOptions{Workers: 1, Context: ctx})
 	var re *RunError
 	if !errors.As(err, &re) || re.Index != 1 {
 		t.Fatalf("err = %v, want *RunError at index 1", err)
@@ -402,9 +404,10 @@ func TestRunManyTimeout(t *testing.T) {
 		cfg.Trace = smallTrace()
 		return cfg
 	}
+	noRunCache(t)
 	cfgs := []Config{mk(), mk()}
 	cfgs[0].Tracer = slowTracer{d: 20 * time.Millisecond}
-	results, err := RunManyOpts(cfgs, BatchOptions{Timeout: 100 * time.Millisecond})
+	results, err := RunMany(cfgs, BatchOptions{Timeout: 100 * time.Millisecond})
 	var re *RunError
 	if !errors.As(err, &re) || re.Index != 0 {
 		t.Fatalf("err = %v, want *RunError at index 0", err)
@@ -429,14 +432,14 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetDefaultObservers(Observers{Metrics: reg})
 	defer SetDefaultObservers(Observers{})
-	first, err := RunManyCached([]Config{cfg}, BatchOptions{})
+	first, err := RunMany([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := first[0].CoolingLoadW.Values[0]
 	// Scribble on the shared cached result.
 	first[0].CoolingLoadW.Values[0] = good + 1
-	second, err := RunManyCached([]Config{cfg}, BatchOptions{})
+	second, err := RunMany([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +456,7 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 		t.Fatalf("experiment_cache_corruptions = %d, want 1", got)
 	}
 	// The recomputed entry replaced the quarantined one.
-	third, err := RunManyCached([]Config{cfg}, BatchOptions{})
+	third, err := RunMany([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

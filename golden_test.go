@@ -86,7 +86,7 @@ type goldenGVPoint struct {
 // path shows up here as a bit-level diff.
 func TestGoldenGVSweep(t *testing.T) {
 	gvs := []float64{16, 20, 22, 24, 28}
-	pts, err := GVSweep(8, PolicyVMTTA, gvs)
+	pts, err := GVSweep(8, PolicyVMTTA, gvs, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

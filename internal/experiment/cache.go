@@ -137,7 +137,9 @@ func (p *Plan) Corrupt() int { return p.corrupt }
 // Plan computes the dedup plan for the given keys. With the cache
 // disabled the plan is the identity: every request runs, nothing is
 // deduplicated, so disabled-cache executions match the pre-cache
-// code paths run for run.
+// code paths run for run. An empty key marks a request the cache must
+// neither answer nor keep: it always runs, no other request folds into
+// it, and Commit stores nothing for it.
 func (c *Cache) Plan(keys []string) *Plan {
 	p := &Plan{
 		source: make([]int, len(keys)),
@@ -157,6 +159,12 @@ func (c *Cache) Plan(keys []string) *Plan {
 	}
 	firstRun := make(map[string]int, len(keys))
 	for i, k := range keys {
+		if k == "" {
+			c.misses++
+			p.source[i] = len(p.Run)
+			p.Run = append(p.Run, i)
+			continue
+		}
 		if e, ok := c.store[k]; ok {
 			if c.verify != nil && c.verify(e.value) != e.fp {
 				// Quarantine: the stored value no longer matches its
@@ -203,7 +211,7 @@ func (c *Cache) Commit(p *Plan, fresh []any) []any {
 			continue
 		}
 		out[i] = fresh[src]
-		if c.enabled && fresh[src] != nil {
+		if c.enabled && fresh[src] != nil && p.keys[i] != "" {
 			e := entry{value: fresh[src]}
 			if c.verify != nil {
 				e.fp = c.verify(e.value)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -79,6 +80,26 @@ func TestCacheNilFreshNotStored(t *testing.T) {
 	}
 	if p := c.Plan([]string{"fail"}); p.Misses() != 1 {
 		t.Error("failed run served from cache")
+	}
+}
+
+// An empty key always runs: it is never answered from the store, no
+// request folds into it, and its result is not kept.
+func TestCacheEmptyKeyAlwaysRuns(t *testing.T) {
+	c := NewCache()
+	p := c.Plan([]string{"", "a", "", "a"})
+	if !slices.Equal(p.Run, []int{0, 1, 2}) {
+		t.Fatalf("Run = %v, want [0 1 2]", p.Run)
+	}
+	out := c.Commit(p, []any{"x", "r", "y"})
+	if !slices.Equal(out, []any{"x", "r", "y", "r"}) {
+		t.Fatalf("commit = %v", out)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("an unkeyed result was stored: Len = %d, want 1", c.Len())
+	}
+	if p := c.Plan([]string{""}); p.Misses() != 1 {
+		t.Fatal("an unkeyed request was answered from the store")
 	}
 }
 

@@ -64,9 +64,9 @@ var (
 // since RunMany shares them across workers; *telemetry.Registry,
 // *telemetry.Recorder, *telemetry.Stream, and *telemetry.FleetPublisher
 // all are. RunMany tags the shared Tracer and Stream with each run's
-// index (telemetry.WithRun, Stream.ForRun) so exported traces and
-// window records keep runs apart; the Fleet live view shows whichever
-// run published last.
+// index in the batch (telemetry.WithRun, Stream.ForRun) so exported
+// traces and window records keep runs apart; the Fleet live view shows
+// whichever run published last.
 //
 // This is intended for process-scoped wiring (the cliobs CLI flags);
 // library callers should prefer the per-Config fields.

@@ -33,7 +33,7 @@ func (e *RunError) Error() string { return fmt.Sprintf("vmt: run %d: %v", e.Inde
 // Unwrap returns the underlying failure.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// BatchOptions tunes RunManyOpts.
+// BatchOptions tunes RunMany.
 type BatchOptions struct {
 	// Workers bounds concurrency; ≤0 selects GOMAXPROCS.
 	Workers int
@@ -52,46 +52,86 @@ type BatchOptions struct {
 	Timeout time.Duration
 }
 
-// RunMany executes the given configurations concurrently (each run is
-// itself single-threaded and independent) and returns results in input
-// order. Determinism is preserved: every run produces exactly what a
-// sequential Run of the same configuration would.
-func RunMany(cfgs []Config) ([]*Result, error) {
-	return RunManyOpts(cfgs, BatchOptions{})
-}
-
-// RunManyN is RunMany with an explicit worker bound (≥1).
-func RunManyN(cfgs []Config, workers int) ([]*Result, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("vmt: need at least one worker")
+// RunMany executes a batch of configurations concurrently and returns
+// their results in input order; it is the one batch entry point.
+//
+// The batch goes through the process run cache (RunCache): a
+// configuration already stored, or repeating an earlier one of the
+// batch, is answered without simulating, and fresh results are stored
+// for the rest of the process, so results are shared — treat them as
+// read-only. A configuration that sets any of its own Observers always
+// simulates and takes no duplicates, so its sinks see its run.
+// RunCache().SetEnabled(false) forces fresh runs. Cache traffic lands
+// on the experiment_cache_* counters of the default registry.
+//
+// Each run is single-threaded, independent and bit-identical to a
+// sequential Run. Every run completes even if another fails; the
+// lowest-indexed failure is returned as a *RunError carrying its index
+// in cfgs, with results at all successful indices populated. A
+// panicking run is recovered into its own error (with the stack). Runs
+// observe through their Config's sinks, falling back on the process
+// defaults (SetDefaultObservers) with the shared tracer and stream
+// tagged by the run's index in cfgs.
+func RunMany(cfgs []Config, opts BatchOptions) ([]*Result, error) {
+	// An empty key runs fresh and keeps nothing: for a configuration with
+	// its own sinks, and for one the key cannot encode (it fails at Run).
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		if cfg.Observers != (Observers{}) {
+			continue
+		}
+		if k, err := configKey(cfg); err == nil {
+			keys[i] = k
+		}
 	}
-	return RunManyOpts(cfgs, BatchOptions{Workers: workers})
+	plan := runCache.Plan(keys)
+
+	metrics := defaultObservers().Metrics
+	metrics.Counter("experiment_cache_hits").Add(uint64(len(cfgs) - plan.Misses()))
+	metrics.Counter("experiment_cache_misses").Add(uint64(plan.Misses()))
+	if n := plan.Corrupt(); n > 0 {
+		metrics.Counter("experiment_cache_corruptions").Add(uint64(n))
+	}
+
+	runs, errs := runPool(cfgs, plan.Run, opts)
+	fresh := make([]any, len(runs))
+	for j, r := range runs {
+		if r != nil {
+			fresh[j] = r
+		}
+	}
+	out := make([]*Result, len(cfgs))
+	for i, v := range runCache.Commit(plan, fresh) {
+		if v != nil {
+			out[i] = v.(*Result)
+		}
+	}
+	for j, err := range errs {
+		if err != nil {
+			return out, &RunError{Index: plan.Run[j], Err: err}
+		}
+	}
+	return out, nil
 }
 
-// RunManyOpts is RunMany with batch options. Every configuration runs
-// to completion even if another fails; the error for the
-// lowest-indexed failure is returned as a *RunError carrying that
-// index, and results at all successful indices are still populated —
-// callers that can use partial sweeps may inspect both. A run that
-// panics is isolated: the panic is recovered into that run's error
-// (with the stack) and its siblings are unaffected. Each run observes
-// through its Config's sinks, falling back on the process defaults
-// (SetDefaultObservers) with the shared tracer and stream tagged by
-// the run's index.
-func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
+// runPool simulates cfgs[idx[j]] for every j on a bounded worker pool
+// and returns the results and errors aligned with idx. The shared
+// default tracer and stream are tagged with idx[j], the run's index in
+// cfgs.
+func runPool(cfgs []Config, idx []int, opts BatchOptions) ([]*Result, []error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+	if workers > len(idx) {
+		workers = len(idx)
 	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
+	results := make([]*Result, len(idx))
+	errs := make([]error, len(idx))
 	defaults := defaultObservers()
 
 	// runOne isolates a single run: a panic anywhere inside Run is
@@ -138,11 +178,11 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 		if w, ok := durations.Last(); ok && w.Count > 0 {
 			perRun = w.Mean
 		}
-		remaining := len(cfgs) - done
+		remaining := len(idx) - done
 		eta := time.Duration(perRun * float64(remaining) / float64(workers) * float64(time.Second))
 		fmt.Fprintf(opts.Progress,
 			"vmt: run %d/%d done (%s, %d servers) in %v — %.2f runs/s, eta %v\n",
-			done, len(cfgs), cfgs[i].Policy, cfgs[i].Servers,
+			done, len(idx), cfgs[i].Policy, cfgs[i].Servers,
 			d.Round(time.Millisecond), rate, eta.Round(time.Second))
 	}
 
@@ -152,7 +192,8 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for j := range jobs {
+				i := idx[j]
 				cfg := cfgs[i]
 				// Batch workers already saturate the cores; nested
 				// per-tick physics parallelism would only add
@@ -161,38 +202,33 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 				if cfg.PhysicsWorkers == 0 {
 					cfg.PhysicsWorkers = 1
 				}
-				// Tag the shared default tracer and stream with the run
-				// index so exported traces and window records keep runs
-				// apart; a Config's own sinks pass through untagged.
+				// Tag the shared default tracer and stream with the run's
+				// index in cfgs so exported traces and window records keep
+				// runs apart; a Config's own sinks pass through untagged.
 				shared := defaults
 				shared.Tracer = telemetry.WithRun(defaults.Tracer, i)
 				shared.Stream = defaults.Stream.ForRun(i)
 				cfg.Observers = cfg.Observers.or(shared)
 				runStart := time.Now() //vmtlint:allow detrand observational: progress-line timing only
-				results[i], errs[i] = runOne(cfg)
+				results[j], errs[j] = runOne(cfg)
 				report(i, time.Since(runStart)) //vmtlint:allow detrand observational: progress-line timing only
 			}
 		}()
 	}
 feed:
-	for i := range cfgs {
+	for j := range idx {
 		select {
 		case <-ctx.Done():
 			// Mark every not-yet-dispatched run cancelled; in-flight
 			// runs observe the same context at their next tick.
-			for j := i; j < len(cfgs); j++ {
-				errs[j] = ctx.Err()
+			for k := j; k < len(idx); k++ {
+				errs[k] = ctx.Err()
 			}
 			break feed
-		case jobs <- i:
+		case jobs <- j:
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return results, &RunError{Index: i, Err: err}
-		}
-	}
-	return results, nil
+	return results, errs
 }

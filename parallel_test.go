@@ -10,12 +10,13 @@ import (
 )
 
 func TestRunManyMatchesSequential(t *testing.T) {
+	noRunCache(t)
 	cfgs := []Config{
 		func() Config { c := BaselineScenario(5); c.Trace = smallTrace(); return c }(),
 		func() Config { c := Scenario(5, PolicyVMTTA, 22); c.Trace = smallTrace(); return c }(),
 		func() Config { c := Scenario(5, PolicyVMTWA, 22); c.Trace = smallTrace(); return c }(),
 	}
-	parallel, err := RunMany(cfgs)
+	parallel, err := RunMany(cfgs, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +42,19 @@ func TestRunManyPropagatesErrors(t *testing.T) {
 		func() Config { c := BaselineScenario(3); c.Trace = smallTrace(); return c }(),
 		BaselineScenario(0), // invalid
 	}
-	if _, err := RunMany(cfgs); err == nil {
+	if _, err := RunMany(cfgs, BatchOptions{}); err == nil {
 		t.Fatal("invalid config should fail the batch")
 	}
 }
 
-func TestRunManyNWorkerBounds(t *testing.T) {
-	if _, err := RunManyN(nil, 0); err == nil {
-		t.Fatal("zero workers should fail")
+func TestRunManyWorkerBounds(t *testing.T) {
+	if res, err := RunMany(nil, BatchOptions{}); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
+	noRunCache(t)
 	cfg := BaselineScenario(3)
 	cfg.Trace = smallTrace()
-	res, err := RunManyN([]Config{cfg}, 16) // workers > jobs
+	res, err := RunMany([]Config{cfg}, BatchOptions{Workers: 16}) // workers > jobs
 	if err != nil || len(res) != 1 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -67,8 +69,9 @@ func TestRunManyPartialResults(t *testing.T) {
 		c.Trace = smallTrace()
 		return c
 	}
+	noRunCache(t)
 	cfgs := []Config{mk(3), BaselineScenario(0) /* invalid */, mk(4)}
-	results, err := RunManyN(cfgs, 2)
+	results, err := RunMany(cfgs, BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("invalid config should fail the batch")
 	}
@@ -98,14 +101,15 @@ func TestRunManyPartialResults(t *testing.T) {
 	}
 }
 
-func TestRunManyOptsProgressAndThroughput(t *testing.T) {
+func TestRunManyProgressAndThroughput(t *testing.T) {
+	noRunCache(t)
 	cfgs := make([]Config, 3)
 	for i := range cfgs {
 		cfgs[i] = BaselineScenario(3)
 		cfgs[i].Trace = smallTrace()
 	}
 	var buf bytes.Buffer
-	if _, err := RunManyOpts(cfgs, BatchOptions{Workers: 2, Progress: &buf}); err != nil {
+	if _, err := RunMany(cfgs, BatchOptions{Workers: 2, Progress: &buf}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -128,10 +132,11 @@ func TestRunManyOptsProgressAndThroughput(t *testing.T) {
 	}
 }
 
-// TestRunManyOptsSharedStreamTagsRuns checks the shared default window
+// TestRunManySharedStreamTagsRuns checks the shared default window
 // stream forks per run: records from concurrent runs interleave in one
 // sink but stay separable by run index.
-func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
+func TestRunManySharedStreamTagsRuns(t *testing.T) {
+	noRunCache(t)
 	cfgs := make([]Config, 3)
 	for i := range cfgs {
 		cfgs[i] = BaselineScenario(3)
@@ -141,7 +146,7 @@ func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	sink := telemetry.NewNDJSONSink(&buf) // sink serializes concurrent emits itself
 	SetDefaultObservers(Observers{Stream: telemetry.NewStream(telemetry.StreamOptions{WindowTicks: 4, Sink: sink})})
 	defer SetDefaultObservers(Observers{})
-	if _, err := RunManyOpts(cfgs, BatchOptions{Workers: 3}); err != nil {
+	if _, err := RunMany(cfgs, BatchOptions{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := telemetry.ReadWindows(&buf)
@@ -159,9 +164,10 @@ func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	}
 }
 
-// TestRunManyOptsSharedTracerTagsRuns checks the shared default
+// TestRunManySharedTracerTagsRuns checks the shared default
 // recorder separates runs by index, and a shared registry aggregates.
-func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
+func TestRunManySharedTracerTagsRuns(t *testing.T) {
+	noRunCache(t)
 	cfgs := make([]Config, 3)
 	for i := range cfgs {
 		cfgs[i] = BaselineScenario(3)
@@ -171,7 +177,7 @@ func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetDefaultObservers(Observers{Tracer: rec, Metrics: reg})
 	defer SetDefaultObservers(Observers{})
-	if _, err := RunManyOpts(cfgs, BatchOptions{}); err != nil {
+	if _, err := RunMany(cfgs, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	runs := map[int]int{}
@@ -185,5 +191,48 @@ func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
 	// per run.
 	if got := reg.Counter("run_ticks").Value(); got != uint64(len(cfgs))*1440 {
 		t.Fatalf("run_ticks = %d, want %d", got, len(cfgs)*1440)
+	}
+}
+
+// TestRunManyTagsRunsByInputIndex: a configuration the cache answers
+// does not run, and the shared tracer and stream tag each run that
+// does with its index in the batch, not its position among the runs.
+func TestRunManyTagsRunsByInputIndex(t *testing.T) {
+	cached := BaselineScenario(3)
+	cached.Trace = smallTrace()
+	cached.Seed = 781
+	fresh := Scenario(3, PolicyVMTTA, 22)
+	fresh.Trace = smallTrace()
+	fresh.Seed = 781
+	RunCache().Reset()
+	if _, err := RunMany([]Config{cached}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := telemetry.NewRecorder()
+	var buf bytes.Buffer
+	stream := telemetry.NewStream(telemetry.StreamOptions{WindowTicks: 4, Sink: telemetry.NewNDJSONSink(&buf)})
+	SetDefaultObservers(Observers{Tracer: rec, Stream: stream})
+	defer SetDefaultObservers(Observers{})
+	if _, err := RunMany([]Config{cached, fresh}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[int]int{}
+	for _, ev := range rec.Events() {
+		spans[ev.Run]++
+	}
+	if len(spans) != 1 || spans[1] == 0 {
+		t.Fatalf("spans per run = %v, want every span tagged run 1", spans)
+	}
+	recs, err := telemetry.ReadWindows(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := map[int]int{}
+	for _, r := range recs {
+		windows[r.Run]++
+	}
+	if len(windows) != 1 || windows[1] == 0 {
+		t.Fatalf("window records per run = %v, want every record tagged run 1", windows)
 	}
 }

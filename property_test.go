@@ -104,12 +104,13 @@ func TestRunManyWorkerBoundsBitIdentical(t *testing.T) {
 		cfg.Step = 2 * time.Minute
 		cfgs = append(cfgs, cfg)
 	}
-	ref, err := RunManyN(cfgs, 1)
+	noRunCache(t)
+	ref, err := RunMany(cfgs, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 100} {
-		got, err := RunManyN(cfgs, workers)
+		got, err := RunMany(cfgs, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -189,7 +189,7 @@ func TestShapeGV22IsBest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full two-day cluster runs")
 	}
-	pts, err := GVSweep(100, PolicyVMTTA, []float64{20, 22, 24})
+	pts, err := GVSweep(100, PolicyVMTTA, []float64{20, 22, 24}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestShapeWaxThresholdPlateau(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full two-day cluster runs")
 	}
-	pts, err := WaxThresholdSweep(100, 22, []float64{0.85, 0.95, 0.98})
+	pts, err := WaxThresholdSweep(100, 22, []float64{0.85, 0.95, 0.98}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
