@@ -46,22 +46,24 @@ import (
 
 	"vmt"
 	"vmt/internal/cliobs"
+	"vmt/internal/cooling"
 	"vmt/internal/report"
 	"vmt/internal/stats"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "vmtsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+// run executes the command for args (argv without the program name).
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("vmtsim", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	obs := cliobs.RegisterFlags(fs)
-	cfg, opts, err := buildConfig(fs, os.Args[1:])
+	cfg, opts, err := buildConfig(fs, args)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			os.Exit(0)
@@ -76,6 +78,18 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "vmtsim: -serve requires -debug-addr\n\n")
 		fs.Usage()
 		os.Exit(2)
+	}
+
+	// The round-robin baseline behind the reduction row runs before the
+	// observability window opens, so -trace, -metrics, -stream and
+	// -fleet-log describe the policy run alone.
+	var baseline *vmt.Result
+	if opts.Baseline && !opts.Serve && cfg.Policy != vmt.PolicyRoundRobin {
+		base := cfg
+		base.Policy = vmt.PolicyRoundRobin
+		if baseline, err = vmt.Run(base); err != nil {
+			return fmt.Errorf("baseline: %w", err)
+		}
 	}
 
 	if err := obs.Start(); err != nil {
@@ -97,7 +111,7 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	return printSummary(cfg, opts, res)
+	return printSummary(cfg, opts, res, baseline)
 }
 
 // serveSession opens a resumable session, exposes it on the cliobs
@@ -128,7 +142,8 @@ func serveSession(cfg vmt.Config, obs *cliobs.Observability) (*vmt.Result, error
 	return res, err
 }
 
-func printSummary(cfg vmt.Config, opts simOptions, res *vmt.Result) error {
+// printSummary prints the summary, with a reduction row if baseline ran.
+func printSummary(cfg vmt.Config, opts simOptions, res, baseline *vmt.Result) error {
 	if res.CoolingLoadW.Len() == 0 {
 		fmt.Fprintln(os.Stderr, "vmtsim: no ticks completed; nothing to summarize")
 		return nil
@@ -160,8 +175,8 @@ func printSummary(cfg vmt.Config, opts simOptions, res *vmt.Result) error {
 		tb.AddRow("Task arrivals / drops",
 			fmt.Sprintf("%d / %d", res.TaskArrivals, res.TaskDrops))
 	}
-	if opts.Baseline && !opts.Serve && cfg.Policy != vmt.PolicyRoundRobin {
-		red, err := vmt.PeakReductionPct(cfg)
+	if baseline != nil {
+		red, err := cooling.PeakReductionPct(baseline.CoolingLoadW, res.CoolingLoadW)
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
