@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,8 @@ import (
 // validation with arbitrary argv strings. The contract buildSweep
 // gives main: never panic, and any (args, nil) return describes a
 // sweep the dispatcher can run — a known kind, a sane cluster size,
-// and (for the gv kind) a non-empty all-finite grid.
+// (for the gv kind) a non-empty all-finite grid, and batch flags only
+// for a kind that honors them.
 func FuzzBuildSweep(f *testing.F) {
 	f.Add("")
 	f.Add("-kind gv -servers 100 -from 10 -to 30 -step 2")
@@ -32,6 +34,12 @@ func FuzzBuildSweep(f *testing.F) {
 	f.Add("-unknown-flag x")
 	f.Add("--")
 	f.Add("-h")
+	f.Add("-kind fault -servers 100 -gv 22")
+	f.Add("-kind corr -servers 50")
+	f.Add("-kind inlet -sweep-workers 2")
+	f.Add("-kind pmt -progress")
+	f.Add("-kind corr -sweep-workers 0")
+	f.Add("-kind threshold -sweep-workers 2 -progress")
 
 	f.Fuzz(func(t *testing.T, argv string) {
 		args := strings.Fields(argv)
@@ -47,6 +55,13 @@ func FuzzBuildSweep(f *testing.F) {
 		if a.SpecPath != "" {
 			return // the spec file carries its own validated grid
 		}
+		k := slices.Index(sweepKinds, a.Kind)
+		if k < 0 {
+			t.Fatalf("buildSweep accepted unknown kind %q from %q", a.Kind, argv)
+		}
+		if k >= batchedKinds && (a.Workers != 0 || a.Progress) {
+			t.Fatalf("buildSweep accepted batch flags for -kind %s from %q", a.Kind, argv)
+		}
 		switch a.Kind {
 		case "gv":
 			if len(a.Grid) == 0 {
@@ -57,12 +72,10 @@ func FuzzBuildSweep(f *testing.F) {
 					t.Fatalf("buildSweep accepted %q with non-finite grid point %v", argv, gv)
 				}
 			}
-		case "threshold", "inlet", "pmt", "volume":
-			if a.Kind == "inlet" && a.Runs < 1 {
+		case "inlet":
+			if a.Runs < 1 {
 				t.Fatalf("buildSweep accepted %q with %d runs", argv, a.Runs)
 			}
-		default:
-			t.Fatalf("buildSweep accepted unknown kind %q from %q", a.Kind, argv)
 		}
 	})
 }

@@ -4,7 +4,16 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 )
+
+// sweepKinds lists every -kind in help order. The first batchedKinds
+// run their configurations through one vmt.BatchOptions, so only they
+// (and -spec) take -sweep-workers and -progress.
+var sweepKinds = []string{"gv", "threshold", "inlet", "pmt", "volume", "fault", "corr"}
+
+const batchedKinds = 2
 
 // sweepArgs is the validated sweep request: the kind, its parameters,
 // and the already-expanded GV grid for the range-driven kinds.
@@ -60,7 +69,7 @@ func gvGrid(from, to, step float64) ([]float64, error) {
 // sweepArgs or returns an error, never a panic and never a partial
 // sweep.
 func registerSweepFlags(fs *flag.FlagSet) func() (sweepArgs, error) {
-	kind := fs.String("kind", "gv", "sweep kind: gv, threshold, inlet, pmt, volume, fault, corr")
+	kind := fs.String("kind", "gv", "sweep kind: "+strings.Join(sweepKinds, ", "))
 	policy := fs.String("policy", "vmt-ta", "policy for gv/inlet sweeps: vmt-ta or vmt-wa")
 	servers := fs.Int("servers", 100, "cluster size")
 	gv := fs.Float64("gv", 22, "grouping value (threshold sweep)")
@@ -69,9 +78,10 @@ func registerSweepFlags(fs *flag.FlagSet) func() (sweepArgs, error) {
 	step := fs.Float64("step", 2, "sweep step (gv sweep)")
 	runs := fs.Int("runs", 5, "runs per point (inlet sweep)")
 	spec := fs.String("spec", "", "run a declarative spec file instead of a -kind sweep")
+	batched := "-spec and kinds " + strings.Join(sweepKinds[:batchedKinds], ", ")
 	workers := fs.Int("sweep-workers", 0,
-		"concurrent sweep points (0 = GOMAXPROCS); results are identical for any value")
-	progress := fs.Bool("progress", false, "print per-run progress to stderr")
+		"concurrent sweep points (0 = GOMAXPROCS; "+batched+"); results are identical for any value")
+	progress := fs.Bool("progress", false, "print per-run progress to stderr ("+batched+")")
 	return func() (sweepArgs, error) {
 		a := sweepArgs{
 			Kind:     *kind,
@@ -89,6 +99,13 @@ func registerSweepFlags(fs *flag.FlagSet) func() (sweepArgs, error) {
 		if a.SpecPath != "" {
 			return a, nil // the spec file carries its own grid
 		}
+		k := slices.Index(sweepKinds, a.Kind)
+		if k < 0 {
+			return sweepArgs{}, fmt.Errorf("unknown sweep kind %q (want %s)", a.Kind, strings.Join(sweepKinds, ", "))
+		}
+		if k >= batchedKinds && (a.Workers != 0 || a.Progress) {
+			return sweepArgs{}, fmt.Errorf("-sweep-workers and -progress apply to %s, not -kind %s", batched, a.Kind)
+		}
 		switch a.Kind {
 		case "gv":
 			grid, err := gvGrid(*from, *to, *step)
@@ -96,13 +113,10 @@ func registerSweepFlags(fs *flag.FlagSet) func() (sweepArgs, error) {
 				return sweepArgs{}, err
 			}
 			a.Grid = grid
-		case "threshold", "pmt", "volume", "fault", "corr":
 		case "inlet":
 			if a.Runs < 1 {
 				return sweepArgs{}, fmt.Errorf("-runs must be at least 1, got %d", a.Runs)
 			}
-		default:
-			return sweepArgs{}, fmt.Errorf("unknown sweep kind %q", a.Kind)
 		}
 		return a, nil
 	}
