@@ -245,4 +245,30 @@ if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPowerColumnMatchesFields' 
     exit 1
 fi
 
+echo "== report check (a full vmtreport reproduces results/)"
+# Rerun the command in results/README.md and demand the committed
+# output: stdout equal to results/report.txt once the per-artifact
+# "(<artifact> in <t>s)" timing lines are dropped, and the four CSVs
+# and four line-chart SVGs equal byte for byte. The heat-map SVGs the
+# command also writes are not committed.
+repdir="$tmp/report"
+mkdir -p "$repdir"
+go build -o "$tmp/vmtreport" ./cmd/vmtreport
+"$tmp/vmtreport" -servers 1000 -csv "$repdir/csv" -svg "$repdir/svg" > "$repdir/report.txt"
+timing='^([a-z0-9-]* in [0-9.]*s)$'
+grep -v "$timing" results/report.txt > "$repdir/want.txt"
+grep -v "$timing" "$repdir/report.txt" > "$repdir/got.txt"
+if ! diff "$repdir/want.txt" "$repdir/got.txt" > "$repdir/report.diff"; then
+    echo "vmtreport's output differs from results/report.txt:" >&2
+    head -40 "$repdir/report.diff" >&2
+    exit 1
+fi
+for f in csv/fig12.csv csv/fig13.csv csv/fig15.csv csv/fig16.csv \
+    svg/fig12.svg svg/fig13.svg svg/fig15.svg svg/fig16.svg; do
+    if ! cmp "results/$f" "$repdir/$f"; then
+        echo "vmtreport's $f differs from results/$f" >&2
+        exit 1
+    fi
+done
+
 echo "ok"
