@@ -236,3 +236,28 @@ func TestRunManyTagsRunsByInputIndex(t *testing.T) {
 		t.Fatalf("window records per run = %v, want every record tagged run 1", windows)
 	}
 }
+
+// TestRunManyOwnObserversAlwaysRun: a configuration with its own sinks
+// is neither answered from the cache nor folded into a duplicate, so
+// its sinks see every run of it.
+func TestRunManyOwnObserversAlwaysRun(t *testing.T) {
+	cfg := BaselineScenario(3)
+	cfg.Trace = smallTrace()
+	cfg.Seed = 782
+	if _, err := RunMany([]Config{cfg}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := cfg, cfg
+	a.Metrics = telemetry.NewRegistry()
+	b.Metrics = telemetry.NewRegistry()
+	if _, err := RunMany([]Config{cfg, a, b, a}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// 1-day trace at 1-minute step: 1440 ticks per run; a runs twice.
+	if got := a.Metrics.Counter("run_ticks").Value(); got != 2*1440 {
+		t.Errorf("a's registry counted %d ticks, want 2880", got)
+	}
+	if got := b.Metrics.Counter("run_ticks").Value(); got != 1440 {
+		t.Errorf("b's registry counted %d ticks, want 1440", got)
+	}
+}
