@@ -84,32 +84,17 @@ func RunPreserveStudy(servers int, gv, dayOnePeak float64) (PreserveStudy, error
 	if err != nil {
 		return PreserveStudy{}, err
 	}
-	study := PreserveStudy{DayOnePeakUtil: dayOnePeak}
-	study.WADay1, study.WA = dayPeakReductions(runs[0], runs[1])
-	study.PresDay1, study.Preserve = dayPeakReductions(runs[0], runs[2])
-	return study, nil
+	days := preserveDayEdges(runs[0])
+	wa := windowPeakReductions(runs[0], runs[1], days...)
+	pres := windowPeakReductions(runs[0], runs[2], days...)
+	return PreserveStudy{DayOnePeakUtil: dayOnePeak,
+		WA: wa[1], Preserve: pres[1], WADay1: wa[0], PresDay1: pres[0]}, nil
 }
 
-// dayPeakReductions splits the series at hour 29 (the inter-day
-// trough) and returns the per-day peak reductions.
-func dayPeakReductions(baseline, variant *Result) (day1, day2 float64) {
-	split := int((29 * time.Hour) / baseline.Config.Step)
-	reduce := func(lo, hi int) float64 {
-		var bPeak, vPeak float64
-		for i := lo; i < hi && i < baseline.CoolingLoadW.Len(); i++ {
-			if b := baseline.CoolingLoadW.Values[i]; b > bPeak {
-				bPeak = b
-			}
-			if v := variant.CoolingLoadW.Values[i]; v > vPeak {
-				vPeak = v
-			}
-		}
-		if bPeak <= 0 {
-			return 0
-		}
-		return (bPeak - vPeak) / bPeak * 100
-	}
-	return reduce(0, split), reduce(split, baseline.CoolingLoadW.Len())
+// preserveDayEdges splits a run's samples at hour 29, the inter-day
+// trough: day one is the window before it, day two the rest.
+func preserveDayEdges(r *Result) []int {
+	return []int{0, int((29 * time.Hour) / r.Config.Step), r.CoolingLoadW.Len()}
 }
 
 // EnergyCostStudy prices the cooling electricity of round robin versus

@@ -79,8 +79,9 @@ func TestPreserveStudyWarmNight(t *testing.T) {
 	base := run(PolicyRoundRobin)
 	wa := run(PolicyVMTWA)
 	pres := run(PolicyVMTPreserve)
-	waD1, waD2 := dayPeakReductions(base, wa)
-	presD1, presD2 := dayPeakReductions(base, pres)
+	waD := windowPeakReductions(base, wa, preserveDayEdges(base)...)
+	presD := windowPeakReductions(base, pres, preserveDayEdges(base)...)
+	waD1, waD2, presD1, presD2 := waD[0], waD[1], presD[0], presD[1]
 	if presD2 <= waD2 {
 		t.Fatalf("preserving should improve day 2: %.2f vs %.2f", presD2, waD2)
 	}
@@ -112,9 +113,9 @@ func TestDayPeakReductionsSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, d2 := dayPeakReductions(base, base)
-	if d1 != 0 || d2 != 0 {
-		t.Fatalf("self-comparison should be zero: %v, %v", d1, d2)
+	d := windowPeakReductions(base, base, preserveDayEdges(base)...)
+	if len(d) != 2 || d[0] != 0 || d[1] != 0 {
+		t.Fatalf("self-comparison should be zero on both days: %v", d)
 	}
 }
 

@@ -43,14 +43,16 @@ func adaptabilitySweep(spec experiment.Spec, conditions, gvs []float64) ([]Adapt
 	out := make([]AdaptabilityPoint, 0, len(conditions))
 	for ci, cond := range conditions {
 		at := ci * variants
-		base := sr.BaselineFor(at).PeakCoolingW()
-		if base <= 0 {
-			return nil, fmt.Errorf("vmt: non-positive baseline peak")
+		tts, err := sr.pointReduction(at)
+		if err != nil {
+			return nil, err
 		}
-		tts := (base - sr.Results[at].PeakCoolingW()) / base * 100
 		bestGV, bestRed := 0.0, -1e9
 		for gi, gv := range gvs {
-			red := (base - sr.Results[at+1+gi].PeakCoolingW()) / base * 100
+			red, err := sr.pointReduction(at + 1 + gi)
+			if err != nil {
+				return nil, err
+			}
 			if red > bestRed {
 				bestGV, bestRed = gv, red
 			}

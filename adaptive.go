@@ -143,8 +143,13 @@ func RunAdaptiveGVStudy(servers, tuneServers int, dayPeaks, gvGrid []float64) (A
 	if err != nil {
 		return AdaptiveGVStudy{}, err
 	}
-	study.AdaptiveDaily = dailyPeakReductions(runs[0], runs[1], len(dayPeaks))
-	study.StaticDaily = dailyPeakReductions(runs[0], runs[2], len(dayPeaks))
+	perDay := int((24 * time.Hour) / runs[0].Config.Step)
+	days := make([]int, len(dayPeaks)+1)
+	for d := range days {
+		days[d] = d * perDay
+	}
+	study.AdaptiveDaily = windowPeakReductions(runs[0], runs[1], days...)
+	study.StaticDaily = windowPeakReductions(runs[0], runs[2], days...)
 	for d := range study.AdaptiveDaily {
 		study.MeanAdaptivePct += study.AdaptiveDaily[d]
 		study.MeanStaticPct += study.StaticDaily[d]
@@ -195,17 +200,15 @@ func argmaxGV(sr *SpecRun, gvGrid []float64) float64 {
 	return bestGV
 }
 
-// dailyPeakReductions splits both series into 24-hour windows and
-// returns the per-day peak reductions (percent).
-func dailyPeakReductions(baseline, variant *Result, days int) []float64 {
-	perDay := int((24 * time.Hour) / baseline.Config.Step)
-	out := make([]float64, 0, days)
-	for d := 0; d < days; d++ {
-		lo := d * perDay
-		hi := lo + perDay
-		if hi > baseline.CoolingLoadW.Len() {
-			hi = baseline.CoolingLoadW.Len()
-		}
+// windowPeakReductions returns the peak reduction (percent) of variant
+// against baseline in each window [edges[k], edges[k+1]) of their
+// cooling-load samples, each window clipped to the baseline's series.
+// Both peaks are floored at zero, and a window whose baseline peak is
+// zero reads 0.
+func windowPeakReductions(baseline, variant *Result, edges ...int) []float64 {
+	out := make([]float64, 0, len(edges)-1)
+	for k := 1; k < len(edges); k++ {
+		lo, hi := edges[k-1], min(edges[k], baseline.CoolingLoadW.Len())
 		var bPeak, vPeak float64
 		for i := lo; i < hi; i++ {
 			if b := baseline.CoolingLoadW.Values[i]; b > bPeak {

@@ -369,9 +369,10 @@ func BenchmarkAblationPreserve(b *testing.B) {
 			return r
 		}
 		base := run(PolicyRoundRobin)
-		_, waD2 := dayPeakReductions(base, run(PolicyVMTWA))
-		_, presD2 := dayPeakReductions(base, run(PolicyVMTPreserve))
-		dayTwoGain = presD2 - waD2
+		days := preserveDayEdges(base)
+		waD := windowPeakReductions(base, run(PolicyVMTWA), days...)
+		presD := windowPeakReductions(base, run(PolicyVMTPreserve), days...)
+		dayTwoGain = presD[1] - waD[1]
 	}
 	b.ReportMetric(dayTwoGain, "day2-gain-pts")
 }

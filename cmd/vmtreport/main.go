@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"vmt"
+	"vmt/internal/cooling"
 	"vmt/internal/pcm"
 	"vmt/internal/report"
 	"vmt/internal/stats"
@@ -650,7 +651,10 @@ func (r *reporter) extJobStream() error {
 	tb.AddRow("round-robin", "0.0", base.TaskArrivals, base.TaskDrops,
 		fmt.Sprintf("%.4f", float64(base.TaskDrops)/float64(base.TaskArrivals)*100))
 	for _, res := range runs[1:] {
-		red := (base.PeakCoolingW() - res.PeakCoolingW()) / base.PeakCoolingW() * 100
+		red, err := cooling.PeakReductionPct(base.CoolingLoadW, res.CoolingLoadW)
+		if err != nil {
+			return err
+		}
 		tb.AddRow(string(res.Config.Policy), fmt.Sprintf("%.1f", red), res.TaskArrivals, res.TaskDrops,
 			fmt.Sprintf("%.4f", float64(res.TaskDrops)/float64(res.TaskArrivals)*100))
 	}

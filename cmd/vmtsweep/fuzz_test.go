@@ -13,8 +13,8 @@ import (
 // validation with arbitrary argv strings. The contract buildSweep
 // gives main: never panic, and any (args, nil) return describes a
 // sweep the dispatcher can run — a known kind, a sane cluster size,
-// (for the gv kind) a non-empty all-finite grid, and batch flags only
-// for a kind that honors them.
+// (for the gv kind) a non-empty all-finite grid, and no flag set on
+// the command line that its kind (or -spec) does not read.
 func FuzzBuildSweep(f *testing.F) {
 	f.Add("")
 	f.Add("-kind gv -servers 100 -from 10 -to 30 -step 2")
@@ -40,6 +40,19 @@ func FuzzBuildSweep(f *testing.F) {
 	f.Add("-kind pmt -progress")
 	f.Add("-kind corr -sweep-workers 0")
 	f.Add("-kind threshold -sweep-workers 2 -progress")
+	f.Add("-kind threshold -servers 1 -from 40 -to 10 -step -3 -runs 0 -policy nonsense")
+	f.Add("-kind gv -gv 22")
+	f.Add("-kind gv -runs 3")
+	f.Add("-kind threshold -policy vmt-wa")
+	f.Add("-kind inlet -gv 20")
+	f.Add("-kind inlet -from 10")
+	f.Add("-kind pmt -gv 22")
+	f.Add("-kind volume -policy vmt-wa")
+	f.Add("-kind fault -runs 2")
+	f.Add("-kind corr -step 1")
+	f.Add("-spec results/specs/gv-sweep.json -servers 50")
+	f.Add("-spec results/specs/gv-sweep.json -kind gv")
+	f.Add("-spec results/specs/gv-sweep.json -sweep-workers 2 -progress")
 
 	f.Fuzz(func(t *testing.T, argv string) {
 		args := strings.Fields(argv)
@@ -52,15 +65,24 @@ func FuzzBuildSweep(f *testing.F) {
 		if a.Servers < 1 {
 			t.Fatalf("buildSweep accepted %q with %d servers", argv, a.Servers)
 		}
+		mode := specMode
+		if a.SpecPath == "" {
+			k := slices.IndexFunc(sweepKinds, func(m sweepMode) bool { return m.name == a.Kind })
+			if k < 0 {
+				t.Fatalf("buildSweep accepted unknown kind %q from %q", a.Kind, argv)
+			}
+			mode = sweepKinds[k]
+		}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "spec" || f.Name == "kind" && a.SpecPath == "" {
+				return
+			}
+			if !slices.Contains(mode.flags, f.Name) {
+				t.Fatalf("buildSweep accepted -%s, which %s does not read, from %q", f.Name, mode.name, argv)
+			}
+		})
 		if a.SpecPath != "" {
 			return // the spec file carries its own validated grid
-		}
-		k := slices.Index(sweepKinds, a.Kind)
-		if k < 0 {
-			t.Fatalf("buildSweep accepted unknown kind %q from %q", a.Kind, argv)
-		}
-		if k >= batchedKinds && (a.Workers != 0 || a.Progress) {
-			t.Fatalf("buildSweep accepted batch flags for -kind %s from %q", a.Kind, argv)
 		}
 		switch a.Kind {
 		case "gv":

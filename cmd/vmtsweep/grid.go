@@ -8,12 +8,44 @@ import (
 	"strings"
 )
 
-// sweepKinds lists every -kind in help order. The first batchedKinds
-// run their configurations through one vmt.BatchOptions, so only they
-// (and -spec) take -sweep-workers and -progress.
-var sweepKinds = []string{"gv", "threshold", "inlet", "pmt", "volume", "fault", "corr"}
+// sweepMode is one way to run vmtsweep, a -kind or -spec, and the
+// sweep flags it reads.
+type sweepMode struct {
+	name  string
+	flags []string
+}
 
-const batchedKinds = 2
+// sweepKinds lists every -kind in help order with the sweep flags it
+// reads. Setting any other sweep flag on the command line is an error,
+// so no flag is silently ignored.
+var sweepKinds = []sweepMode{
+	{"gv", []string{"policy", "servers", "from", "to", "step", "sweep-workers", "progress"}},
+	{"threshold", []string{"servers", "gv", "sweep-workers", "progress"}},
+	{"inlet", []string{"policy", "servers", "runs"}},
+	{"pmt", []string{"servers"}},
+	{"volume", []string{"servers"}},
+	{"fault", []string{"servers", "gv"}},
+	{"corr", []string{"servers", "gv"}},
+}
+
+// specMode is -spec: the file carries the grid, so only the batch
+// flags apply (an explicit -kind beside it is an error too).
+var specMode = sweepMode{"-spec", []string{"sweep-workers", "progress"}}
+
+// readers names the sweep modes that read a flag; none for -kind,
+// -spec and the observability flags.
+func readers(name string) []string {
+	var modes []string
+	for _, m := range sweepKinds {
+		if slices.Contains(m.flags, name) {
+			modes = append(modes, m.name)
+		}
+	}
+	if slices.Contains(specMode.flags, name) {
+		modes = append(modes, specMode.name)
+	}
+	return modes
+}
 
 // sweepArgs is the validated sweep request: the kind, its parameters,
 // and the already-expanded GV grid for the range-driven kinds.
@@ -69,19 +101,25 @@ func gvGrid(from, to, step float64) ([]float64, error) {
 // sweepArgs or returns an error, never a panic and never a partial
 // sweep.
 func registerSweepFlags(fs *flag.FlagSet) func() (sweepArgs, error) {
-	kind := fs.String("kind", "gv", "sweep kind: "+strings.Join(sweepKinds, ", "))
-	policy := fs.String("policy", "vmt-ta", "policy for gv/inlet sweeps: vmt-ta or vmt-wa")
-	servers := fs.Int("servers", 100, "cluster size")
-	gv := fs.Float64("gv", 22, "grouping value (threshold sweep)")
-	from := fs.Float64("from", 10, "sweep start (gv sweep)")
-	to := fs.Float64("to", 30, "sweep end (gv sweep)")
-	step := fs.Float64("step", 2, "sweep step (gv sweep)")
-	runs := fs.Int("runs", 5, "runs per point (inlet sweep)")
+	var kinds []string
+	for _, m := range sweepKinds {
+		kinds = append(kinds, m.name)
+	}
+	usage := func(text, name string) string {
+		return text + " (" + strings.Join(readers(name), ", ") + ")"
+	}
+	kind := fs.String("kind", "gv", "sweep kind: "+strings.Join(kinds, ", "))
+	policy := fs.String("policy", "vmt-ta", usage("policy: vmt-ta or vmt-wa", "policy"))
+	servers := fs.Int("servers", 100, usage("cluster size", "servers"))
+	gv := fs.Float64("gv", 22, usage("grouping value", "gv"))
+	from := fs.Float64("from", 10, usage("sweep start", "from"))
+	to := fs.Float64("to", 30, usage("sweep end", "to"))
+	step := fs.Float64("step", 2, usage("sweep step", "step"))
+	runs := fs.Int("runs", 5, usage("runs per point", "runs"))
 	spec := fs.String("spec", "", "run a declarative spec file instead of a -kind sweep")
-	batched := "-spec and kinds " + strings.Join(sweepKinds[:batchedKinds], ", ")
 	workers := fs.Int("sweep-workers", 0,
-		"concurrent sweep points (0 = GOMAXPROCS; "+batched+"); results are identical for any value")
-	progress := fs.Bool("progress", false, "print per-run progress to stderr ("+batched+")")
+		usage("concurrent sweep points, 0 = GOMAXPROCS; results are identical for any value", "sweep-workers"))
+	progress := fs.Bool("progress", false, usage("print per-run progress to stderr", "progress"))
 	return func() (sweepArgs, error) {
 		a := sweepArgs{
 			Kind:     *kind,
@@ -93,18 +131,29 @@ func registerSweepFlags(fs *flag.FlagSet) func() (sweepArgs, error) {
 			Workers:  *workers,
 			Progress: *progress,
 		}
-		if a.Servers < 1 {
-			return sweepArgs{}, fmt.Errorf("-servers must be at least 1, got %d", a.Servers)
+		mode, label := specMode, "-spec"
+		if a.SpecPath == "" {
+			k := slices.IndexFunc(sweepKinds, func(m sweepMode) bool { return m.name == a.Kind })
+			if k < 0 {
+				return sweepArgs{}, fmt.Errorf("unknown sweep kind %q (want %s)", a.Kind, strings.Join(kinds, ", "))
+			}
+			mode, label = sweepKinds[k], "-kind "+a.Kind
+		}
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "kind" && a.SpecPath != "" ||
+				len(readers(f.Name)) > 0 && !slices.Contains(mode.flags, f.Name) {
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+		if len(unread) > 0 {
+			return sweepArgs{}, fmt.Errorf("%s does not read %s", label, strings.Join(unread, ", "))
 		}
 		if a.SpecPath != "" {
 			return a, nil // the spec file carries its own grid
 		}
-		k := slices.Index(sweepKinds, a.Kind)
-		if k < 0 {
-			return sweepArgs{}, fmt.Errorf("unknown sweep kind %q (want %s)", a.Kind, strings.Join(sweepKinds, ", "))
-		}
-		if k >= batchedKinds && (a.Workers != 0 || a.Progress) {
-			return sweepArgs{}, fmt.Errorf("-sweep-workers and -progress apply to %s, not -kind %s", batched, a.Kind)
+		if a.Servers < 1 {
+			return sweepArgs{}, fmt.Errorf("-servers must be at least 1, got %d", a.Servers)
 		}
 		switch a.Kind {
 		case "gv":

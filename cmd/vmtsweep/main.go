@@ -9,13 +9,14 @@
 //	vmtsweep -kind inlet -policy vmt-wa -runs 5
 //	vmtsweep -kind fault -servers 100 -gv 22
 //	vmtsweep -kind gv -sweep-workers 2 -progress
-//	vmtsweep -spec results/specs/gv_sweep.json
+//	vmtsweep -spec results/specs/gv-sweep.json
 //
 // With -spec, the sweep is read from a declarative spec file (see
 // internal/experiment and EXPERIMENTS.md): the grid, the baseline, and
 // the reducer all come from the file, and the rows it reduces to are
-// printed as a table. The -from/-to/-step range is validated before
-// any simulation starts.
+// printed as a table. Before any simulation starts, the -from/-to/-step
+// range is validated, and a sweep flag the kind (or -spec) does not
+// read is an error; -h lists the kinds that read each flag.
 //
 // Observability (see internal/cliobs): the -trace, -metrics,
 // -cpuprofile and -debug-addr flags observe every run of the sweep —

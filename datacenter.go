@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"vmt/internal/chiller"
+	"vmt/internal/cooling"
 	"vmt/internal/stats"
 )
 
@@ -124,8 +125,11 @@ func RunOversubscriptionStudy(servers int, policy Policy, gv, safetyFrac float64
 	if err != nil {
 		return OversubscriptionStudy{}, err
 	}
+	reduction, err := cooling.PeakReductionPct(same[0].CoolingLoadW, same[1].CoolingLoadW)
+	if err != nil {
+		return OversubscriptionStudy{}, err
+	}
 	budget := same[0].PeakCoolingW()
-	reduction := (budget - same[1].PeakCoolingW()) / budget * 100
 	r := reduction / 100 * (1 - safetyFrac)
 	extra := int(math.Floor((1/(1-r) - 1) * float64(servers)))
 	// The enlarged fleet's size depends on the measured reduction, so it
@@ -148,6 +152,6 @@ func RunOversubscriptionStudy(servers int, policy Policy, gv, safetyFrac float64
 		}
 	}
 	study.FitsBudget = study.Violations == 0
-	study.HeadroomPct = (budget - study.VMTPeakW) / budget * 100
-	return study, nil
+	study.HeadroomPct, err = cooling.PeakReductionPct(same[0].CoolingLoadW, enlarged.CoolingLoadW)
+	return study, err
 }

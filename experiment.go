@@ -10,7 +10,9 @@ import (
 	"sort"
 	"time"
 
+	"vmt/internal/cooling"
 	"vmt/internal/experiment"
+	"vmt/internal/jsonio"
 	"vmt/internal/pcm"
 	"vmt/internal/report"
 	"vmt/internal/stats"
@@ -160,7 +162,7 @@ func configFromSettings(s experiment.Settings) (Config, error) {
 		return Config{}, fmt.Errorf("vmt: settings: %w", err)
 	}
 	var p pointSettings
-	if err := decodeStrict(b, &p); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(b), &p); err != nil {
 		return Config{}, fmt.Errorf("vmt: settings: %w", err)
 	}
 	cfg := p.Config
@@ -198,14 +200,6 @@ func configFromSettings(s experiment.Settings) (Config, error) {
 		cfg.Horizon = horizon
 	}
 	return cfg, cfg.Validate()
-}
-
-// decodeStrict decodes the JSON value b into v, rejecting unknown
-// object keys.
-func decodeStrict(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // ---------------------------------------------------------------------
@@ -356,15 +350,7 @@ func (r *SpecReport) Table() report.Table {
 // pointReduction computes point i's peak cooling reduction against its
 // matched baseline.
 func (sr *SpecRun) pointReduction(i int) (float64, error) {
-	return peakReductionPct(sr.BaselineFor(i), sr.Results[i])
-}
-
-func peakReductionPct(baseline, variant *Result) (float64, error) {
-	base := baseline.PeakCoolingW()
-	if base <= 0 {
-		return 0, fmt.Errorf("vmt: non-positive baseline peak")
-	}
-	return (base - variant.PeakCoolingW()) / base * 100, nil
+	return cooling.PeakReductionPct(sr.BaselineFor(i).CoolingLoadW, sr.Results[i].CoolingLoadW)
 }
 
 // reduce applies the spec's named reducer over the results.

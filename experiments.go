@@ -22,10 +22,11 @@ import (
 
 // PeakReductionPct runs the policy and returns its peak cooling-load
 // reduction against a round-robin baseline on an otherwise identical
-// configuration.
+// configuration. Its GV is 0, as in BaselineScenario, so the run cache
+// shares that run (round robin reads no GV).
 func PeakReductionPct(cfg Config) (float64, error) {
 	base := cfg
-	base.Policy = PolicyRoundRobin
+	base.Policy, base.GV = PolicyRoundRobin, 0
 	runs, err := RunMany([]Config{base, cfg}, BatchOptions{})
 	if err != nil {
 		return 0, err
@@ -117,7 +118,7 @@ func InletVariationStudy(servers int, policy Policy, gvs, stdevs []float64, runs
 			var sum float64
 			for r := 0; r < runs; r++ {
 				i := (si*len(gvs)+gi)*runs + r
-				red, err := cooling.PeakReductionPct(sr.BaselineFor(i).CoolingLoadW, sr.Results[i].CoolingLoadW)
+				red, err := sr.pointReduction(i)
 				if err != nil {
 					return nil, err
 				}
@@ -477,7 +478,7 @@ func RunFaultStudy(servers int, rates []float64, gv float64, seed uint64) ([]Fau
 		for pi, pol := range policies {
 			i := ri*len(policies) + pi
 			res := sr.Results[i]
-			red, err := cooling.PeakReductionPct(sr.BaselineFor(i).CoolingLoadW, res.CoolingLoadW)
+			red, err := sr.pointReduction(i)
 			if err != nil {
 				return nil, err
 			}
@@ -536,7 +537,7 @@ func RunCorrelatedFaultStudy(servers int, gv float64, seed uint64) ([]Correlated
 		for pi, pol := range policies {
 			i := ci*len(policies) + pi
 			res := sr.Results[i]
-			red, err := cooling.PeakReductionPct(sr.BaselineFor(i).CoolingLoadW, res.CoolingLoadW)
+			red, err := sr.pointReduction(i)
 			if err != nil {
 				return nil, err
 			}
@@ -598,23 +599,21 @@ func VolumeSweep(servers int, volumesL, gvGrid []float64) ([]MaterialSweepPoint,
 
 // materialSweep executes a two-axis (value × GV) design-space spec and
 // reduces it with the sweeps' shared argmax: the best reduction over
-// the GV grid per swept value, computed against the baseline's peak
-// cooling budget exactly as the pre-engine loops did.
+// the GV grid per swept value, computed against the one baseline's
+// peak cooling budget exactly as the pre-engine loops did.
 func materialSweep(spec experiment.Spec, values, gvGrid []float64) ([]MaterialSweepPoint, error) {
 	sr, err := RunSpecResults(spec, BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
-	budget := sr.Baselines[0].PeakCoolingW()
-	if budget <= 0 {
-		return nil, fmt.Errorf("vmt: non-positive baseline peak")
-	}
 	out := make([]MaterialSweepPoint, 0, len(values))
 	for vi, val := range values {
 		pt := MaterialSweepPoint{Value: val, ReductionPct: -1e18}
 		for gi, gv := range gvGrid {
-			res := sr.Results[vi*len(gvGrid)+gi]
-			red := (budget - res.PeakCoolingW()) / budget * 100
+			red, err := sr.pointReduction(vi*len(gvGrid) + gi)
+			if err != nil {
+				return nil, err
+			}
 			if red > pt.ReductionPct {
 				pt.ReductionPct = red
 				pt.BestGV = gv

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"vmt/internal/jsonio"
 )
 
 // WriteJSON serializes the result for external tooling (plotting,
@@ -17,13 +19,11 @@ func (r *Result) WriteJSON(w io.Writer) error {
 }
 
 // ReadResultJSON loads a result written by WriteJSON. Decoding is
-// strict: unknown keys are an error, the echoed Config must validate,
-// and the cooling-load series must be present with a positive step.
+// strict (jsonio.Decode), the echoed Config must validate, and the
+// cooling-load series must be present with a positive step.
 func ReadResultJSON(r io.Reader) (*Result, error) {
 	var res Result
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&res); err != nil {
+	if err := jsonio.Decode(r, &res); err != nil {
 		return nil, fmt.Errorf("vmt: decoding result: %w", err)
 	}
 	if err := res.Config.Validate(); err != nil {

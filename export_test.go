@@ -166,6 +166,57 @@ func TestReadResultJSONErrors(t *testing.T) {
 	}
 }
 
+// FuzzReadResultJSON drives the result decoder with arbitrary input.
+// It must never panic, and the WriteJSON of any result it accepts must
+// be a fixed point: reading it back and writing it again reproduces it
+// byte for byte.
+func FuzzReadResultJSON(f *testing.F) {
+	// Seed with the export of a short run plus the three malformed
+	// shapes every strict reader rejects.
+	cfg := Scenario(3, PolicyVMTTA, 22)
+	cfg.Trace = smallTrace()
+	cfg.Horizon = 10 * time.Minute
+	res, err := Run(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.String()
+	f.Add(valid)
+	f.Add(strings.TrimSpace(valid) + "}")
+	f.Add(valid + valid)
+	f.Add(strings.Replace(valid, "{", `{"step_seconds":60,`, 1))
+	f.Add(`{"config":{"servers":1},"cooling_load_w":{"start_ns":0,"step_ns":60000000000,"values":[1,2]}}`)
+	f.Add(`{"config":{"servers":1},"cooling_load_w":{"start_ns":0,"step_ns":0,"values":[1]}}`)
+	f.Add(`{"config":{"servers":0}}`)
+	f.Add(`{garbage`)
+
+	f.Fuzz(func(t *testing.T, input string) {
+		res, err := ReadResultJSON(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := res.WriteJSON(&first); err != nil {
+			t.Fatalf("export of an accepted result failed: %v", err)
+		}
+		again, err := ReadResultJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reading the re-exported result failed: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatalf("second export failed: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-export is not a fixed point:\n first: %s\nsecond: %s", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
 func TestCustomTraceDrivesRun(t *testing.T) {
 	// A flat 50% trace: cooling load should settle near the implied
 	// steady state and stay flat.

@@ -17,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"vmt/internal/jsonio"
 )
 
 // Reducer names understood by the engine. The implementations live in
@@ -319,13 +321,11 @@ func (s Spec) Encode(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// DecodeSpec reads one JSON spec and validates it. Unknown fields are
-// rejected so typos in hand-written spec files fail loudly.
+// DecodeSpec reads a spec that is exactly one JSON value (jsonio.Decode)
+// and validates it, so typos in hand-written spec files fail loudly.
 func DecodeSpec(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := jsonio.Decode(r, &s); err != nil {
 		return Spec{}, fmt.Errorf("experiment: decoding spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzPlanJSON drives the exact decode path spec files take
-// (DisallowUnknownFields into Plan, then Validate): no input may
-// panic, and any plan that validates must survive an
-// encode-decode round trip unchanged — the property the run-cache key
-// and spec files both depend on.
+// FuzzPlanJSON drives ParsePlan, the decode path spec files and
+// -faults take (jsonio.Decode into Plan, then Validate): no input may
+// panic, and any plan it accepts must survive an encode-decode round
+// trip unchanged — the property the run-cache key and spec files both
+// depend on.
 func FuzzPlanJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"seed":7}`))
@@ -29,29 +29,21 @@ func FuzzPlanJSON(f *testing.F) {
 	f.Add([]byte(`{"topology":{"servers_per_rack":4,"racks_per_row":3,"rows_per_zone":2},"domains":[{"kind":"pdu","index":0,"at_min":5}]}`))
 	f.Add([]byte(`{"topology":{"servers_per_rack":0,"racks_per_row":3,"rows_per_zone":2}}`))
 	f.Add([]byte(`{"byzantine":[{"server":0,"kind":"melt","start_min":10,"bias":7}]}`))
+	f.Add([]byte(`{"crashes":[{"server":3,"at_min":120}]}}`))
+	f.Add([]byte(`{"crashes":[{"server":3,"at_min":120}]} {"crashes":"garbage"`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		var p Plan
-		if err := dec.Decode(&p); err != nil {
-			return // malformed JSON is rejected, never panics
-		}
-		if err := p.Validate(); err != nil {
-			return // invalid plans are rejected, never panic
+		p, err := ParsePlan(data)
+		if err != nil {
+			return // malformed or invalid plans are rejected, never panic
 		}
 		// Valid plans round-trip bit-identically.
 		b, err := json.Marshal(p)
 		if err != nil {
 			t.Fatalf("valid plan failed to encode: %v", err)
 		}
-		dec2 := json.NewDecoder(bytes.NewReader(b))
-		dec2.DisallowUnknownFields()
-		var q Plan
-		if err := dec2.Decode(&q); err != nil {
+		q, err := ParsePlan(b)
+		if err != nil {
 			t.Fatalf("re-decoding a valid plan: %v", err)
-		}
-		if err := q.Validate(); err != nil {
-			t.Fatalf("round trip invalidated the plan: %v", err)
 		}
 		// Canonical-form fixpoint: the re-encoded plan must match the
 		// first encoding byte for byte — the property the run-cache key

@@ -17,11 +17,11 @@ package fault
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 
+	"vmt/internal/jsonio"
 	"vmt/internal/topology"
 )
 
@@ -274,16 +274,13 @@ func (p *Plan) HasDomainFaults() bool {
 	return len(p.Domains) > 0 || p.StochasticDomains != nil
 }
 
-// ParsePlan decodes and validates a plan from JSON, rejecting unknown
-// fields so typos fail loudly instead of silently defaulting — the
-// same contract workload.ParseSourceSpec gives arrival sources.
-// Server and domain indexes still need ValidateFor once the cluster
-// size is known.
+// ParsePlan decodes and validates a plan from one JSON value
+// (jsonio.Decode), so typos fail loudly instead of silently
+// defaulting. Server and domain indexes still need ValidateFor once
+// the cluster size is known.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(data), &p); err != nil {
 		return nil, fmt.Errorf("fault: decoding plan: %w", err)
 	}
 	if err := p.Validate(); err != nil {

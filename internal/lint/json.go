@@ -2,10 +2,13 @@ package lint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
+
+	"vmt/internal/jsonio"
 )
 
 // NDJSON diagnostics for CI consumption: one JSON object per line, so
@@ -50,18 +53,10 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 // error naming the offending line.
 func ReadJSON(r io.Reader) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := jsonio.Lines(r, func(line []byte) error {
 		var jd jsonDiag
-		if err := json.Unmarshal(line, &jd); err != nil {
-			return nil, fmt.Errorf("lint: NDJSON line %d: %w", lineNo, err)
+		if err := jsonio.Decode(bytes.NewReader(line), &jd); err != nil {
+			return err
 		}
 		diags = append(diags, Diagnostic{
 			Position: token.Position{Filename: jd.File, Line: jd.Line, Column: jd.Col},
@@ -69,9 +64,10 @@ func ReadJSON(r io.Reader) ([]Diagnostic, error) {
 			Message:  jd.Message,
 			Allowed:  jd.Allowed,
 		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("lint: reading NDJSON: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("lint: NDJSON %w", err)
 	}
 	return diags, nil
 }

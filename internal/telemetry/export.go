@@ -1,13 +1,14 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
+
+	"vmt/internal/jsonio"
 )
 
 // WriteJSONL writes the recorded events one JSON object per line — the
@@ -125,34 +126,25 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // inverse of WriteJSONL — a round trip reproduces the event slice
 // exactly. Any malformed line aborts with an error naming the line.
 func ReadJSONL(r io.Reader) ([]SpanEvent, error) {
-	var events []SpanEvent
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	return readLines(r, "jsonl", validateSpanEvent)
+}
+
+// readLines decodes r one T per line (jsonio.Lines, jsonio.Decode) and
+// checks each with valid; stream names the format in errors.
+func readLines[T any](r io.Reader, stream string, valid func(T) error) ([]T, error) {
+	var out []T
+	err := jsonio.Lines(r, func(line []byte) error {
+		var v T
+		if err := jsonio.Decode(bytes.NewReader(line), &v); err != nil {
+			return err
 		}
-		var ev SpanEvent
-		dec := json.NewDecoder(bytes.NewReader(line))
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: %w", lineNo, err)
-		}
-		// Trailing garbage after the object ("{}x") must not pass.
-		if dec.More() {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: trailing data after event", lineNo)
-		}
-		if err := validateSpanEvent(ev); err != nil {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: %w", lineNo, err)
-		}
-		events = append(events, ev)
+		out = append(out, v)
+		return valid(v)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %s %w", stream, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: jsonl: %w", err)
-	}
-	return events, nil
+	return out, nil
 }
 
 // validateSpanEvent rejects events no Tracer could have emitted, so
@@ -180,8 +172,7 @@ func validateSpanEvent(ev SpanEvent) error {
 // the inverse of WriteJSON for any snapshot a Registry can produce.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var snap Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
+	if err := jsonio.Decode(r, &snap); err != nil {
 		return Snapshot{}, fmt.Errorf("telemetry: snapshot: %w", err)
 	}
 	seen := map[string]bool{}

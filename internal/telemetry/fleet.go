@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -250,36 +249,13 @@ func (l *NDJSONFleetLog) Err() error {
 // tick/run, servers in strictly increasing ID order. A malformed line
 // aborts with an error naming the line.
 func ReadFleetLog(r io.Reader) ([]*FleetSnapshot, error) {
-	var snaps []*FleetSnapshot
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		snap := new(FleetSnapshot)
-		dec := json.NewDecoder(bytes.NewReader(line))
-		if err := dec.Decode(snap); err != nil {
-			return nil, fmt.Errorf("telemetry: fleet log line %d: %w", lineNo, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("telemetry: fleet log line %d: trailing data after snapshot", lineNo)
-		}
-		if err := validateFleetSnapshot(snap); err != nil {
-			return nil, fmt.Errorf("telemetry: fleet log line %d: %w", lineNo, err)
-		}
-		snaps = append(snaps, snap)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: fleet log: %w", err)
-	}
-	return snaps, nil
+	return readLines(r, "fleet log", validateFleetSnapshot)
 }
 
 func validateFleetSnapshot(snap *FleetSnapshot) error {
+	if snap == nil {
+		return fmt.Errorf("snapshot is null")
+	}
 	if snap.Tick < 0 || snap.SimNS < 0 || snap.Run < 0 {
 		return fmt.Errorf("snapshot tick %d: negative tick, time, or run", snap.Tick)
 	}

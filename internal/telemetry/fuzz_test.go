@@ -117,6 +117,71 @@ func FuzzReadWindows(f *testing.F) {
 	})
 }
 
+// FuzzReadFleetLog drives the fleet-log decoder with arbitrary input
+// (the FuzzReadWindows pattern for the per-server fleet log). The
+// decoder must never panic; anything it accepts must satisfy the
+// publisher invariants, and its re-encoding must be a fixed point:
+// decoding and re-encoding it reproduces it byte for byte.
+func FuzzReadFleetLog(f *testing.F) {
+	// Seed with real log output for a 3-server fleet plus the three
+	// malformed shapes every strict reader rejects.
+	var buf bytes.Buffer
+	log := NewNDJSONFleetLog(&buf)
+	for tick := int64(1); tick <= 3; tick++ {
+		log.EmitFleet(&FleetSnapshot{Tick: tick, SimNS: tick * 60e9, Run: 1,
+			CoolingLoadW: 900.5 + float64(tick), TotalPowerW: 1000, Servers: []ServerState{
+				{ID: 0, AirTempC: 31.25, MeltFrac: 0.2, Group: "hot"},
+				{ID: 1, AirTempC: 27, Group: "cold"},
+				{ID: 2, AirTempC: 22, Crashed: true}}})
+	}
+	if err := log.Err(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	line := `{"tick":1,"sim_ns":60000000000,"cooling_load_w":900,"total_power_w":1000,"servers":[{"id":0,"air_temp_c":31,"melt_frac":0.2}]}`
+	f.Add(line + "}")
+	f.Add(line + " " + line)
+	f.Add(`{"tick":1,"sim_ns":0,"cooling_load_w":0,"total_power_w":0,"servers":[{"id":0,"air_temp_c":22,"melt_frac":0,"fan_rpm":1}]}`)
+	f.Add("")
+	f.Add("\n\n")
+	f.Add(`{"tick":1,"sim_ns":0,"cooling_load_w":0,"total_power_w":0,"servers":null}`)
+	f.Add(`{"tick":1,"servers":[{"id":1},{"id":1}]}`)
+	f.Add(`{"tick":-1}`)
+	f.Add("null")
+	f.Add(`{not json}`)
+
+	f.Fuzz(func(t *testing.T, input string) {
+		snaps, err := ReadFleetLog(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		for _, snap := range snaps {
+			if err := validateFleetSnapshot(snap); err != nil {
+				t.Fatalf("accepted snapshot violates invariants: %v", err)
+			}
+		}
+		encode := func(snaps []*FleetSnapshot) []byte {
+			var out bytes.Buffer
+			log := NewNDJSONFleetLog(&out)
+			for _, snap := range snaps {
+				log.EmitFleet(snap)
+			}
+			if err := log.Err(); err != nil {
+				t.Fatalf("re-encode of accepted snapshots failed: %v", err)
+			}
+			return out.Bytes()
+		}
+		first := encode(snaps)
+		again, err := ReadFleetLog(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("decode of re-encoded log failed: %v", err)
+		}
+		if second := encode(again); !bytes.Equal(first, second) {
+			t.Fatalf("re-encoding is not a fixed point:\n first: %s\nsecond: %s", first, second)
+		}
+	})
+}
+
 // FuzzWritePrometheus drives the exposition encoder with arbitrary
 // snapshots (decoded via ReadSnapshot, so any accepted snapshot is
 // fair game). The encoder must never panic or error on an in-memory

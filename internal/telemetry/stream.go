@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,31 +61,5 @@ func (s *NDJSONSink) Err() error {
 // series, min ≤ mean ≤ max, p99 within range). A malformed line aborts
 // with an error naming the line.
 func ReadWindows(r io.Reader) ([]WindowRecord, error) {
-	var recs []WindowRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec WindowRecord
-		dec := json.NewDecoder(bytes.NewReader(line))
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("telemetry: ndjson line %d: %w", lineNo, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("telemetry: ndjson line %d: trailing data after record", lineNo)
-		}
-		if err := validateWindowRecord(rec); err != nil {
-			return nil, fmt.Errorf("telemetry: ndjson line %d: %w", lineNo, err)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: ndjson: %w", err)
-	}
-	return recs, nil
+	return readLines(r, "ndjson", validateWindowRecord)
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"vmt/internal/jsonio"
 )
 
 // Fleet state snapshots: the serialization boundary of the
@@ -160,56 +162,34 @@ func (st *FleetState) Encode(w io.Writer) error {
 // accepts satisfies the Validate invariants and survives a
 // Encode → ReadFleetState round trip unchanged.
 func ReadFleetState(r io.Reader) (*FleetState, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	lineNo := 0
-	var hdr FleetHeader
-	haveHeader := false
-	st := &FleetState{}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if !haveHeader {
-			if err := decodeLine(line, &hdr); err != nil {
-				return nil, fmt.Errorf("thermal: snapshot line %d: %w", lineNo, err)
+	var st *FleetState // nil until the header line
+	err := jsonio.Lines(r, func(line []byte) error {
+		if st == nil {
+			var hdr FleetHeader
+			if err := jsonio.Decode(bytes.NewReader(line), &hdr); err != nil {
+				return err
 			}
 			if hdr.V != SnapshotVersion {
-				return nil, fmt.Errorf("thermal: snapshot line %d: unsupported version %d", lineNo, hdr.V)
+				return fmt.Errorf("unsupported version %d", hdr.V)
 			}
-			st.N = hdr.N
-			haveHeader = true
-			continue
+			st = &FleetState{N: hdr.N}
+			return nil
 		}
 		var rec ServerRecord
-		if err := decodeLine(line, &rec); err != nil {
-			return nil, fmt.Errorf("thermal: snapshot line %d: %w", lineNo, err)
+		if err := jsonio.Decode(bytes.NewReader(line), &rec); err != nil {
+			return err
 		}
 		st.Records = append(st.Records, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("thermal: snapshot %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("thermal: snapshot: %w", err)
-	}
-	if !haveHeader {
+	if st == nil {
 		return nil, fmt.Errorf("thermal: snapshot missing header line")
 	}
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// decodeLine decodes one NDJSON line into v, rejecting trailing data
-// after the JSON value.
-func decodeLine(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after value")
-	}
-	return nil
 }

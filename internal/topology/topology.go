@@ -17,8 +17,9 @@ package topology
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+
+	"vmt/internal/jsonio"
 )
 
 // Domain kinds accepted by DomainCount and DomainRange.
@@ -67,14 +68,11 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec decodes and validates a JSON spec. Unknown fields are
-// rejected so spec-file typos fail loudly — the same contract as
-// fault.Plan and workload.SourceSpec.
+// ParseSpec decodes and validates a spec from one JSON value
+// (jsonio.Decode), so spec-file typos fail loudly.
 func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(data), &s); err != nil {
 		return nil, fmt.Errorf("topology: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"time"
 
+	"vmt/internal/jsonio"
 	"vmt/internal/stats"
 )
 
@@ -291,10 +292,8 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 // rejecting unknown keys and a step_s that is not a whole number of
 // nanoseconds (which would not re-encode to itself).
 func (t *Trace) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var j traceJSON
-	if err := dec.Decode(&j); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(b), &j); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	step, err := stats.Duration("trace: step_s", j.StepS, time.Second)

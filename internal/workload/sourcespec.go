@@ -2,10 +2,11 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
+
+	"vmt/internal/jsonio"
 )
 
 // SourceSpec is the declarative, JSON-serializable description of an
@@ -157,13 +158,11 @@ func (s *SourceSpec) New() (JobSource, error) {
 	return nil, fmt.Errorf("workload: unknown source kind %q", s.Kind)
 }
 
-// ParseSourceSpec decodes and validates a spec from JSON, rejecting
-// unknown fields so typos fail loudly instead of silently defaulting.
+// ParseSourceSpec decodes and validates a spec from one JSON value
+// (jsonio.Decode), so typos fail loudly instead of silently defaulting.
 func ParseSourceSpec(data []byte) (*SourceSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s SourceSpec
-	if err := dec.Decode(&s); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(data), &s); err != nil {
 		return nil, fmt.Errorf("workload: decoding source spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"vmt/internal/jsonio"
 )
 
 // Class is the VMT thermal classification of a workload: hot jobs can
@@ -165,10 +167,8 @@ func (m *Mix) MarshalJSON() ([]byte, error) { return json.Marshal(m.given) }
 // UnmarshalJSON decodes a MarshalJSON entry list through NewMix,
 // rejecting unknown keys.
 func (m *Mix) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var entries []MixEntry
-	if err := dec.Decode(&entries); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(b), &entries); err != nil {
 		return fmt.Errorf("workload: mix: %w", err)
 	}
 	mix, err := NewMix(entries...)

@@ -1,6 +1,11 @@
 package vmt
 
-import "encoding/json"
+import (
+	"bytes"
+	"encoding/json"
+
+	"vmt/internal/jsonio"
+)
 
 // Optional distinguishes "explicitly configured" from "left unset"
 // without reserving an in-band sentinel value. Config fields whose
@@ -54,7 +59,7 @@ func (o *Optional[T]) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	var v T
-	if err := decodeStrict(b, &v); err != nil {
+	if err := jsonio.Decode(bytes.NewReader(b), &v); err != nil {
 		return err
 	}
 	*o = Some(v)

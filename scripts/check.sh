@@ -119,131 +119,99 @@ if ! grep -q 'tick 100.*cooling_load_w' "$tmp/diff.out"; then
     exit 1
 fi
 
+# mutation_check NAME FILE PROGRAM WHAT PATTERN FAILURE COMMAND...
+# copies the tree to $tmp/NAME and rewrites FILE there with the awk
+# PROGRAM, failing with "found no WHAT to mutate" if that changed
+# nothing. It then runs COMMAND in the copy and fails with FAILURE
+# unless the command exits with status 1 and its output matches the
+# grep PATTERN.
+mutation_check() {
+    name=$1 file=$2 program=$3 what=$4 pattern=$5 failure=$6
+    shift 6
+    dir="$tmp/$name"
+    mkdir -p "$dir"
+    tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
+        --exclude ./vmt.test . | (cd "$dir" && tar xf -)
+    awk "$program" "$file" > "$dir/$file"
+    if cmp -s "$file" "$dir/$file"; then
+        echo "found no $what to mutate" >&2
+        exit 1
+    fi
+    status=0
+    (cd "$dir" && "$@") > "$tmp/$name.out" 2>&1 || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q -- "$pattern" "$tmp/$name.out"; then
+        echo "$failure (exit status $status, want 1):" >&2
+        cat "$tmp/$name.out" >&2
+        exit 1
+    fi
+}
+
 echo "== kernelparity self-check (one-token kernel drift is pinpointed)"
 # Flip a single token in stepLanes's lane body, the fleet's only
 # mirror of Node.Step, and demand kernelparity fail the build naming
 # the exact divergent position — the guarantee the scalar/SoA
 # bit-identity story rests on.
-mutdir="$tmp/kernelmut"
-mkdir -p "$mutdir"
-tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
-    --exclude ./vmt.test . | (cd "$mutdir" && tar xf -)
-awk '!done && sub(/toWax \* subSec/, "toRoom * subSec") { done = 1 } { print }' \
-    internal/thermal/fleet.go > "$mutdir/internal/thermal/fleet.go"
-mutline=$(grep -n 'toRoom \* subSec' "$mutdir/internal/thermal/fleet.go" | head -1 | cut -d: -f1)
 go build -o "$tmp/vmtlint" ./cmd/vmtlint
-status=0
-(cd "$mutdir" && "$tmp/vmtlint" ./internal/thermal/) > "$tmp/kernel.out" 2>&1 || status=$?
-if [ "$status" -ne 1 ]; then
-    echo "vmtlint on a mutated kernel exited $status, want 1:" >&2
-    cat "$tmp/kernel.out" >&2
-    exit 1
-fi
-if ! grep -q "internal/thermal/fleet.go:$mutline: \[kernelparity\].*diverges from oracle" "$tmp/kernel.out"; then
-    echo "kernelparity did not pinpoint the mutated line $mutline:" >&2
-    cat "$tmp/kernel.out" >&2
-    exit 1
-fi
+mutline=$(grep -n 'toWax \* subSec' internal/thermal/fleet.go | head -1 | cut -d: -f1)
+mutation_check kernelmut internal/thermal/fleet.go \
+    '!done && sub(/toWax \* subSec/, "toRoom * subSec") { done = 1 } { print }' \
+    "'toWax * subSec' in stepLanes" \
+    "internal/thermal/fleet.go:$mutline: \[kernelparity\].*diverges from oracle" \
+    "kernelparity did not pinpoint the mutated line $mutline" \
+    "$tmp/vmtlint" ./internal/thermal/
 
 echo "== outcome-comparison self-check (a worker-dependent drift is caught)"
 # Nudge MaxCPUTempC, a series the bit-identity tests once skipped, only
 # when physics runs on more than one worker, and demand the
 # PhysicsWorkers property test fail: the determinism tests compare the
 # whole outcome, every series, counter and grid.
-outdir="$tmp/outcomemut"
-mkdir -p "$outdir"
-tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
-    --exclude ./vmt.test . | (cd "$outdir" && tar xf -)
-awk '!done && /^\treturn sample, nil$/ {
+mutation_check outcomemut internal/cluster/cluster.go \
+    '!done && /^\treturn sample, nil$/ {
         print "\tif c.workers > 1 {"; print "\t\tsample.MaxCPUTempC += 1e-9"; print "\t}"; done = 1
-    } { print }' internal/cluster/cluster.go > "$outdir/internal/cluster/cluster.go"
-if ! grep -q 'sample.MaxCPUTempC += 1e-9' "$outdir/internal/cluster/cluster.go"; then
-    echo "found no 'return sample, nil' in Cluster.Step to mutate" >&2
-    exit 1
-fi
-status=0
-(cd "$outdir" && go test -count=1 -short -run '^TestPhysicsWorkersBitIdenticalProperty$' .) \
-    > "$tmp/outcome.out" 2>&1 || status=$?
-if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPhysicsWorkersBitIdenticalProperty' "$tmp/outcome.out"; then
-    echo "TestPhysicsWorkersBitIdenticalProperty did not catch a worker-dependent MaxCPUTempC drift:" >&2
-    cat "$tmp/outcome.out" >&2
-    exit 1
-fi
+    } { print }' \
+    "'return sample, nil' in Cluster.Step" \
+    '--- FAIL: TestPhysicsWorkersBitIdenticalProperty' \
+    "TestPhysicsWorkersBitIdenticalProperty did not catch a worker-dependent MaxCPUTempC drift" \
+    go test -count=1 -short -run '^TestPhysicsWorkersBitIdenticalProperty$' .
 
 echo "== wax-mask invalidation self-check (a dropped report-epoch bump is caught)"
 # Delete the fault injector's report-epoch bump after its Byzantine
 # refresh and demand that the window test fail by name: without it, a
 # placement between the lie starting and the scheduler's Tick reads a
 # stale wax-state mask.
-maskdir="$tmp/maskmut"
-mkdir -p "$maskdir"
-tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
-    --exclude ./vmt.test . | (cd "$maskdir" && tar xf -)
-awk '/inj\.byz\[id\]\.refresh\(now\)/ { seen = 1 }
+mutation_check maskmut internal/fault/injector.go \
+    '/inj\.byz\[id\]\.refresh\(now\)/ { seen = 1 }
     seen && !done && /inj\.c\.ReportsChanged\(\)/ { done = 1; next } { print }' \
-    internal/fault/injector.go > "$maskdir/internal/fault/injector.go"
-if cmp -s internal/fault/injector.go "$maskdir/internal/fault/injector.go"; then
-    echo "found no report-epoch bump after Injector.Tick's Byzantine refresh to delete" >&2
-    exit 1
-fi
-status=0
-(cd "$maskdir" && go test -count=1 -run '^TestWaxMaskWindowByzantineRefresh$' ./internal/core/) \
-    > "$tmp/mask.out" 2>&1 || status=$?
-if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestWaxMaskWindowByzantineRefresh' "$tmp/mask.out"; then
-    echo "TestWaxMaskWindowByzantineRefresh did not catch a dropped post-refresh report-epoch bump:" >&2
-    cat "$tmp/mask.out" >&2
-    exit 1
-fi
+    "report-epoch bump after Injector.Tick's Byzantine refresh" \
+    '--- FAIL: TestWaxMaskWindowByzantineRefresh' \
+    "TestWaxMaskWindowByzantineRefresh did not catch a dropped post-refresh report-epoch bump" \
+    go test -count=1 -run '^TestWaxMaskWindowByzantineRefresh$' ./internal/core/
 
 echo "== key-slab self-check (a crash that leaves its place keys alone is caught)"
 # Delete the row rewrite from Cluster.MarkFailed, so a crashed server's
 # place keys keep offering its free cores, and demand that the
 # decision-level test fail by name.
-keydir="$tmp/keymut"
-mkdir -p "$keydir"
-tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
-    --exclude ./vmt.test . | (cd "$keydir" && tar xf -)
-awk '/^func \(c \*Cluster\) MarkFailed\(/ { inside = 1 }
+mutation_check keymut internal/cluster/cluster.go \
+    '/^func \(c \*Cluster\) MarkFailed\(/ { inside = 1 }
     inside && !done && /^\t\ts\.packRow\(\)$/ { done = 1; next }
     /^}/ { inside = 0 } { print }' \
-    internal/cluster/cluster.go > "$keydir/internal/cluster/cluster.go"
-if cmp -s internal/cluster/cluster.go "$keydir/internal/cluster/cluster.go"; then
-    echo "found no row rewrite in Cluster.MarkFailed to delete" >&2
-    exit 1
-fi
-status=0
-(cd "$keydir" && go test -count=1 -run '^TestPlacementIndexMatchesScan$' ./internal/core/) \
-    > "$tmp/key.out" 2>&1 || status=$?
-if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPlacementIndexMatchesScan' "$tmp/key.out"; then
-    echo "TestPlacementIndexMatchesScan did not catch a crash that left its place keys unchanged:" >&2
-    cat "$tmp/key.out" >&2
-    exit 1
-fi
+    "row rewrite in Cluster.MarkFailed" \
+    '--- FAIL: TestPlacementIndexMatchesScan' \
+    "TestPlacementIndexMatchesScan did not catch a crash that left its place keys unchanged" \
+    go test -count=1 -run '^TestPlacementIndexMatchesScan$' ./internal/core/
 
 echo "== power-column self-check (a repair that leaves its draw at zero is caught)"
 # Delete the power-column write from Cluster.MarkRepaired, so a
 # repaired server keeps drawing nothing in the physics until its next
 # job move, and demand that the power-column test fail by name.
-powdir="$tmp/powmut"
-mkdir -p "$powdir"
-tar cf - --exclude ./.git --exclude ./results --exclude ./.bench_build \
-    --exclude ./vmt.test . | (cd "$powdir" && tar xf -)
-awk '/^func \(c \*Cluster\) MarkRepaired\(/ { inside = 1 }
+mutation_check powmut internal/cluster/cluster.go \
+    '/^func \(c \*Cluster\) MarkRepaired\(/ { inside = 1 }
     inside && !done && /^\t\ts\.storePower\(\)$/ { done = 1; next }
     /^}/ { inside = 0 } { print }' \
-    internal/cluster/cluster.go > "$powdir/internal/cluster/cluster.go"
-if cmp -s internal/cluster/cluster.go "$powdir/internal/cluster/cluster.go"; then
-    echo "found no power-column write in Cluster.MarkRepaired to delete" >&2
-    exit 1
-fi
-status=0
-(cd "$powdir" && go test -count=1 -run '^TestPowerColumnMatchesFields$' ./internal/core/) \
-    > "$tmp/pow.out" 2>&1 || status=$?
-if [ "$status" -eq 0 ] || ! grep -q -- '--- FAIL: TestPowerColumnMatchesFields' "$tmp/pow.out"; then
-    echo "TestPowerColumnMatchesFields did not catch a repair that left its power column at zero:" >&2
-    cat "$tmp/pow.out" >&2
-    exit 1
-fi
+    "power-column write in Cluster.MarkRepaired" \
+    '--- FAIL: TestPowerColumnMatchesFields' \
+    "TestPowerColumnMatchesFields did not catch a repair that left its power column at zero" \
+    go test -count=1 -run '^TestPowerColumnMatchesFields$' ./internal/core/
 
 echo "== report check (a full vmtreport reproduces results/)"
 # Rerun the command in results/README.md and demand the committed

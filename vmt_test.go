@@ -214,6 +214,28 @@ func TestShapeGV22IsBest(t *testing.T) {
 	}
 }
 
+// PeakReductionPct's baseline is the run BaselineScenario makes, so
+// with that run and the policy run cached it simulates nothing.
+func TestPeakReductionPctReusesBaselineScenario(t *testing.T) {
+	defer runCache.SetEnabled(true)
+	runCache.SetEnabled(true)
+	runCache.Reset()
+	cfg := Scenario(10, PolicyVMTTA, 22)
+	cfg.Trace = smallTrace()
+	base := BaselineScenario(10)
+	base.Trace = smallTrace()
+	if _, err := RunMany([]Config{base, cfg}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	_, before := runCache.Stats()
+	if _, err := PeakReductionPct(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := runCache.Stats(); after != before {
+		t.Fatalf("PeakReductionPct simulated %d run(s) the cache already held", after-before)
+	}
+}
+
 func TestShapeWARecoversLowGV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full two-day cluster runs")
