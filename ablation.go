@@ -3,12 +3,10 @@ package vmt
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"vmt/internal/chiller"
 	"vmt/internal/cooling"
 	"vmt/internal/energy"
-	"vmt/internal/trace"
 	"vmt/internal/zones"
 )
 
@@ -49,52 +47,6 @@ func AblationStudy(servers int, gv float64) ([]AblationPoint, error) {
 		out = append(out, AblationPoint{Name: p.Labels["variant"].(string), ReductionPct: red})
 	}
 	return out, nil
-}
-
-// AsymmetricTwoDay returns a trace whose second day is far hotter than
-// the first (day-one peak dayOnePeak, day-two peak 0.95) — the
-// "very hot peak still to come" scenario that motivates the
-// wax-preserving extension.
-func AsymmetricTwoDay(dayOnePeak float64) trace.Spec {
-	s := trace.PaperTwoDay()
-	s.PeakUtil = []float64{dayOnePeak, 0.95}
-	return s
-}
-
-// PreserveStudy compares standard VMT-WA against the wax-preserving
-// extension on an asymmetric trace, reporting each policy's *day-two*
-// peak cooling reduction (the peak the preservation is for). The
-// preserving policy sacrifices part of day one's shaving to arrive at
-// day two with solid wax.
-type PreserveStudy struct {
-	DayOnePeakUtil   float64
-	WA, Preserve     float64 // day-two peak reduction, percent
-	WADay1, PresDay1 float64 // day-one peak reduction, percent
-}
-
-// RunPreserveStudy evaluates the extension at the given scale and GV.
-func RunPreserveStudy(servers int, gv, dayOnePeak float64) (PreserveStudy, error) {
-	tr := AsymmetricTwoDay(dayOnePeak)
-	cfgs := make([]Config, 3)
-	for i, policy := range []Policy{PolicyRoundRobin, PolicyVMTWA, PolicyVMTPreserve} {
-		cfgs[i] = Scenario(servers, policy, gv)
-		cfgs[i].Trace = tr
-	}
-	runs, err := RunMany(cfgs, BatchOptions{})
-	if err != nil {
-		return PreserveStudy{}, err
-	}
-	days := preserveDayEdges(runs[0])
-	wa := windowPeakReductions(runs[0], runs[1], days...)
-	pres := windowPeakReductions(runs[0], runs[2], days...)
-	return PreserveStudy{DayOnePeakUtil: dayOnePeak,
-		WA: wa[1], Preserve: pres[1], WADay1: wa[0], PresDay1: pres[0]}, nil
-}
-
-// preserveDayEdges splits a run's samples at hour 29, the inter-day
-// trough: day one is the window before it, day two the rest.
-func preserveDayEdges(r *Result) []int {
-	return []int{0, int((29 * time.Hour) / r.Config.Step), r.CoolingLoadW.Len()}
 }
 
 // EnergyCostStudy prices the cooling electricity of round robin versus

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vmt/internal/energy"
+	"vmt/internal/trace"
 )
 
 func TestAblationStudy(t *testing.T) {
@@ -44,14 +45,40 @@ func TestAblationStudy(t *testing.T) {
 	}
 }
 
-func TestAsymmetricTraceSpec(t *testing.T) {
-	s := AsymmetricTwoDay(0.7)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+// hotSecondDay returns the paper's two-day trace with a day-one peak
+// of dayOnePeak and a far hotter day two (0.95): the "very hot peak
+// still to come" scenario that motivates VMT-preserve.
+func hotSecondDay(dayOnePeak float64) trace.Spec {
+	s := trace.PaperTwoDay()
+	s.PeakUtil = []float64{dayOnePeak, 0.95}
+	return s
+}
+
+// interDayEdges splits a run's samples at hour 29, the inter-day
+// trough: day one is the window before it, day two the rest.
+func interDayEdges(r *Result) []int {
+	return []int{0, int((29 * time.Hour) / r.Config.Step), r.CoolingLoadW.Len()}
+}
+
+// preserveDays runs round robin, VMT-WA and VMT-preserve on tr at GV 22
+// as one batch, VMT-preserve with the given PreserveUntil (0 keeps the
+// default), and returns VMT-WA's and VMT-preserve's peak reductions on
+// day one and day two.
+func preserveDays(tb testing.TB, servers int, tr trace.Spec, until time.Duration) (wa, pres []float64) {
+	tb.Helper()
+	cfgs := make([]Config, 3)
+	for i, p := range []Policy{PolicyRoundRobin, PolicyVMTWA, PolicyVMTPreserve} {
+		cfgs[i] = Scenario(servers, p, 22)
+		cfgs[i].Trace = tr
 	}
-	if s.PeakUtil[0] != 0.7 || s.PeakUtil[1] != 0.95 {
-		t.Fatalf("peaks = %v", s.PeakUtil)
+	cfgs[2].PreserveUntil = until
+	runs, err := RunMany(cfgs, BatchOptions{})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	days := interDayEdges(runs[0])
+	return windowPeakReductions(runs[0], runs[1], days...),
+		windowPeakReductions(runs[0], runs[2], days...)
 }
 
 // The preserving extension's reason to exist: on a warm night where
@@ -62,25 +89,9 @@ func TestPreserveStudyWarmNight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full two-day cluster runs")
 	}
-	tr := AsymmetricTwoDay(0.90)
+	tr := hotSecondDay(0.90)
 	tr.TroughUtil = 0.62 // warm night: refreeze stalls
-	run := func(p Policy) *Result {
-		cfg := Scenario(100, p, 22)
-		cfg.Trace = tr
-		if p == PolicyVMTPreserve {
-			cfg.PreserveUntil = 38 * time.Hour
-		}
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	base := run(PolicyRoundRobin)
-	wa := run(PolicyVMTWA)
-	pres := run(PolicyVMTPreserve)
-	waD := windowPeakReductions(base, wa, preserveDayEdges(base)...)
-	presD := windowPeakReductions(base, pres, preserveDayEdges(base)...)
+	waD, presD := preserveDays(t, 100, tr, 38*time.Hour)
 	waD1, waD2, presD1, presD2 := waD[0], waD[1], presD[0], presD[1]
 	if presD2 <= waD2 {
 		t.Fatalf("preserving should improve day 2: %.2f vs %.2f", presD2, waD2)
@@ -97,13 +108,10 @@ func TestPreserveStudyNeutralOnStandardTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full two-day cluster runs")
 	}
-	st, err := RunPreserveStudy(100, 22, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := st.Preserve - st.WA; diff < -1 || diff > 1 {
+	wa, pres := preserveDays(t, 100, hotSecondDay(0.75), 0)
+	if diff := pres[1] - wa[1]; diff < -1 || diff > 1 {
 		t.Fatalf("day-2 reductions should match when nights refreeze: %.2f vs %.2f",
-			st.Preserve, st.WA)
+			pres[1], wa[1])
 	}
 }
 
@@ -113,7 +121,7 @@ func TestDayPeakReductionsSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := windowPeakReductions(base, base, preserveDayEdges(base)...)
+	d := windowPeakReductions(base, base, interDayEdges(base)...)
 	if len(d) != 2 || d[0] != 0 || d[1] != 0 {
 		t.Fatalf("self-comparison should be zero on both days: %v", d)
 	}

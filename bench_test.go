@@ -352,26 +352,12 @@ func BenchmarkAblationOracleWaxState(b *testing.B) {
 // BenchmarkAblationPreserve exercises the wax-preserving extension on
 // the warm-night scenario where it matters.
 func BenchmarkAblationPreserve(b *testing.B) {
+	noRunCache(b)
 	var dayTwoGain float64
 	for i := 0; i < b.N; i++ {
-		tr := AsymmetricTwoDay(0.90)
+		tr := hotSecondDay(0.90)
 		tr.TroughUtil = 0.62
-		run := func(p Policy) *Result {
-			cfg := Scenario(benchServers, p, 22)
-			cfg.Trace = tr
-			if p == PolicyVMTPreserve {
-				cfg.PreserveUntil = 38 * time.Hour
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r
-		}
-		base := run(PolicyRoundRobin)
-		days := preserveDayEdges(base)
-		waD := windowPeakReductions(base, run(PolicyVMTWA), days...)
-		presD := windowPeakReductions(base, run(PolicyVMTPreserve), days...)
+		waD, presD := preserveDays(b, benchServers, tr, 38*time.Hour)
 		dayTwoGain = presD[1] - waD[1]
 	}
 	b.ReportMetric(dayTwoGain, "day2-gain-pts")

@@ -4,88 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"vmt/internal/chiller"
 	"vmt/internal/cooling"
-	"vmt/internal/stats"
 )
-
-// Facility composes cluster simulations into a datacenter served by
-// one cooling plant (Section IV-A: servers are divided into
-// homogeneous clusters; the paper scales cluster results linearly to
-// a 25 MW facility — this type performs the composition explicitly,
-// allowing heterogeneous clusters).
-type Facility struct {
-	// Clusters are the member cluster configurations, simulated
-	// independently (job scheduling is per-cluster in the paper).
-	Clusters []Config
-	// PlantMarginFrac sizes the cooling plant above the facility peak
-	// when AutoSizePlant is used (e.g. 0.05 = 5% engineering margin).
-	PlantMarginFrac float64
-}
-
-// FacilityResult aggregates a facility run.
-type FacilityResult struct {
-	// PerCluster holds each member cluster's result. Results may be
-	// shared with the session run cache — treat them as read-only.
-	PerCluster []*Result
-	// CoolingLoadW is the summed facility cooling load.
-	CoolingLoadW *stats.Series
-	// TotalPowerW is the summed IT power.
-	TotalPowerW *stats.Series
-	// Plant is the cooling plant the facility was evaluated against.
-	Plant chiller.Plant
-	// PlantEval is the plant's evaluation over the facility load:
-	// energy, peak electrical draw, and any capacity violations.
-	PlantEval chiller.Evaluation
-}
-
-// RunFacility simulates every member cluster (in parallel), sums the
-// cooling load, and evaluates it against the given plant. An unset
-// plant auto-sizes to the facility peak plus PlantMarginFrac.
-func RunFacility(f Facility, plantOpt Optional[chiller.Plant]) (*FacilityResult, error) {
-	if len(f.Clusters) == 0 {
-		return nil, fmt.Errorf("vmt: facility needs at least one cluster")
-	}
-	results, err := RunMany(f.Clusters, BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	total := results[0].CoolingLoadW
-	power := results[0].TotalPowerW
-	sum := &stats.Series{Start: total.Start, Step: total.Step,
-		Values: append([]float64(nil), total.Values...)}
-	pw := &stats.Series{Start: power.Start, Step: power.Step,
-		Values: append([]float64(nil), power.Values...)}
-	for _, r := range results[1:] {
-		if r.CoolingLoadW.Len() != sum.Len() || r.CoolingLoadW.Step != sum.Step {
-			return nil, fmt.Errorf("vmt: facility clusters must share a trace length and step")
-		}
-		for i, v := range r.CoolingLoadW.Values {
-			sum.Values[i] += v
-		}
-		for i, v := range r.TotalPowerW.Values {
-			pw.Values[i] += v
-		}
-	}
-	plant := plantOpt.Value()
-	if !plantOpt.IsSet() {
-		plant, err = chiller.SizeForPeak(sum, f.PlantMarginFrac)
-		if err != nil {
-			return nil, err
-		}
-	}
-	eval, err := plant.Evaluate(sum)
-	if err != nil {
-		return nil, err
-	}
-	return &FacilityResult{
-		PerCluster:   results,
-		CoolingLoadW: sum,
-		TotalPowerW:  pw,
-		Plant:        plant,
-		PlantEval:    eval,
-	}, nil
-}
 
 // OversubscriptionStudy validates the paper's headline oversubscription
 // claim *in simulation* rather than by arithmetic: size a cooling

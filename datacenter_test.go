@@ -1,79 +1,6 @@
 package vmt
 
-import (
-	"testing"
-
-	"vmt/internal/chiller"
-)
-
-func TestRunFacilityAggregates(t *testing.T) {
-	mk := func(policy Policy, gv float64) Config {
-		c := Scenario(4, policy, gv)
-		c.Trace = smallTrace()
-		return c
-	}
-	fac := Facility{
-		Clusters:        []Config{mk(PolicyRoundRobin, 0), mk(PolicyVMTTA, 22)},
-		PlantMarginFrac: 0.05,
-	}
-	res, err := RunFacility(fac, Optional[chiller.Plant]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerCluster) != 2 {
-		t.Fatalf("clusters = %d", len(res.PerCluster))
-	}
-	// The facility series is the sum of the member series.
-	for i := range res.CoolingLoadW.Values {
-		want := res.PerCluster[0].CoolingLoadW.Values[i] + res.PerCluster[1].CoolingLoadW.Values[i]
-		if got := res.CoolingLoadW.Values[i]; got != want {
-			t.Fatalf("sum wrong at %d: %v != %v", i, got, want)
-		}
-	}
-	// Auto-sized plant covers the peak with margin and never violates.
-	peak, _, _ := res.CoolingLoadW.Peak()
-	if res.Plant.CapacityW <= peak {
-		t.Fatalf("plant %v should exceed peak %v", res.Plant.CapacityW, peak)
-	}
-	if res.PlantEval.Violations != 0 {
-		t.Fatalf("auto-sized plant violated %d times", res.PlantEval.Violations)
-	}
-	if res.PlantEval.EnergyKWh <= 0 {
-		t.Fatal("plant energy should be positive")
-	}
-}
-
-func TestRunFacilityErrors(t *testing.T) {
-	if _, err := RunFacility(Facility{}, Optional[chiller.Plant]{}); err == nil {
-		t.Fatal("empty facility should fail")
-	}
-	short := BaselineScenario(2)
-	short.Trace = smallTrace()
-	long := BaselineScenario(2) // full two-day default
-	if _, err := RunFacility(Facility{Clusters: []Config{short, long}}, Optional[chiller.Plant]{}); err == nil {
-		t.Fatal("mismatched trace lengths should fail")
-	}
-	bad := BaselineScenario(0)
-	if _, err := RunFacility(Facility{Clusters: []Config{bad}}, Optional[chiller.Plant]{}); err == nil {
-		t.Fatal("invalid member should fail")
-	}
-}
-
-func TestRunFacilityExplicitPlant(t *testing.T) {
-	c := BaselineScenario(4)
-	c.Trace = smallTrace()
-	tiny := chiller.PaperPlant(10) // absurdly small: every sample violates
-	res, err := RunFacility(Facility{Clusters: []Config{c}}, Some(tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PlantEval.Violations == 0 {
-		t.Fatal("undersized plant should violate")
-	}
-	if res.Plant != tiny {
-		t.Fatal("explicit plant should be used verbatim")
-	}
-}
+import "testing"
 
 // The headline oversubscription claim, validated in simulation: with a
 // modest safety derate, the enlarged VMT fleet fits under the

@@ -15,7 +15,6 @@ import (
 	"vmt/internal/pcm"
 	"vmt/internal/telemetry"
 	"vmt/internal/thermal"
-	"vmt/internal/topology"
 	"vmt/internal/workload"
 )
 
@@ -57,9 +56,6 @@ func TestReadersRejectTrailingDataAndUnknownKeys(t *testing.T) {
 			return json.NewEncoder(w).Encode(workload.SourceSpec{Kind: "bursty", Level: 0.3,
 				BurstUtil: 0.8, BurstProb: 0.2, EpochMin: 10})
 		}, parserOf(workload.ParseSourceSpec)},
-		{"topology.ParseSpec", false, func(w io.Writer) error {
-			return json.NewEncoder(w).Encode(topology.Spec{ServersPerRack: 4, RacksPerRow: 3, RowsPerZone: 2})
-		}, parserOf(topology.ParseSpec)},
 		{"experiment.DecodeSpec", false, GVSweepSpec(10, PolicyVMTTA, []float64{20, 22}).Encode,
 			readerOf(experiment.DecodeSpec)},
 		{"ReadResultJSON", false, func(w io.Writer) error {

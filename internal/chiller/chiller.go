@@ -1,9 +1,8 @@
 // Package chiller models the datacenter cooling plant that the VMT
 // paper's economics implicitly size: a heat-removal system with a
-// finite capacity and a part-load efficiency curve. It turns cluster
-// cooling-load series into plant electrical energy, detects capacity
-// violations (the failure mode oversubscription risks), and sizes
-// plants for a given load.
+// finite capacity and a part-load efficiency curve. It turns a cluster
+// cooling load into plant electrical power and sizes plants for a
+// given load series.
 //
 // The efficiency model is a standard water-cooled chiller abstraction:
 // a nominal coefficient of performance (COP — watts of heat removed
@@ -17,7 +16,6 @@ package chiller
 
 import (
 	"fmt"
-	"time"
 
 	"vmt/internal/stats"
 )
@@ -55,7 +53,7 @@ func (p Plant) Validate() error {
 
 // COPAt returns the effective COP at heat load q (W). Below-zero loads
 // are treated as zero; loads beyond capacity run at nominal COP (the
-// plant cannot remove them — see Evaluate's violation accounting).
+// plant cannot remove the excess, and the room heats up instead).
 func (p Plant) COPAt(q float64) float64 {
 	if q <= 0 {
 		return p.NominalCOP
@@ -76,52 +74,6 @@ func (p Plant) ElectricalPowerW(q float64) float64 {
 		return 0
 	}
 	return q / p.COPAt(q)
-}
-
-// Evaluation summarizes a plant against a heat-load series.
-type Evaluation struct {
-	// EnergyKWh is the plant's electrical energy over the series.
-	EnergyKWh float64
-	// PeakElectricalW is the plant's maximum draw.
-	PeakElectricalW float64
-	// Violations counts samples whose heat load exceeded capacity —
-	// intervals where the room heats up instead.
-	Violations int
-	// ViolationTime is the total duration over capacity.
-	ViolationTime time.Duration
-	// WorstOverloadPct is the largest excursion over capacity, as a
-	// percentage of capacity (0 when no violation).
-	WorstOverloadPct float64
-	// UtilizationPct is mean load over capacity.
-	UtilizationPct float64
-}
-
-// Evaluate runs the plant against a cooling-load series (watts).
-func (p Plant) Evaluate(load *stats.Series) (Evaluation, error) {
-	if err := p.Validate(); err != nil {
-		return Evaluation{}, err
-	}
-	if load.Len() == 0 {
-		return Evaluation{}, fmt.Errorf("chiller: empty load series")
-	}
-	var ev Evaluation
-	stepH := load.Step.Hours()
-	for _, q := range load.Values {
-		e := p.ElectricalPowerW(q)
-		ev.EnergyKWh += e * stepH / 1000
-		if e > ev.PeakElectricalW {
-			ev.PeakElectricalW = e
-		}
-		if q > p.CapacityW {
-			ev.Violations++
-			ev.ViolationTime += load.Step
-			if over := (q - p.CapacityW) / p.CapacityW * 100; over > ev.WorstOverloadPct {
-				ev.WorstOverloadPct = over
-			}
-		}
-	}
-	ev.UtilizationPct = load.Mean() / p.CapacityW * 100
-	return ev, nil
 }
 
 // SizeForPeak returns a plant whose capacity covers the series' peak

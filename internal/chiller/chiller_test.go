@@ -70,42 +70,6 @@ func TestElectricalPower(t *testing.T) {
 	}
 }
 
-func TestEvaluateEnergyAndViolations(t *testing.T) {
-	p := Plant{CapacityW: 1000, NominalCOP: 4, PartLoadPenalty: 0}
-	// 3 hours: 400 W, 800 W, 1200 W (violation).
-	ev, err := p.Evaluate(load(400, 800, 1200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKWh := (400 + 800 + 1200) / 4.0 / 1000
-	if math.Abs(ev.EnergyKWh-wantKWh) > 1e-12 {
-		t.Fatalf("energy = %v, want %v", ev.EnergyKWh, wantKWh)
-	}
-	if ev.Violations != 1 || ev.ViolationTime != time.Hour {
-		t.Fatalf("violations = %d / %v", ev.Violations, ev.ViolationTime)
-	}
-	if math.Abs(ev.WorstOverloadPct-20) > 1e-12 {
-		t.Fatalf("worst overload = %v, want 20%%", ev.WorstOverloadPct)
-	}
-	if math.Abs(ev.UtilizationPct-80) > 1e-12 {
-		t.Fatalf("utilization = %v, want 80%%", ev.UtilizationPct)
-	}
-	if math.Abs(ev.PeakElectricalW-300) > 1e-12 {
-		t.Fatalf("peak electrical = %v, want 300", ev.PeakElectricalW)
-	}
-}
-
-func TestEvaluateErrors(t *testing.T) {
-	p := PaperPlant(1000)
-	if _, err := p.Evaluate(load()); err == nil {
-		t.Fatal("empty series should fail")
-	}
-	bad := Plant{}
-	if _, err := bad.Evaluate(load(1)); err == nil {
-		t.Fatal("invalid plant should fail")
-	}
-}
-
 func TestSizeForPeak(t *testing.T) {
 	p, err := SizeForPeak(load(500, 900, 700), 0.1)
 	if err != nil {
@@ -114,12 +78,10 @@ func TestSizeForPeak(t *testing.T) {
 	if math.Abs(p.CapacityW-990) > 1e-9 {
 		t.Fatalf("capacity = %v, want 990", p.CapacityW)
 	}
-	ev, err := p.Evaluate(load(500, 900, 700))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Violations != 0 {
-		t.Fatal("sized plant should not violate its own series")
+	for _, q := range load(500, 900, 700).Values {
+		if q > p.CapacityW {
+			t.Fatal("sized plant should not violate its own series")
+		}
 	}
 	if _, err := SizeForPeak(load(), 0); err == nil {
 		t.Fatal("empty series should fail")

@@ -152,13 +152,6 @@ func registerLiveHandlers() {
 	})
 }
 
-// Enabled reports whether any observability flag was set.
-func (o *Observability) Enabled() bool {
-	return o.TracePath != "" || o.MetricsPath != "" ||
-		o.CPUProfilePath != "" || o.DebugAddr != "" ||
-		o.StreamPath != "" || o.FleetLogPath != "" || o.ProfileBands
-}
-
 // Start activates the sinks the parsed flags requested and installs
 // them as the process-wide defaults. It returns an error if a flag
 // value is invalid or a file or listener cannot be created; in that

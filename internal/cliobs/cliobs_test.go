@@ -40,12 +40,6 @@ func TestFlagsRoundTrip(t *testing.T) {
 		o.CPUProfilePath != "c.pprof" || o.DebugAddr != ":0" {
 		t.Fatalf("flags not bound: %+v", o)
 	}
-	if !o.Enabled() {
-		t.Fatal("Enabled() should be true")
-	}
-	if (&Observability{}).Enabled() {
-		t.Fatal("zero Observability should be disabled")
-	}
 }
 
 // TestStartRunClose drives the full CLI path: flags → Start → a real

@@ -142,7 +142,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	reg := newRegistry()
+	reg := newRegistry(cfg.Server.PowerScale)
 	fleet, err := thermal.NewFleet(cfg.NumServers)
 	if err != nil {
 		return nil, err
@@ -210,28 +210,6 @@ func (c *Cluster) EnableEstimates() error {
 	}
 	c.ests = ests
 	return nil
-}
-
-// Fleet exposes the cluster's struct-of-arrays thermal store (tests,
-// telemetry snapshots, benchmarks). The fleet is owned by the cluster;
-// callers must not step it directly between cluster Steps.
-func (c *Cluster) Fleet() *thermal.Fleet { return c.fleet }
-
-// PhysicsWorkers returns the resolved per-Step physics worker count.
-func (c *Cluster) PhysicsWorkers() int { return c.workers }
-
-// SetPhysicsWorkers overrides the physics worker count (minimum 1,
-// capped at the server count). Results are bit-identical for any
-// value; the knob only trades goroutines for wall time, and exists so
-// determinism tests can pin specific counts.
-func (c *Cluster) SetPhysicsWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.servers) {
-		n = len(c.servers)
-	}
-	c.workers = n
 }
 
 // Config returns the cluster's configuration.
@@ -396,9 +374,9 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	}
 	v := c.fleet.View()
 	sample := Sample{AirTempC: c.airBuf, MeltFrac: c.meltBuf}
-	// Hoisted spec scalars; keep in sync with ServerSpec.CPUTempC and
-	// ServerSpec.WouldThrottle (inlining them here avoids copying the
-	// full spec struct per server per tick).
+	// Hoisted spec scalars: the loop computes ServerSpec.CPUTempC inline
+	// (calling it would copy the full spec struct per server per tick),
+	// and TestStepCPUTempMatchesSpec holds the two to the same bits.
 	idleW := c.cfg.Server.IdlePowerW
 	cpus := float64(c.cfg.Server.CPUs)
 	rCPU := c.cfg.Server.CPUThermalResistanceKPerW

@@ -177,6 +177,82 @@ func TestStepAggregates(t *testing.T) {
 	}
 }
 
+// TestStepCPUTempMatchesSpec: Cluster.Step computes every server's die
+// temperature inline from hoisted spec scalars, and no binary calls
+// ServerSpec.CPUTempC. Each Sample's MaxCPUTempC and ThrottlingServers
+// must equal, bit for bit, CPUTempC over every server's draw and air
+// temperature, a server over the CPU limit counting as throttling and
+// a zero limit throttling none. Three cases: crashed servers, whose
+// zero draw sits under the idle floor; a limit that some servers
+// exceed and others do not; and the limit off.
+func TestStepCPUTempMatchesSpec(t *testing.T) {
+	wls := workload.TableI()
+	for _, tc := range []struct {
+		name     string
+		limitC   float64
+		crash    bool
+		throttle bool // some but not all servers throttle at the end
+	}{
+		{"crashed", 85, true, false},
+		{"throttling", 40, false, true},
+		{"no-limit", 0, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := PaperCluster(8)
+			cfg.Server.CPULimitC = tc.limitC
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Server i runs i/7 of its cores, so draws span idle to
+			// full load.
+			for i := 0; i < c.Len(); i++ {
+				for j := 0; j < i*c.Server(i).Cores()/7; j++ {
+					if err := c.Server(i).Place(wls[(i+j)%len(wls)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			spec := cfg.Server
+			var sample Sample
+			for step := 0; step < 90; step++ {
+				// Every loaded server crashes mid-run. Their air stays
+				// warmer than the idle server's for a while, so the
+				// hottest die is a crashed server's, at the idle floor.
+				if tc.crash && step == 45 {
+					for i := 1; i < c.Len(); i++ {
+						c.MarkFailed(i)
+					}
+				}
+				if sample, err = c.Step(time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				var wantMax float64
+				wantThrottle := 0
+				for _, s := range c.Servers() {
+					cpu := spec.CPUTempC(s.PowerW(), s.AirTempC())
+					if cpu > wantMax {
+						wantMax = cpu
+					}
+					if spec.CPULimitC > 0 && cpu > spec.CPULimitC {
+						wantThrottle++
+					}
+				}
+				if math.Float64bits(sample.MaxCPUTempC) != math.Float64bits(wantMax) {
+					t.Fatalf("step %d: MaxCPUTempC = %v, CPUTempC gives %v", step, sample.MaxCPUTempC, wantMax)
+				}
+				if sample.ThrottlingServers != wantThrottle {
+					t.Fatalf("step %d: ThrottlingServers = %d, CPUTempC gives %d", step, sample.ThrottlingServers, wantThrottle)
+				}
+			}
+			if got := sample.ThrottlingServers > 0 && sample.ThrottlingServers < c.Len(); got != tc.throttle {
+				t.Fatalf("%d of %d servers throttle at the end (hottest die %v °C)",
+					sample.ThrottlingServers, c.Len(), sample.MaxCPUTempC)
+			}
+		})
+	}
+}
+
 // TestStepAllocFree: a steady-state tick at one physics worker
 // allocates nothing, at paper scale and at 3,000 servers, which crosses
 // a physBlock boundary.
@@ -397,8 +473,8 @@ func TestAccessors(t *testing.T) {
 	if s.AirTempC() != 22 || s.WaxTempC() != 22 {
 		t.Fatal("thermal accessors")
 	}
-	if c.Fleet() == nil || c.Fleet().Len() != 3 {
-		t.Fatal("cluster should expose its fleet store")
+	if c.fleet == nil || c.fleet.Len() != 3 {
+		t.Fatal("cluster's fleet store should hold every server")
 	}
 	s.SetInletTempC(25)
 	if s.InletTempC() != 25 {

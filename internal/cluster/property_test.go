@@ -103,7 +103,7 @@ func TestFleetStoreInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := c.Fleet()
+	f := c.fleet
 	v := f.View()
 	for i := 0; i < n; i++ {
 		if v.MeltFrac[i] < 0 || v.MeltFrac[i] > 1 {
@@ -130,8 +130,10 @@ func TestStepPhysicsWorkersBitIdenticalAtScale(t *testing.T) {
 		t.Skip("100k-server fleet comparison is a long test")
 	}
 	const n = 100_000
-	build := func() *Cluster {
-		c, err := New(PaperCluster(n))
+	build := func(workers int) *Cluster {
+		cfg := PaperCluster(n)
+		cfg.PhysicsWorkers = workers
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,18 +147,16 @@ func TestStepPhysicsWorkersBitIdenticalAtScale(t *testing.T) {
 		}
 		return c
 	}
-	ref := build()
-	ref.SetPhysicsWorkers(1)
+	ref := build(1)
 	const steps = 3
 	for step := 0; step < steps; step++ {
 		if _, err := ref.Step(time.Minute); err != nil {
 			t.Fatal(err)
 		}
 	}
-	refV := ref.Fleet().View()
+	refV := ref.fleet.View()
 	for _, workers := range []int{2, 4, 7, 8, 16} {
-		c := build()
-		c.SetPhysicsWorkers(workers)
+		c := build(workers)
 		var sample Sample
 		var err error
 		for step := 0; step < steps; step++ {
@@ -167,7 +167,7 @@ func TestStepPhysicsWorkersBitIdenticalAtScale(t *testing.T) {
 		if sample.MeanMeltFrac < 0 || sample.MeanMeltFrac > 1 {
 			t.Fatalf("workers=%d: mean melt %v out of bounds", workers, sample.MeanMeltFrac)
 		}
-		v := c.Fleet().View()
+		v := c.fleet.View()
 		for i := 0; i < n; i++ {
 			if math.Float64bits(refV.AirTempC[i]) != math.Float64bits(v.AirTempC[i]) ||
 				math.Float64bits(refV.MeltFrac[i]) != math.Float64bits(v.MeltFrac[i]) ||
@@ -218,7 +218,7 @@ func TestStepPhysicsWorkersBitIdentical(t *testing.T) {
 				if math.Float64bits(a.AirTempC()) != math.Float64bits(b.AirTempC()) ||
 					math.Float64bits(a.MeltFrac()) != math.Float64bits(b.MeltFrac()) {
 					t.Fatalf("step %d: server %d diverged with %d workers (air %v vs %v, melt %v vs %v)",
-						step, i, clusters[ci+1].PhysicsWorkers(),
+						step, i, clusters[ci+1].workers,
 						a.AirTempC(), b.AirTempC(), a.MeltFrac(), b.MeltFrac())
 				}
 			}

@@ -20,6 +20,12 @@ import (
 type registry struct {
 	index map[workload.Workload]int
 	list  []workload.Workload
+	// coreW[i] is list[i]'s draw per occupied core on this cluster's
+	// servers, PerCorePowerW × PowerScale, computed once at intern so a
+	// job move adds or subtracts a stored value. Every server shares
+	// the cluster's one spec, so one scale serves them all.
+	coreW      []float64
+	powerScale float64
 	// byName holds registry indices ordered by workload name, giving
 	// scans a deterministic name-sorted iteration without building and
 	// sorting a fresh slice per call. Rebuilt on intern, which is rare
@@ -58,8 +64,8 @@ type registry struct {
 	hasMemo bool
 }
 
-func newRegistry() *registry {
-	return &registry{index: make(map[workload.Workload]int)}
+func newRegistry(powerScale float64) *registry {
+	return &registry{index: make(map[workload.Workload]int), powerScale: powerScale}
 }
 
 // intern returns the workload's index, assigning one on first use.
@@ -72,6 +78,7 @@ func (r *registry) intern(w workload.Workload) int {
 		i = len(r.list)
 		r.index[w] = i
 		r.list = append(r.list, w)
+		r.coreW = append(r.coreW, w.PerCorePowerW()*r.powerScale)
 		r.byName = append(r.byName, i)
 		sort.Slice(r.byName, func(a, b int) bool {
 			return r.list[r.byName[a]].Name < r.list[r.byName[b]].Name

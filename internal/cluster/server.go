@@ -207,7 +207,7 @@ func (s *Server) PlaceAt(i int) error {
 	s.keys[i] += jobsOne
 	s.busyCores++
 	s.packRow()
-	s.dynamicPowerW += s.reg.list[i].PerCorePowerW() * s.spec.PowerScale
+	s.dynamicPowerW += s.reg.coreW[i]
 	s.storePower()
 	if x := s.reg.place; x != nil {
 		x.jobsChanged(i, s.id)
@@ -233,7 +233,7 @@ func (s *Server) RemoveAt(i int) error {
 	s.keys[i] -= jobsOne
 	s.busyCores--
 	s.packRow()
-	s.dynamicPowerW -= s.reg.list[i].PerCorePowerW() * s.spec.PowerScale
+	s.dynamicPowerW -= s.reg.coreW[i]
 	if s.busyCores == 0 {
 		s.dynamicPowerW = 0 // shed any accumulated rounding residue
 	}
@@ -358,10 +358,6 @@ func (s *Server) InletTempC() float64 { return s.fleet.InletTempC(s.id) }
 // SetInletTempC overrides the inlet temperature (inlet variation
 // studies).
 func (s *Server) SetInletTempC(c float64) { s.fleet.SetInletTempC(s.id, c) }
-
-// Settled reports whether the server's last physics step replayed a
-// memoized steady-state transition.
-func (s *Server) Settled() bool { return s.fleet.Settled(s.id) }
 
 // Ledger returns the server's cumulative thermal energy accounting.
 func (s *Server) Ledger() thermal.EnergyLedger { return s.fleet.Ledger(s.id) }

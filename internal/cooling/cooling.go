@@ -1,8 +1,8 @@
-// Package cooling summarizes cluster cooling-load series: peak load,
-// peak reduction against a baseline, and the oversubscription headroom
-// those reductions buy. The cooling system must be provisioned for the
-// peak, so the peak — not the mean — is the figure of merit throughout
-// the paper's evaluation.
+// Package cooling summarizes cluster cooling-load series: peak load and
+// peak reduction against a baseline (internal/tco turns a reduction
+// into oversubscription headroom). The cooling system must be
+// provisioned for the peak, so the peak — not the mean — is the figure
+// of merit throughout the paper's evaluation.
 package cooling
 
 import (
@@ -64,16 +64,4 @@ func PeakReductionPct(baseline, variant *stats.Series) (float64, error) {
 		return 0, fmt.Errorf("cooling: non-positive baseline peak %v", b.PeakW)
 	}
 	return (b.PeakW - v.PeakW) / b.PeakW * 100, nil
-}
-
-// ExtraServersPct converts a peak cooling reduction into the extra
-// servers that fit under the unchanged cooling budget: shaving r%
-// off the peak leaves room for 1/(1−r) × the original fleet
-// (Section V-E: 12.8% → 14.6% more servers).
-func ExtraServersPct(reductionPct float64) float64 {
-	r := reductionPct / 100
-	if r >= 1 {
-		return 0 // degenerate: the entire load vanished
-	}
-	return (1/(1-r) - 1) * 100
 }

@@ -73,19 +73,3 @@ func TestPeakReductionBadBaseline(t *testing.T) {
 		t.Fatal("empty variant should fail")
 	}
 }
-
-func TestExtraServersPaperNumbers(t *testing.T) {
-	// Section V-E: 12.8% reduction → 14.6% more servers; 6% → 6.4%.
-	if got := ExtraServersPct(12.8); math.Abs(got-14.678899082568805) > 1e-9 {
-		t.Fatalf("12.8%% → %v", got)
-	}
-	if got := ExtraServersPct(6); math.Abs(got-6.3829787234042605) > 1e-9 {
-		t.Fatalf("6%% → %v", got)
-	}
-	if got := ExtraServersPct(0); got != 0 {
-		t.Fatalf("0%% → %v", got)
-	}
-	if got := ExtraServersPct(100); got != 0 {
-		t.Fatalf("degenerate 100%% → %v", got)
-	}
-}

@@ -87,9 +87,6 @@ func (f *Forecaster) ObserveDay(day []float64) error {
 	return nil
 }
 
-// Days returns how many days have been observed.
-func (f *Forecaster) Days() int { return f.days }
-
 // PredictDay returns the next day's utilization forecast, one value
 // per slot, clamped to [0,1]. It fails until at least one day has been
 // observed.

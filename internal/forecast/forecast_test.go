@@ -72,8 +72,8 @@ func TestLearnsStablePattern(t *testing.T) {
 	if mae > 0.01 {
 		t.Fatalf("MAE %v on a stable pattern", mae)
 	}
-	if f.Days() != 5 {
-		t.Fatalf("days = %d", f.Days())
+	if f.days != 5 {
+		t.Fatalf("days = %d", f.days)
 	}
 }
 

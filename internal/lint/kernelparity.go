@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // KernelParity turns the scalar↔SoA bit-identity invariant into a
@@ -616,13 +615,4 @@ func (s *kpSerializer) call(t *ast.CallExpr) {
 		s.expr(a)
 	}
 	s.emit(")", t.Rparen)
-}
-
-// String renders a token stream for debugging.
-func kpTokens(toks []kpTok) string {
-	parts := make([]string, len(toks))
-	for i, t := range toks {
-		parts[i] = t.text
-	}
-	return strings.Join(parts, " ")
 }

@@ -2,9 +2,7 @@ package sched
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,11 +13,11 @@ import (
 
 func flatTrace(t *testing.T, util float64, hours int) *trace.Trace {
 	t.Helper()
-	var b strings.Builder
-	for i := 0; i <= hours*60; i++ {
-		fmt.Fprintf(&b, "%.3f\n", util)
+	samples := make([]float64, hours*60+1)
+	for i := range samples {
+		samples[i] = util
 	}
-	tr, err := trace.FromReader(strings.NewReader(b.String()), time.Minute)
+	tr, err := trace.FromSamples(samples, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,6 @@ func NewLoadManager(c *cluster.Cluster, mix *workload.Mix, src workload.JobSourc
 	}, nil
 }
 
-// Scheduler returns the bound placement policy.
-func (m *LoadManager) Scheduler() Scheduler { return m.sched }
-
 // TargetCores returns the per-workload core target at time now.
 func (m *LoadManager) TargetCores(now time.Duration, w workload.Workload) int {
 	u := m.src.At(now)

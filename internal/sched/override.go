@@ -9,18 +9,15 @@ import (
 )
 
 // Override wraps a Scheduler so an external controller (a session
-// client, an RL policy, an MPC loop) can steer placement without
-// replacing the built-in policy. Each Place consults, in order:
+// client) can steer placement without replacing the built-in policy.
+// Each Place consults the FIFO queue of one-shot directives enqueued
+// via Direct first, then the wrapped policy.
 //
-//  1. the FIFO queue of one-shot directives enqueued via Direct;
-//  2. the standing placer callback installed via SetPlacer;
-//  3. the wrapped policy.
-//
-// A directive or placer choice is validated — the server must exist,
-// be alive, and have a free core — and an invalid choice falls back to
-// the wrapped policy, counted in Rejected. With no directives and no
-// placer, Override is transparent: it adds no RNG draws and changes no
-// decisions, so wrapping is bit-identical to not wrapping.
+// A directive is validated — the server must exist, be alive, and have
+// a free core — and an invalid one falls back to the wrapped policy,
+// counted in Rejected. With no directives, Override is transparent: it
+// adds no RNG draws and changes no decisions, so wrapping is
+// bit-identical to not wrapping.
 //
 // SelectRemoval and Tick always delegate: external controllers steer
 // where load lands, not the bookkeeping of where it drains from.
@@ -30,7 +27,6 @@ type Override struct {
 	// directives is a FIFO per Place-call stream: the first queued
 	// directive naming the placed workload wins.
 	directives []directive
-	placer     func(w workload.Workload) int
 	overridden uint64
 	rejected   uint64
 }
@@ -54,16 +50,11 @@ func (o *Override) Direct(workloadName string, serverID int) {
 	o.directives = append(o.directives, directive{workload: workloadName, server: serverID})
 }
 
-// SetPlacer installs (or, with nil, removes) the standing placement
-// callback. A non-negative return forces the server; a negative return
-// defers to the wrapped policy for that placement.
-func (o *Override) SetPlacer(fn func(w workload.Workload) int) { o.placer = fn }
-
-// Overridden returns how many placements an external choice decided.
+// Overridden returns how many placements a directive decided.
 func (o *Override) Overridden() uint64 { return o.overridden }
 
-// Rejected returns how many external choices were invalid (bad ID,
-// failed server, no free core) and fell back to the wrapped policy.
+// Rejected returns how many directives were invalid (bad ID, failed
+// server, no free core) and fell back to the wrapped policy.
 func (o *Override) Rejected() uint64 { return o.rejected }
 
 // Name implements Scheduler, reporting the wrapped policy's name so
@@ -73,8 +64,8 @@ func (o *Override) Name() string { return o.inner.Name() }
 // Tick implements Scheduler.
 func (o *Override) Tick(now time.Duration) { o.inner.Tick(now) }
 
-// Place implements Scheduler: directives first, then the standing
-// placer, then the wrapped policy.
+// Place implements Scheduler: directives first, then the wrapped
+// policy.
 func (o *Override) Place(w workload.Workload) (*cluster.Server, error) {
 	for i, d := range o.directives {
 		if d.workload != w.Name {
@@ -87,15 +78,6 @@ func (o *Override) Place(w workload.Workload) (*cluster.Server, error) {
 		}
 		o.rejected++
 		break
-	}
-	if o.placer != nil {
-		if id := o.placer(w); id >= 0 {
-			if s := o.validTarget(id); s != nil {
-				o.overridden++
-				return s, nil
-			}
-			o.rejected++
-		}
 	}
 	return o.inner.Place(w)
 }

@@ -139,38 +139,6 @@ func TestOverrideRejectsInvalidTargets(t *testing.T) {
 	}
 }
 
-func TestOverridePlacerForcesAndDefers(t *testing.T) {
-	c := overrideCluster(t, 4)
-	o, err := NewOverride(c, NewRoundRobin(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.SetPlacer(func(w workload.Workload) int {
-		if w.Name == workload.WebSearch.Name {
-			return 2
-		}
-		return -1 // defer everything else
-	})
-	s, err := o.Place(workload.WebSearch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ID() != 2 {
-		t.Fatalf("placer choice landed on %d, want 2", s.ID())
-	}
-	s, err = o.Place(workload.VirusScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ID() != 0 {
-		t.Fatalf("deferred placement landed on %d, want inner's 0", s.ID())
-	}
-	o.SetPlacer(nil)
-	if o.Overridden() != 1 {
-		t.Fatalf("Overridden = %d, want 1", o.Overridden())
-	}
-}
-
 func TestOverrideDrivesLoadManager(t *testing.T) {
 	c := overrideCluster(t, 4)
 	tr, err := trace.Generate(trace.Spec{
@@ -184,9 +152,8 @@ func TestOverrideDrivesLoadManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Standing placer that funnels every placement onto server 1 while
-	// it has room.
-	o.SetPlacer(func(workload.Workload) int { return 1 })
+	// A directive that sends the first web-search placement to server 1.
+	o.Direct(workload.WebSearch.Name, 1)
 	lm, err := NewLoadManager(c, workload.PaperMix(), tr, o)
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +165,6 @@ func TestOverrideDrivesLoadManager(t *testing.T) {
 		t.Fatal("no placements were overridden")
 	}
 	if c.Server(1).BusyCores() == 0 {
-		t.Fatal("funneled server received no jobs")
+		t.Fatal("directed server received no jobs")
 	}
 }

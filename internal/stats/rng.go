@@ -98,17 +98,3 @@ func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// Shuffle permutes the integers [0,n) uniformly (Fisher–Yates) and
-// returns the permutation.
-func (r *RNG) Shuffle(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -79,18 +79,6 @@ func TestNormalZeroStdev(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Shuffle(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestUniformityRough(t *testing.T) {
 	// Chi-square-ish sanity check over 16 buckets.
 	r := NewRNG(123)

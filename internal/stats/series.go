@@ -58,30 +58,6 @@ func (s *Series) Peak() (float64, time.Duration, error) {
 // Mean returns the mean of the samples.
 func (s *Series) Mean() float64 { return Mean(s.Values) }
 
-// WindowMax returns a new series where each sample is the maximum over
-// a trailing window of n samples (n ≥ 1). Used to smooth instantaneous
-// cooling load into a "provisioning" view.
-func (s *Series) WindowMax(n int) *Series {
-	if n < 1 {
-		panic("stats: window must be >= 1")
-	}
-	out := &Series{Start: s.Start, Step: s.Step, Values: make([]float64, len(s.Values))}
-	for i := range s.Values {
-		lo := i - n + 1
-		if lo < 0 {
-			lo = 0
-		}
-		m := s.Values[lo]
-		for _, v := range s.Values[lo+1 : i+1] {
-			if v > m {
-				m = v
-			}
-		}
-		out.Values[i] = m
-	}
-	return out
-}
-
 // Downsample returns every k-th sample (k ≥ 1), preserving the start
 // time. Useful to thin per-minute data for plotting.
 func (s *Series) Downsample(k int) *Series {

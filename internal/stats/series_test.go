@@ -41,20 +41,6 @@ func TestNewSeriesPanicsOnBadStep(t *testing.T) {
 	NewSeries(0)
 }
 
-func TestWindowMax(t *testing.T) {
-	s := NewSeries(time.Minute)
-	for _, v := range []float64{1, 3, 2, 5, 0} {
-		s.Append(v)
-	}
-	w := s.WindowMax(2)
-	want := []float64{1, 3, 3, 5, 5}
-	for i, v := range want {
-		if w.Values[i] != v {
-			t.Fatalf("WindowMax[%d] = %v, want %v", i, w.Values[i], v)
-		}
-	}
-}
-
 func TestDownsample(t *testing.T) {
 	s := NewSeries(time.Minute)
 	for i := 0; i < 10; i++ {

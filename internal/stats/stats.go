@@ -1,6 +1,6 @@
 // Package stats provides small numeric helpers shared by the VMT
-// simulator: summary statistics, percentiles, and deterministic
-// pseudo-random deviates for reproducible experiments.
+// simulator: summary statistics and deterministic pseudo-random
+// deviates for reproducible experiments.
 //
 // Everything here operates on plain float64 slices. Functions never
 // mutate their inputs unless documented otherwise.
@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -95,31 +94,6 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between closest ranks. The input is not
-// modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // Clamp limits x to the closed interval [lo, hi].

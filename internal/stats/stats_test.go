@@ -70,82 +70,12 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.p, err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Fatalf("Percentile(nil) err = %v", err)
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("Percentile(101) should error")
-	}
-	// Input must not be mutated.
-	if xs[0] != 15 || xs[4] != 50 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestPercentileInterpolates(t *testing.T) {
-	got, err := Percentile([]float64{0, 10}, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-9) > 1e-12 {
-		t.Fatalf("Percentile(90) = %v, want 9", got)
-	}
-}
-
 func TestClampAndLerp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("Clamp misbehaves")
 	}
 	if Lerp(10, 20, 0.5) != 15 {
 		t.Fatal("Lerp misbehaves")
-	}
-}
-
-// Property: percentile is monotonic in p and bounded by min/max.
-func TestPercentileProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
-		prev := lo
-		for p := 0.0; p <= 100; p += 5 {
-			v, err := Percentile(xs, p)
-			if err != nil {
-				return false
-			}
-			if v < prev-1e-9 || v < lo-1e-9 || v > hi+1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

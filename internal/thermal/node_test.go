@@ -333,18 +333,6 @@ func TestCPUTempAndThrottle(t *testing.T) {
 	if got := spec.CPUTempC(500, 40); math.Abs(got-65) > 1e-12 {
 		t.Fatalf("full-load die temp = %v, want 65", got)
 	}
-	if spec.WouldThrottle(500, 40) {
-		t.Fatal("65 °C should not throttle")
-	}
-	if !spec.WouldThrottle(500, 61) {
-		t.Fatal("86 °C should throttle")
-	}
-	// Zero limit disables the check.
-	spec.CPULimitC = 0
-	if spec.WouldThrottle(500, 200) {
-		t.Fatal("disabled limit should never throttle")
-	}
-	spec = PaperServer()
 	spec.CPUThermalResistanceKPerW = -1
 	if err := spec.Validate(); err == nil {
 		t.Fatal("negative resistance should fail validation")

@@ -137,11 +137,6 @@ func (s ServerSpec) CPUTempC(powerW, airTempC float64) float64 {
 	return airTempC + perSocket*s.CPUThermalResistanceKPerW
 }
 
-// WouldThrottle reports whether that estimate exceeds the CPU limit.
-func (s ServerSpec) WouldThrottle(powerW, airTempC float64) bool {
-	return s.CPULimitC > 0 && s.CPUTempC(powerW, airTempC) > s.CPULimitC
-}
-
 // AirHeatCapacityJPerK returns the air/chassis node heat capacity
 // implied by the configured time constant.
 func (s ServerSpec) AirHeatCapacityJPerK() float64 {

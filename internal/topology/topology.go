@@ -6,21 +6,15 @@
 // order — so every domain is a contiguous ID range and the mapping is
 // deterministic, allocation-free, and identical on every run.
 //
-// A Spec is JSON-round-trippable and validated on decode, like
-// fault.Plan and workload.SourceSpec, so fault scenarios can carry
-// their topology inline. The fault engine uses domains to trip
-// correlated failures (a PDU loss crashes a whole rack atomically; a
-// cooling-zone failure derates every server in the zone); the planned
-// recirculation work reuses the same rack/row geometry for cross-server
-// heat interference.
+// A Spec is JSON-round-trippable, so fault plans carry their topology
+// inline, and fault.ParsePlan validates it on decode. The fault engine
+// uses domains to trip correlated failures (a PDU loss crashes a whole
+// rack atomically; a cooling-zone failure derates every server in the
+// zone); the planned recirculation work reuses the same rack/row
+// geometry for cross-server heat interference.
 package topology
 
-import (
-	"bytes"
-	"fmt"
-
-	"vmt/internal/jsonio"
-)
+import "fmt"
 
 // Domain kinds accepted by DomainCount and DomainRange.
 const (
@@ -68,19 +62,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec decodes and validates a spec from one JSON value
-// (jsonio.Decode), so spec-file typos fail loudly.
-func ParseSpec(data []byte) (*Spec, error) {
-	var s Spec
-	if err := jsonio.Decode(bytes.NewReader(data), &s); err != nil {
-		return nil, fmt.Errorf("topology: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
 // Topology binds a validated Spec to a concrete fleet size. The last
 // rack (and row, and zone) may be partially filled when the cluster
 // size is not a multiple of the branching factors; its domain range is
@@ -101,12 +82,6 @@ func Build(spec Spec, numServers int) (*Topology, error) {
 	return &Topology{spec: spec, n: numServers}, nil
 }
 
-// Spec returns the branching factors the topology was built from.
-func (t *Topology) Spec() Spec { return t.spec }
-
-// NumServers returns the fleet size the topology is bound to.
-func (t *Topology) NumServers() int { return t.n }
-
 // serversPerDomain returns the span of one domain of the given kind in
 // servers, or 0 for an unknown kind.
 func (t *Topology) serversPerDomain(kind string) int {
@@ -120,15 +95,6 @@ func (t *Topology) serversPerDomain(kind string) int {
 	}
 	return 0
 }
-
-// Racks returns the number of (possibly partially filled) racks.
-func (t *Topology) Racks() int { return ceilDiv(t.n, t.serversPerDomain(DomainRack)) }
-
-// Rows returns the number of rows.
-func (t *Topology) Rows() int { return ceilDiv(t.n, t.serversPerDomain(DomainRow)) }
-
-// Zones returns the number of cooling zones.
-func (t *Topology) Zones() int { return ceilDiv(t.n, t.serversPerDomain(DomainZone)) }
 
 // DomainCount returns how many domains of the given kind the fleet
 // spans.
@@ -159,14 +125,5 @@ func (t *Topology) DomainRange(kind string, index int) (lo, hi int, err error) {
 	}
 	return lo, hi, nil
 }
-
-// RackOf returns the rack index holding server id.
-func (t *Topology) RackOf(id int) int { return id / t.spec.ServersPerRack }
-
-// RowOf returns the row index holding server id.
-func (t *Topology) RowOf(id int) int { return id / t.serversPerDomain(DomainRow) }
-
-// ZoneOf returns the cooling-zone index holding server id.
-func (t *Topology) ZoneOf(id int) int { return id / t.serversPerDomain(DomainZone) }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -29,30 +29,18 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"servers_per_rack":4,"racks_per_row":3,"rows_per_zone":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSpec([]byte(`{"servers_per_rack":4,"racks_per_row":3,"rows_per_zone":2,"typo":1}`)); err == nil {
-		t.Fatal("unknown field should be rejected")
-	}
-	if _, err := ParseSpec([]byte(`{"servers_per_rack":0}`)); err == nil {
-		t.Fatal("invalid spec should be rejected on decode")
-	}
-}
-
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := testSpec()
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseSpec(b)
-	if err != nil {
+	var got Spec
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if *got != s {
-		t.Fatalf("round trip changed the spec: %+v != %+v", *got, s)
+	if got != s {
+		t.Fatalf("round trip changed the spec: %+v != %+v", got, s)
 	}
 }
 
@@ -64,14 +52,10 @@ func TestDomainGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo.Racks(); got != 7 {
-		t.Errorf("Racks() = %d, want 7", got)
-	}
-	if got := topo.Rows(); got != 3 {
-		t.Errorf("Rows() = %d, want 3", got)
-	}
-	if got := topo.Zones(); got != 2 {
-		t.Errorf("Zones() = %d, want 2", got)
+	for kind, want := range map[string]int{DomainRack: 7, DomainRow: 3, DomainZone: 2} {
+		if got, err := topo.DomainCount(kind); err != nil || got != want {
+			t.Errorf("DomainCount(%s) = %d, %v, want %d", kind, got, err, want)
+		}
 	}
 
 	cases := []struct {
@@ -98,26 +82,32 @@ func TestDomainGeometry(t *testing.T) {
 	}
 }
 
-// TestMembershipMatchesRanges: the Of accessors agree with the range
-// resolution for every server.
+// TestMembershipMatchesRanges: the ranges of each kind tile the fleet
+// in ID order, so every server belongs to exactly one domain of each
+// kind.
 func TestMembershipMatchesRanges(t *testing.T) {
 	topo, err := Build(testSpec(), 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < topo.NumServers(); id++ {
-		for kind, of := range map[string]int{
-			DomainRack: topo.RackOf(id),
-			DomainRow:  topo.RowOf(id),
-			DomainZone: topo.ZoneOf(id),
-		} {
-			lo, hi, err := topo.DomainRange(kind, of)
+	for _, kind := range []string{DomainRack, DomainRow, DomainZone} {
+		count, err := topo.DomainCount(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		for i := 0; i < count; i++ {
+			lo, hi, err := topo.DomainRange(kind, i)
 			if err != nil {
-				t.Fatalf("server %d: DomainRange(%s, %d): %v", id, kind, of, err)
+				t.Fatalf("DomainRange(%s, %d): %v", kind, i, err)
 			}
-			if id < lo || id >= hi {
-				t.Errorf("server %d: %s %d spans [%d,%d), excludes its member", id, kind, of, lo, hi)
+			if lo != next || hi <= lo {
+				t.Errorf("%s %d spans [%d,%d), want a non-empty range from %d", kind, i, lo, hi, next)
 			}
+			next = hi
+		}
+		if next != 26 {
+			t.Errorf("%s domains end at server %d, want 26", kind, next)
 		}
 	}
 }

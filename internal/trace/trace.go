@@ -257,8 +257,8 @@ func (t *Trace) Peak() (float64, time.Duration) {
 }
 
 // FromSamples builds a trace directly from utilization samples in
-// [0,1], sampled every step — the programmatic sibling of FromReader,
-// used when a forecast (not a file) supplies the series.
+// [0,1], sampled every step, for a series that a forecast or a
+// production log supplies.
 func FromSamples(samples []float64, step time.Duration) (*Trace, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("trace: step must be positive, got %v", step)

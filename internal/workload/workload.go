@@ -98,16 +98,6 @@ func TableI() []Workload {
 	return []Workload{WebSearch, DataCaching, VideoEncoding, VirusScan, Clustering}
 }
 
-// ByName returns the Table I workload with the given name.
-func ByName(name string) (Workload, error) {
-	for _, w := range TableI() {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	return Workload{}, fmt.Errorf("workload: unknown workload %q", name)
-}
-
 // Mix assigns each workload a share of the total cluster load. Shares
 // must be positive and are normalized to sum to one.
 type Mix struct {
@@ -235,15 +225,4 @@ func PaperMix() *Mix {
 		panic("workload: PaperMix is invalid: " + err.Error())
 	}
 	return m
-}
-
-// PairMix returns a two-workload mix with the given work ratio
-// (fraction of load on a; the remainder on b). Used by the Figure 1
-// feasibility sweeps. ratio must lie strictly inside (0,1) to keep
-// both entries present; use ratio 0/1 via single-workload mixes.
-func PairMix(a, b Workload, ratio float64) (*Mix, error) {
-	if ratio <= 0 || ratio >= 1 {
-		return nil, fmt.Errorf("workload: pair ratio must be in (0,1), got %v", ratio)
-	}
-	return NewMix(MixEntry{a, ratio}, MixEntry{b, 1 - ratio})
 }

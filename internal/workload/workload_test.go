@@ -42,16 +42,6 @@ func TestPerCorePower(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	w, err := ByName("Clustering")
-	if err != nil || w.CPUPowerW != 59.5 {
-		t.Fatalf("ByName: %v, %v", w, err)
-	}
-	if _, err := ByName("Nope"); err == nil {
-		t.Fatal("unknown name should fail")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := (Workload{Name: "", CPUPowerW: 1}).Validate(); err == nil {
 		t.Fatal("empty name should fail")
@@ -119,21 +109,6 @@ func TestMeanPerCorePower(t *testing.T) {
 	want := 0.5*37.2/8 + 0.5*13.5/8
 	if got := m.MeanPerCorePowerW(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("mean per-core power = %v, want %v", got, want)
-	}
-}
-
-func TestPairMix(t *testing.T) {
-	m, err := PairMix(WebSearch, DataCaching, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Share("WebSearch")-0.3) > 1e-12 {
-		t.Fatalf("ratio share = %v", m.Share("WebSearch"))
-	}
-	for _, bad := range []float64{0, 1, -0.5, 2} {
-		if _, err := PairMix(WebSearch, DataCaching, bad); err == nil {
-			t.Errorf("ratio %v should fail", bad)
-		}
 	}
 }
 

@@ -21,12 +21,6 @@ type Assignment struct {
 	zones  int
 }
 
-// Zones returns the zone count.
-func (a Assignment) Zones() int { return a.zones }
-
-// ZoneOf returns server id's zone.
-func (a Assignment) ZoneOf(id int) int { return a.zoneOf[id] }
-
 // Striped assigns servers round-robin across zones: consecutive server
 // IDs land in different zones, so any ID-prefix group (the VMT hot
 // group) spreads evenly.

@@ -22,13 +22,13 @@ func TestStripedSpreadsPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Zones() != 4 {
+	if a.zones != 4 {
 		t.Fatal("zones")
 	}
 	// The first half of the IDs (a hot group) covers every zone twice.
 	counts := make([]int, 4)
 	for id := 0; id < 4; id++ {
-		counts[a.ZoneOf(id)]++
+		counts[a.zoneOf[id]]++
 	}
 	for z, c := range counts {
 		if c != 1 {
@@ -43,10 +43,10 @@ func TestClusteredConcentratesPrefixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first quarter of IDs all land in zone 0.
-	if a.ZoneOf(0) != 0 || a.ZoneOf(1) != 0 {
+	if a.zoneOf[0] != 0 || a.zoneOf[1] != 0 {
 		t.Fatal("prefix should fill zone 0")
 	}
-	if a.ZoneOf(7) != 3 {
+	if a.zoneOf[7] != 3 {
 		t.Fatal("suffix should land in the last zone")
 	}
 }

@@ -6,6 +6,28 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# go_test_named FLAGS PATTERN PACKAGE... runs go test FLAGS -run PATTERN
+# over the packages (FLAGS is split into words) once each |-separated
+# alternative of PATTERN has matched a test, fuzz target or example
+# that go test -list finds in them. Otherwise it fails naming the
+# alternative: a stage whose alternative matches nothing would pass
+# with "[no tests to run]".
+go_test_named() {
+    flags=$1 pattern=$2
+    shift 2
+    go test -list "$pattern" "$@" > "$tmp/list.out"
+    for alt in $(echo "$pattern" | tr '|' ' '); do
+        if ! grep -v -e '^ok ' -e '^? ' -e '^Benchmark' "$tmp/list.out" | grep -Eq -- "$alt"; then
+            echo "-run alternative '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+    go test $flags -run "$pattern" "$@"
+}
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -30,12 +52,11 @@ echo "== go test"
 go test ./...
 
 echo "== golden + property harness (short mode)"
-go test -short -count=1 \
-    -run 'TestGolden|Property|BitIdentical' \
+go_test_named '-short -count=1' 'TestGolden|Property|BitIdentical' \
     . ./internal/pcm/ ./internal/thermal/ ./internal/cluster/
 
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
-go test -count=1 -run 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
+go_test_named -count=1 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
 
 echo "== placement index, key slab and power column vs references, wax-state mask vs live predicates"
 # Every VMT placement and eviction query, masked or not, is answered by
@@ -54,7 +75,7 @@ echo "== placement index, key slab and power column vs references, wax-state mas
 # under both managers, and inside the window between each report
 # change (a report filter, a Byzantine lie, a repair's estimator reset)
 # and the scheduler's Tick.
-go test -count=1 -run 'TestPlacementIndex|TestPowerColumn|TestWaxMask|TestSpecValidateCoreCap' \
+go_test_named -count=1 'TestPlacementIndex|TestPowerColumn|TestWaxMask|TestSpecValidateCoreCap' \
     ./internal/cluster/ ./internal/core/ ./internal/thermal/
 
 echo "== completion queue vs container/heap, ties included"
@@ -64,16 +85,16 @@ echo "== completion queue vs container/heap, ties included"
 # the same (at, server, entry), and both arrays must match after every
 # operation, because tie order can decide which server a fallback
 # SelectRemoval hits.
-go test -count=1 -run 'TestCompletionQueueMatchesContainerHeap' ./internal/sched/
+go_test_named -count=1 'TestCompletionQueueMatchesContainerHeap' ./internal/sched/
 
 echo "== spec round-trip (encode -> decode -> execute, cache-key sensitivity, spec drift)"
 # Settings decode onto Config and the cache key hashes it: every keyed
 # field must move the key, the settings fuzz corpus must stay a
 # canonical fixpoint, and results/specs must match -emit-specs.
-go test -count=1 \
-    -run 'TestSpecRoundTripExecute|TestSpecJSONRoundTrip|TestConfigKeySensitivity|FuzzConfigFromSettings' \
+go_test_named -count=1 \
+    'TestSpecRoundTripExecute|TestSpecJSONRoundTrip|TestConfigKeySensitivity|FuzzConfigFromSettings' \
     . ./internal/experiment/
-go test -count=1 -run 'TestEmittedSpecsMatchCommitted' ./cmd/vmtreport/
+go_test_named -count=1 'TestEmittedSpecsMatchCommitted' ./cmd/vmtreport/
 
 echo "== stepped-vs-monolith equivalence (session tick loop)"
 # The session's tick loop: its stage order, horizons that end between
@@ -81,25 +102,26 @@ echo "== stepped-vs-monolith equivalence (session tick loop)"
 # tick-by-tick and in ragged chunks bit-identical to the monolithic Run
 # — the contract that lets Run be a thin wrapper over Session without
 # re-blessing any golden fixture.
-go test -count=1 \
-    -run 'TestSessionStepToCompletionMatchesRun|TestSessionStepped|TestSessionHorizonBoundsSource|TestSessionStageOrder|TestSessionHorizonNotMultipleOfStep|TestSessionStepOverflow' .
+go_test_named -count=1 \
+    'TestSessionStepToCompletionMatchesRun|TestSessionStepped|TestSessionHorizonBoundsSource|TestSessionStageOrder|TestSessionHorizonNotMultipleOfStep|TestSessionStepOverflow' .
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race ./internal/telemetry/ ./internal/cliobs/ ./internal/experiment/ \
-    ./internal/sched/ ./internal/fault/ ./internal/topology/ \
-    -run 'Test' -count=1
-go test -race -short ./internal/cluster/ \
-    -run 'TestStepPhysicsWorkersBitIdentical|TestStepAggregates|TestEnergyConservationRandomJobs|TestFleetStoreInvariants' -count=1
-go test -race ./internal/thermal/ \
-    -run 'TestFleetOracleChunkedStepping|TestFleetViewAliasesState|TestSnapshotRoundTripBitIdentical' -count=1
-go test -race . -run 'TestRunMany|TestInstrumented|TestDefaultObservers|TestDefaultObservability|TestPhysicsWorkers|TestFaultRunBitIdentical|TestCorrelatedFault|TestCacheCorruptionQuarantine|TestStreamMemoryIsBounded|TestSession' -count=1
+go_test_named '-race -count=1' 'Test' \
+    ./internal/telemetry/ ./internal/cliobs/ ./internal/experiment/ \
+    ./internal/sched/ ./internal/fault/ ./internal/topology/
+go_test_named '-race -short -count=1' \
+    'TestStepPhysicsWorkersBitIdentical|TestStepAggregates|TestEnergyConservationRandomJobs|TestFleetStoreInvariants' \
+    ./internal/cluster/
+go_test_named '-race -count=1' \
+    'TestFleetOracleChunkedStepping|TestFleetViewAliasesState|TestSnapshotRoundTripBitIdentical' \
+    ./internal/thermal/
+go_test_named '-race -count=1' \
+    'TestRunMany|TestInstrumented|TestDefaultObservers|TestDefaultObservability|TestPhysicsWorkers|TestFaultRunBitIdentical|TestCorrelatedFault|TestCacheCorruptionQuarantine|TestStreamMemoryIsBounded|TestSession' .
 go test -race ./internal/workload/ -count=1
 
 echo "== vmtdiff self-check (determinism, end to end)"
 # Two identical runs must diff clean; a one-value mutation must be
 # pinpointed at its exact tick with exit status 1.
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/vmtsim" ./cmd/vmtsim
 go build -o "$tmp/vmtdiff" ./cmd/vmtdiff
 "$tmp/vmtsim" -servers 10 -baseline=false -fleet-log "$tmp/a.ndjson" >/dev/null

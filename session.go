@@ -101,8 +101,8 @@ type Observation struct {
 	// evacuation could not re-place, and one per fluid resize that fell
 	// short of its target (an event, not a core count).
 	TaskDrops uint64 `json:"task_drops"`
-	// PlacementsOverridden and Rejected count the external placer's
-	// accepted and refused decisions (the observe/place seam).
+	// PlacementsOverridden and Rejected count the accepted and refused
+	// Place directives (the observe/place seam).
 	PlacementsOverridden uint64 `json:"placements_overridden"`
 	Rejected             uint64 `json:"placements_rejected"`
 	// Servers is the per-server state, indexed by server ID.
@@ -187,10 +187,10 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	}
 
 	// The Override wrapper is the place half of the seam: with no
-	// directives and no placer it is transparent (no RNG draws, no
-	// changed decisions), so wrapping costs nothing and bit-identity
-	// with the unwrapped pipeline holds by construction. The grouping
-	// interface is resolved on the real policy underneath.
+	// directives it is transparent (no RNG draws, no changed
+	// decisions), so wrapping costs nothing and bit-identity with the
+	// unwrapped pipeline holds by construction. The grouping interface
+	// is resolved on the real policy underneath.
 	override, err := sched.NewOverride(cl, scheduler)
 	if err != nil {
 		return nil, err
@@ -699,18 +699,6 @@ func (s *Session) Place(workloadName string, serverID int) error {
 		}
 	}
 	return fmt.Errorf("vmt: unknown workload %q", workloadName)
-}
-
-// SetPlacer installs (or, with nil, removes) a standing placement
-// callback consulted for every placement: a non-negative return
-// forces that server, a negative return defers to the built-in
-// policy.
-func (s *Session) SetPlacer(fn func(workloadName string) int) {
-	if fn == nil {
-		s.override.SetPlacer(nil)
-		return
-	}
-	s.override.SetPlacer(func(w workload.Workload) int { return fn(w.Name) })
 }
 
 // Close seals the session: trailing telemetry windows flush, the

@@ -125,26 +125,6 @@ func TestSessionPlaceDirective(t *testing.T) {
 	}
 }
 
-func TestSessionSetPlacer(t *testing.T) {
-	s, err := Open(sessionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.SetPlacer(func(string) int { return 2 })
-	if err := s.Step(1); err != nil {
-		t.Fatal(err)
-	}
-	obs := s.Observe()
-	if obs.PlacementsOverridden == 0 {
-		t.Fatal("standing placer decided nothing")
-	}
-	if obs.Servers[2].BusyCores == 0 {
-		t.Fatal("funneled server received no jobs")
-	}
-	s.SetPlacer(nil)
-}
-
 func TestSessionOpenEndedSource(t *testing.T) {
 	cfg := sessionConfig()
 	cfg.Trace = smallTrace() // ignored once Source is set

@@ -119,7 +119,7 @@ type Config struct {
 	// two-day trace.
 	Trace trace.Spec `json:"trace"`
 	// CustomTrace overrides Trace with an externally supplied series
-	// (see trace.FromReader) — the hook for production traces.
+	// (see trace.FromSamples); a spec carries it as custom_trace.
 	CustomTrace *trace.Trace `json:"custom_trace"`
 	// Source, when non-nil, replaces the finite trace with a seeded
 	// open-loop arrival generator (workload.SourceSpec: poisson,
