@@ -2,8 +2,10 @@ package vmt_test
 
 import (
 	"fmt"
+	"time"
 
 	"vmt"
+	"vmt/internal/workload"
 )
 
 // The TCO arithmetic is exact, so its examples double as the paper's
@@ -35,4 +37,36 @@ func ExampleConfig_Validate() {
 	bad := vmt.Scenario(100, vmt.PolicyVMTTA, 0) // VMT needs a GV
 	fmt.Println(bad.Validate())
 	// Output: vmt: policy vmt-ta requires a positive GV
+}
+
+// A session hands the simulation clock to the caller, here the loop of
+// README's session example. The open-loop source ends at Horizon;
+// without one the session would be open-ended and Done never true.
+// Observe has per-server state only once a Step has sampled it.
+func ExampleOpen() {
+	cfg := vmt.Scenario(100, vmt.PolicyVMTTA, 22)
+	cfg.Source = &workload.SourceSpec{Kind: "poisson", Level: 0.5, Events: 30}
+	cfg.Horizon = 2 * time.Hour
+
+	s, err := vmt.Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	steps := 0
+	for !s.Done() {
+		if err := s.Step(5); err != nil {
+			panic(err)
+		}
+		steps++
+		obs := s.Observe()
+		if obs.Servers[3].MeltFrac > 0.9 {
+			s.Place("WebSearch", 7)
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(steps, "steps to", s.Now(), "with", res.CoolingLoadW.Len(), "cooling samples")
+	// Output: 24 steps to 2h0m0s with 120 cooling samples
 }

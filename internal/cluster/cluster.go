@@ -253,6 +253,7 @@ func (c *Cluster) MarkRepaired(i int) {
 		s.storePower()
 		if x := c.reg.place; x != nil {
 			x.capacityChanged(i)
+			x.placeGen++
 		}
 	}
 }
@@ -297,6 +298,12 @@ func (c *Cluster) BusyCores() int {
 	}
 	return n
 }
+
+// CorePowerW returns the draw one core running w adds to a server of
+// c: w's per-core watts (Table I) times the server spec's PowerScale,
+// the value Server.Place adds to the server's dynamic power. It does
+// not intern w.
+func (c *Cluster) CorePowerW(w workload.Workload) float64 { return c.reg.corePowerW(w) }
 
 // WorkloadIndex returns the registry index for w (assigning one if w
 // is new to the cluster). Schedulers resolve the index once per scan

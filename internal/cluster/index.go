@@ -182,7 +182,11 @@ func mostIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best u
 // queries in O(log N) instead of the slab scan's O(N), with exactly
 // the scan's answers. It keeps two tournament trees of minima per
 // interned workload, kept current by Server.Place/Remove and
-// Cluster.MarkFailed/MarkRepaired.
+// Cluster.MarkFailed/MarkRepaired. A follow-up query, one over a range
+// a recent query of the same tree asked about, is answered from a memo
+// of that answer while no move since can have lowered a key of the
+// tree (first). Queries write the memo, so like the registry the index
+// is used by the scheduler band alone.
 type PlacementIndex struct {
 	servers []*Server
 	// reg holds the key slab the leaves read.
@@ -196,7 +200,31 @@ type PlacementIndex struct {
 	// not stored — a leaf's key is read from the slab — so a tree costs
 	// one key per server.
 	trees [][]uint32
+	// memo[2t] and memo[2t+1] are tree t's two most recently recorded
+	// answers, the later first.
+	memo []answer
+	// placeGen counts the moves that can lower a place key
+	// (Server.RemoveAt, Cluster.MarkRepaired), evictGen those that can
+	// lower an evict key (Server.PlaceAt). An answer of a place tree is
+	// remembered only while placeGen reads what it read when the answer
+	// was recorded, and one of an evict tree while evictGen does.
+	// addWorkload moves both, so a zero record is never current.
+	placeGen, evictGen uint64
 }
+
+// answer is one remembered answer of first: when its tree's counter
+// read gen, the least key of servers [lo,hi) was key, and at was the
+// first server at or after from, cyclically, that held it; at is -1
+// when key was no answer.
+type answer struct {
+	gen              uint64
+	lo, hi, from, at int
+	key              uint32
+}
+
+// probeBound is how many servers a follow-up query reads for the
+// remembered key before first falls back to the walks.
+const probeBound = 16
 
 // newPlacementIndex builds an index over the cluster's current state.
 func newPlacementIndex(c *Cluster) *PlacementIndex {
@@ -211,13 +239,17 @@ func newPlacementIndex(c *Cluster) *PlacementIndex {
 	return x
 }
 
-// addWorkload builds the trees of the most recently interned workload.
+// addWorkload builds the trees of the most recently interned workload
+// and forgets every remembered answer.
 func (x *PlacementIndex) addWorkload() {
 	for range 2 {
 		tree := make([]uint32, x.size)
 		x.build(len(x.trees), tree)
 		x.trees = append(x.trees, tree)
 	}
+	x.memo = append(x.memo, make([]answer, 4)...)
+	x.placeGen++
+	x.evictGen++
 }
 
 // build fills tree with the nodes of tree t, bottom up.
@@ -320,12 +352,46 @@ func (x *PlacementIndex) fix(t, i int) {
 // ties to the first at or after from, wrapping to lo; nil if that key
 // is not an answer (fullBit or above).
 //
+// A follow-up query is answered from the memo: one over the range of
+// one of tree t's two remembered answers, while no move that can lower
+// a key of t has happened since. Every key of the range is then at
+// least what it was, so the remembered key is still the least if any
+// server holds it, and the answer is the first server from from that
+// does (probe). A remembered nil stays nil. Otherwise, or when the
+// probe gives up, two bottom-up walks and a descent answer it.
+//
 //vmt:hotpath
 func (x *PlacementIndex) first(t, lo, hi, from int) *Server {
+	gen := x.evictGen
+	if t&1 == 0 {
+		gen = x.placeGen
+	}
+	m := x.memo[2*t : 2*t+2 : 2*t+2]
+	for j := range m {
+		r := &m[j]
+		if r.lo != lo || r.hi != hi || r.gen != gen {
+			continue
+		}
+		if r.at < 0 {
+			return nil
+		}
+		at := x.probe(t, r, from)
+		if at < 0 {
+			break
+		}
+		r.from, r.at = from, at
+		return x.servers[at]
+	}
 	best, p := x.minIn(t, from, hi)
 	if v, q := x.minIn(t, lo, from); v < best {
 		best, p = v, q
 	}
+	// Record the answer in place of the record of the same range, or
+	// else of the earlier one.
+	if m[0].lo != lo || m[0].hi != hi {
+		m[1] = m[0]
+	}
+	m[0] = answer{gen: gen, lo: lo, hi: hi, from: from, at: -1, key: best}
 	if best >= fullBit {
 		return nil
 	}
@@ -337,7 +403,45 @@ func (x *PlacementIndex) first(t, lo, hi, from int) *Server {
 			p++
 		}
 	}
+	m[0].at = p - x.size
 	return x.servers[p-x.size]
+}
+
+// probe returns the first server at or after from, cyclically in
+// [r.lo,r.hi), whose key in tree t is still r.key, or -1 if it reads
+// probeBound servers without finding one. It relies on no move that
+// can lower a key of t having happened since r was recorded. No server
+// from r.from up to r.at held r.key then, and none can hold it now, so
+// when from lies in [r.from,r.at] cyclically the probe starts at r.at;
+// r.at itself is read, as its key may not have moved.
+//
+//vmt:hotpath
+func (x *PlacementIndex) probe(t int, r *answer, from int) int {
+	n := r.hi - r.lo
+	i := from
+	if ahead(r.from, from, n) <= ahead(r.from, r.at, n) {
+		i = r.at
+	}
+	for left := min(n-ahead(from, i, n), probeBound); left > 0; left-- {
+		if x.key(t, i) == r.key {
+			return i
+		}
+		if i++; i == r.hi {
+			i = r.lo
+		}
+	}
+	return -1
+}
+
+// ahead is how many places b follows a in the cyclic order of a range
+// of n servers holding both.
+//
+//vmt:hotpath
+func ahead(a, b, n int) int {
+	if b < a {
+		return b - a + n
+	}
+	return b - a
 }
 
 // minIn returns the least key of tree t among servers [a,b) and the

@@ -311,3 +311,138 @@ func TestPlacementIndexBuiltOnlyWhereItWins(t *testing.T) {
 		t.Error("index not built once, by the first unfiltered query, at the crossover")
 	}
 }
+
+// Follow-up queries, the load manager's pattern, are answered from the
+// index's memo of recent answers, with the scans' answers: at 613 and
+// 2,000 servers, runs of 1–60 consecutive queries of one workload over
+// one range, each answer taking a move, match the scans from the same
+// rotation start. Place runs place a job on each answer. Evict runs ask
+// a spill range and then a primary range, as ThermalAware.SelectRemoval
+// does, and evict from the first answer. Between two queries of a run
+// comes one of a removal, a repair, a crash, a placement of any
+// workload or a change of range, and one run interns a workload midway.
+// Every tree matches a rebuild after every run.
+// TestPlacementIndexMatchesScan draws a workload and policy per
+// operation, so its queries are rarely follow-ups.
+func TestPlacementIndexFollowUpQueries(t *testing.T) {
+	late := workload.Workload{Name: "LateBatch", CPUPowerW: 48, Class: workload.Hot}
+	id := func(s *Server) int {
+		if s == nil {
+			return -1
+		}
+		return s.id
+	}
+	for _, n := range []int{613, 2000} {
+		cfg := PaperCluster(n)
+		cfg.Server.CPUs, cfg.Server.CoresPerCPU = 1, 8
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := []workload.Workload{workload.WebSearch, workload.VirusScan, workload.VideoEncoding}
+		rng := stats.NewRNG(uint64(n))
+		for range 4 * n {
+			c.servers[rng.Intn(n)].Place(mix[rng.Intn(len(mix))])
+		}
+		c.LeastBusy(0, 0, n, 0, nil, 0)
+		x := c.PlacementIndex()
+		if x == nil {
+			t.Fatalf("n=%d: no placement index", n)
+		}
+		// query asks the next query of the groups' rotation, as
+		// core.groups does, or nil for an empty range, and fails unless
+		// the cluster's answer is the scan's.
+		cursor := 0
+		query := func(place bool, w, lo, hi int, when string) *Server {
+			t.Helper()
+			if hi <= lo {
+				return nil
+			}
+			cursor++
+			from := lo + cursor%(hi-lo)
+			got, want := c.MostBusyWith(w, lo, hi, from, nil, 0), scanMost(c, w, lo, hi, from, nil, 0)
+			if place {
+				got, want = c.LeastBusy(w, lo, hi, from, nil, 0), scanLeast(c, w, lo, hi, from, nil, 0)
+			}
+			if got != want {
+				t.Fatalf("%s: workload %d place %v [%d,%d) from %d: index gives server %d, scan %d",
+					when, w, place, lo, hi, from, id(got), id(want))
+			}
+			return got
+		}
+		// split is the hot group's size: servers [0,split) are hot, and
+		// groups gives a class's primary and spill ranges.
+		split := n / 3
+		groups := func(class workload.Class) (prim, spill [2]int) {
+			if class == workload.Hot {
+				return [2]int{0, split}, [2]int{split, n}
+			}
+			return [2]int{split, n}, [2]int{0, split}
+		}
+		var failed []int
+		for run := range 300 {
+			wl := mix[rng.Intn(len(mix))]
+			w, place := c.WorkloadIndex(wl), rng.Intn(2) == 0
+			length := 1 + rng.Intn(60)
+			if run == 150 {
+				length = 40
+			}
+			for q := range length {
+				when := fmt.Sprintf("n=%d run %d query %d", n, run, q)
+				if q > 0 {
+					prim, _ := groups(wl.Class)
+					s := c.servers[prim[0]+rng.Intn(prim[1]-prim[0])]
+					switch rng.Intn(5) {
+					case 0:
+						if s.RemoveAt(w) != nil {
+							s.Remove(mix[rng.Intn(len(mix))])
+						}
+					case 1:
+						if len(failed) > 0 {
+							k := rng.Intn(len(failed))
+							c.MarkRepaired(failed[k])
+							failed = append(failed[:k], failed[k+1:]...)
+						}
+					case 2:
+						if !s.Failed() {
+							c.MarkFailed(s.id)
+							failed = append(failed, s.id)
+						}
+					case 3:
+						s.Place(mix[rng.Intn(len(mix))])
+					default:
+						split = min(max(split+rng.Intn(17)-8, 1), n-1)
+					}
+				}
+				if run == 150 && q == 20 {
+					c.servers[rng.Intn(n)].Place(late)
+					mix = append(mix, late)
+				}
+				prim, spill := groups(wl.Class)
+				if place {
+					if s := query(true, w, prim[0], prim[1], when); s != nil {
+						if err := s.PlaceAt(w); err != nil {
+							t.Fatalf("%s: %v", when, err)
+						}
+					}
+					continue
+				}
+				s := query(false, w, spill[0], spill[1], when)
+				if p := query(false, w, prim[0], prim[1], when); s == nil {
+					s = p
+				}
+				if s != nil {
+					if err := s.RemoveAt(w); err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+				}
+			}
+			if err := x.Verify(); err != nil {
+				t.Fatalf("n=%d run %d: %v", n, run, err)
+			}
+		}
+		if len(mix) != 4 || len(x.trees) != 8 {
+			t.Fatalf("n=%d: %d workloads in the mix and %d trees, want 4 and 8", n, len(mix), len(x.trees))
+		}
+	}
+}

@@ -21,9 +21,9 @@ type registry struct {
 	index map[workload.Workload]int
 	list  []workload.Workload
 	// coreW[i] is list[i]'s draw per occupied core on this cluster's
-	// servers, PerCorePowerW × PowerScale, computed once at intern so a
-	// job move adds or subtracts a stored value. Every server shares
-	// the cluster's one spec, so one scale serves them all.
+	// servers (corePowerW), computed once at intern so a job move adds
+	// or subtracts a stored value. Every server shares the cluster's one
+	// spec, so one scale serves them all.
 	coreW      []float64
 	powerScale float64
 	// byName holds registry indices ordered by workload name, giving
@@ -78,7 +78,7 @@ func (r *registry) intern(w workload.Workload) int {
 		i = len(r.list)
 		r.index[w] = i
 		r.list = append(r.list, w)
-		r.coreW = append(r.coreW, w.PerCorePowerW()*r.powerScale)
+		r.coreW = append(r.coreW, r.corePowerW(w))
 		r.byName = append(r.byName, i)
 		sort.Slice(r.byName, func(a, b int) bool {
 			return r.list[r.byName[a]].Name < r.list[r.byName[b]].Name
@@ -107,6 +107,12 @@ func (r *registry) relayout() {
 		s.keys = row
 	}
 	r.keys = slab
+}
+
+// corePowerW is Cluster.CorePowerW: w's per-core watts (Table I)
+// times the server spec's PowerScale.
+func (r *registry) corePowerW(w workload.Workload) float64 {
+	return w.PerCorePowerW() * r.powerScale
 }
 
 // lookup returns the index without assigning.

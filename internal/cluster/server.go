@@ -211,6 +211,7 @@ func (s *Server) PlaceAt(i int) error {
 	s.storePower()
 	if x := s.reg.place; x != nil {
 		x.jobsChanged(i, s.id)
+		x.evictGen++
 	}
 	return nil
 }
@@ -240,6 +241,7 @@ func (s *Server) RemoveAt(i int) error {
 	s.storePower()
 	if x := s.reg.place; x != nil {
 		x.jobsChanged(i, s.id)
+		x.placeGen++
 	}
 	return nil
 }

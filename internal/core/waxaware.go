@@ -31,11 +31,9 @@ type WaxAware struct {
 	baseHot int
 	effBase int
 	pmtC    float64
-	// kAirWPerK and powerScale are hoisted spec scalars; reading them
-	// through Config() would copy the whole spec struct once per
-	// rebalancing probe.
-	kAirWPerK  float64
-	powerScale float64
+	// kAirWPerK is a hoisted spec scalar; reading it through Config()
+	// would copy the whole spec struct once per rebalancing probe.
+	kAirWPerK float64
 
 	// Optional instruments (nil-safe) plus the last observed state
 	// they diff against. prevMelted starts at 0 so the first tick's
@@ -120,7 +118,6 @@ func NewWaxAware(c *cluster.Cluster, cfg Config) (*WaxAware, error) {
 		effBase:    base,
 		pmtC:       pmt,
 		kAirWPerK:  c.Config().Server.AirConductanceWPerK,
-		powerScale: c.Config().Server.PowerScale,
 		resizes:    cfg.Metrics.Counter("sched_hot_group_resizes"),
 		trips:      cfg.Metrics.Counter("sched_threshold_trips"),
 		migrations: cfg.Metrics.Counter("sched_migrations"),
@@ -351,7 +348,7 @@ func (wa *WaxAware) swapOne() bool {
 			continue
 		}
 		keep := wa.keepWarmPowerW(src)
-		if src.PowerW()-hot.PerCorePowerW()*wa.powerScale < keep {
+		if src.PowerW()-wa.g.c.CorePowerW(hot) < keep {
 			continue
 		}
 		for j := wa.effBase; j < wa.g.hotSize; j++ {
@@ -393,7 +390,7 @@ func (wa *WaxAware) shedOneHot() bool {
 		// Only shed if the server stays at keep-warm power afterwards;
 		// draining it would refreeze the wax and release stored heat
 		// in the middle of the peak.
-		if src.PowerW()-w.PerCorePowerW()*wa.powerScale < keep {
+		if src.PowerW()-wa.g.c.CorePowerW(w) < keep {
 			continue
 		}
 		dst := wa.meltTarget(w, src.ID())

@@ -105,7 +105,7 @@ func NewGuard(c *cluster.Cluster, mix *workload.Mix, step time.Duration, reg *te
 	g.peakW = spec.PeakPowerW
 	if mix != nil {
 		for _, e := range mix.Entries() {
-			w := e.Workload.PerCorePowerW() * spec.PowerScale
+			w := c.CorePowerW(e.Workload)
 			if !g.powerCheck || w < g.minCoreW {
 				g.minCoreW = w
 			}

@@ -69,7 +69,11 @@ echo "== placement index, key slab and power column vs references, wax-state mas
 # jobs fields are kept). After every place, remove, crash, repair and
 # evacuation by either manager, every server's entry in the power
 # column must bit-equal the draw its fields give. Servers are capped at
-# the 32,767 cores the keys hold exactly. Every read of VMT-WA's
+# the 32,767 cores the keys hold exactly. Runs of follow-up queries of
+# one workload over one range, the load manager's pattern and the case
+# the index answers from its memo of recent answers, are checked the
+# same way at 613 and 2,000 servers, with a removal, repair, crash,
+# placement or range change between two queries. Every read of VMT-WA's
 # wax-state mask must equal the predicates evaluated live, through
 # fault-injected runs of VMT-WA, its oracle ablation and VMT-preserve
 # under both managers, and inside the window between each report
@@ -234,6 +238,20 @@ mutation_check powmut internal/cluster/cluster.go \
     '--- FAIL: TestPowerColumnMatchesFields' \
     "TestPowerColumnMatchesFields did not catch a repair that left its power column at zero" \
     go test -count=1 -run '^TestPowerColumnMatchesFields$' ./internal/core/
+
+echo "== placement-memo self-check (a removal that keeps the memo current is caught)"
+# Delete the place-generation bump from Server.RemoveAt, so the
+# placement index keeps answering follow-up place queries from a key
+# level a removal has since undercut, and demand that the follow-up
+# test fail by name.
+mutation_check memomut internal/cluster/server.go \
+    '/^func \(s \*Server\) RemoveAt\(/ { inside = 1 }
+    inside && !done && /^\t\tx\.placeGen\+\+$/ { done = 1; next }
+    /^}/ { inside = 0 } { print }' \
+    "place-generation bump in Server.RemoveAt" \
+    '--- FAIL: TestPlacementIndexFollowUpQueries' \
+    "TestPlacementIndexFollowUpQueries did not catch a removal that left the memo current" \
+    go test -count=1 -run '^TestPlacementIndexFollowUpQueries$' ./internal/cluster/
 
 echo "== report check (a full vmtreport reproduces results/)"
 # Rerun the command in results/README.md and demand the committed
