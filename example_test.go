@@ -42,7 +42,8 @@ func ExampleConfig_Validate() {
 // A session hands the simulation clock to the caller, here the loop of
 // README's session example. The open-loop source ends at Horizon;
 // without one the session would be open-ended and Done never true.
-// Observe has per-server state only once a Step has sampled it.
+// Observe reports every server at every tick, before the first Step
+// included, so the loop could as well observe before it steps.
 func ExampleOpen() {
 	cfg := vmt.Scenario(100, vmt.PolicyVMTTA, 22)
 	cfg.Source = &workload.SourceSpec{Kind: "poisson", Level: 0.5, Events: 30}

@@ -52,10 +52,15 @@ func TestServeSession(t *testing.T) {
 		return o
 	}
 
-	// Before any step: tick 0, no server state yet.
+	// Before any step: tick 0, every server with all its cores free.
 	obs = getJSON(http.Get(base + "/observe"))
-	if obs.Tick != 0 || len(obs.Servers) != 0 {
+	if obs.Tick != 0 || len(obs.Servers) != 4 {
 		t.Fatalf("pre-step observation: %+v", obs)
+	}
+	for i, so := range obs.Servers {
+		if so.ID != i || so.BusyCores != 0 || so.FreeCores != 32 || so.Crashed {
+			t.Fatalf("pre-step server %d: %+v, want all 32 cores free", i, so)
+		}
 	}
 
 	// GET /step is refused; the clock only moves on POST.

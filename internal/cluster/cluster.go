@@ -66,33 +66,71 @@ func (c Config) Validate() error {
 	return c.Material.Validate()
 }
 
-// Cluster is a collection of servers stepped in lockstep. The hot
-// thermal state lives in a struct-of-arrays thermal.Fleet — parallel
-// slices indexed by server ID — so one Step is a cache-friendly sweep
-// over contiguous ranges instead of a pointer chase through per-server
-// node structs; Server keeps the job bookkeeping and delegates its
-// thermal accessors into the store.
+// Cluster is a collection of servers stepped in lockstep. Its state
+// is a set of columns indexed by server ID: the thermal state in a
+// struct-of-arrays thermal.Fleet, and the scheduling state (busy
+// cores, failure, jobs, draw, reports) in the columns below. One Step
+// is a cache-friendly sweep over contiguous ranges, a group query reads
+// two of them, and a Server is a handle on its slot.
 type Cluster struct {
-	cfg     Config
+	cfg Config
+	// servers[i] points at server i's handle in one slab of handles.
 	servers []*Server
 	fleet   *thermal.Fleet
-	// ests is the dense wax-state estimator column, nil until
-	// EnableEstimates; while it is nil, Step skips the estimator pass.
-	// Once enabled, servers[i].est points at ests[i], so the pass walks
-	// contiguous memory in step with the fleet's air-temperature slice
-	// instead of chasing per-server heap pointers.
+	// cores is cfg.Server.Cores(), read by every FreeCores.
+	cores int
+	reg   *registry
+
+	// head is the header column: server id's busy cores and failed
+	// state, packed as full<<31 | failed<<15 | busy (index.go), the one
+	// place either is stored. Job moves, MarkFailed and MarkRepaired
+	// write it.
+	head []uint32
+	// slab is the job slab: server id's job count of the workload with
+	// registry index w is slab[id*stride+w] >> 16, stride being the
+	// number of interned workloads, and the word holds nothing else.
+	// Interning a workload re-lays it at the new stride (relayout).
+	slab []uint32
+	// dyn is the dynamic-power column: each server's running sum of the
+	// per-core draw of its jobs, added and subtracted in move order.
+	// Summing counts on demand would round differently, and map-based
+	// summation would add floats in randomized iteration order, breaking
+	// determinism.
+	dyn []float64
+	// pow is the power column: server id's draw is pow[id], the value
+	// Server.PowerW returns. Job moves, MarkFailed and MarkRepaired
+	// rewrite it (storePower), so Step hands it to the physics as is.
+	pow []float64
+	// quarantined marks the servers whose reports the defense layer has
+	// flagged as implausible: schedulers should ignore their telemetry
+	// and fall back to trust-free placement for them.
+	quarantined []bool
+	// filters interposes on each server's *reported* telemetry
+	// (utilization, melt fraction) without touching the authoritative
+	// bookkeeping — the seam Byzantine fault injection uses to make a
+	// server lie to the scheduler while physics and placement stay
+	// truthful. Nil until the first Server.SetReportFilter.
+	filters []ReportFilter
+	// ests is the wax-state estimator column, nil until
+	// EnableEstimates; while it is nil, Step skips the estimator pass,
+	// which walks it in step with the fleet's air-temperature slice.
 	ests []pcm.Estimator
+	// place is the placement index, nil until the cluster's first
+	// unfiltered query builds one (buildIndex); interning a workload
+	// gives it that workload's trees.
+	place *PlacementIndex
+	// reportEpoch is the report epoch (ReportEpoch).
+	reportEpoch uint64
 	// stepped is set by the first Step; estimates can be enabled only
 	// before it.
 	stepped bool
-	reg     *registry
 	// workers is the resolved physics worker count (≥1; 1 = serial).
 	workers int
 	// Per-server scratch reused across Steps so the steady-state
 	// physics path allocates nothing. airBuf/meltBuf back the Sample
 	// snapshots; chunkIdx/chunkErr carry each worker chunk's first
 	// failure to the sequential reduction. The fleet kernel reads each
-	// server's draw straight from the registry's power column.
+	// server's draw straight from the power column.
 	airBuf   []float64
 	meltBuf  []float64
 	chunkIdx []int
@@ -142,39 +180,42 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	reg := newRegistry(cfg.Server.PowerScale)
-	fleet, err := thermal.NewFleet(cfg.NumServers)
+	n := cfg.NumServers
+	fleet, err := thermal.NewFleet(n)
 	if err != nil {
 		return nil, err
 	}
-	servers := make([]*Server, cfg.NumServers)
-	reg.pow = make([]float64, cfg.NumServers)
-	for i := range servers {
+	workers := resolveWorkers(cfg)
+	c := &Cluster{
+		cfg:         cfg,
+		servers:     make([]*Server, n),
+		fleet:       fleet,
+		cores:       cfg.Server.Cores(),
+		reg:         newRegistry(),
+		head:        make([]uint32, n),
+		dyn:         make([]float64, n),
+		pow:         make([]float64, n),
+		quarantined: make([]bool, n),
+		workers:     workers,
+		airBuf:      make([]float64, n),
+		meltBuf:     make([]float64, n),
+		chunkIdx:    make([]int, 0, workers),
+		chunkErr:    make([]error, 0, workers),
+	}
+	handles := make([]Server, n)
+	for i := range handles {
 		inlet := cfg.InletTempC
 		if cfg.InletStdevC > 0 {
 			inlet = rng.Normal(cfg.InletTempC, cfg.InletStdevC)
 		}
-		s, err := newServer(i, cfg.Server, cfg.Material, inlet, reg, fleet)
-		if err != nil {
+		if err := fleet.Init(i, cfg.Server, cfg.Material, inlet); err != nil {
 			return nil, err
 		}
-		s.storePower()
-		servers[i] = s
+		handles[i] = Server{c: c, id: i}
+		c.servers[i] = &handles[i]
+		c.storePower(i)
 	}
-	reg.servers = servers
-	n := cfg.NumServers
-	workers := resolveWorkers(cfg)
-	return &Cluster{
-		cfg:      cfg,
-		servers:  servers,
-		fleet:    fleet,
-		reg:      reg,
-		workers:  workers,
-		airBuf:   make([]float64, n),
-		meltBuf:  make([]float64, n),
-		chunkIdx: make([]int, 0, workers),
-		chunkErr: make([]error, 0, workers),
-	}, nil
+	return c, nil
 }
 
 // EnableEstimates gives every server a wax-state estimator, the
@@ -205,9 +246,6 @@ func (c *Cluster) EnableEstimates() error {
 		ests[i] = ests[0]
 		ests[i].Reset(c.fleet.WaxTempC(i))
 	}
-	for i, s := range c.servers {
-		s.est = &ests[i]
-	}
 	c.ests = ests
 	return nil
 }
@@ -229,15 +267,14 @@ func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 func (c *Cluster) Servers() []*Server { return c.servers }
 
 // MarkFailed crashes server i: it stops drawing power and offering
-// capacity until MarkRepaired. Idempotent.
+// capacity until MarkRepaired, while its physics keeps stepping so the
+// wax refreezes realistically. Idempotent.
 func (c *Cluster) MarkFailed(i int) {
-	s := c.servers[i]
-	if !s.failed {
-		s.failed = true
+	if c.head[i]&failedBit == 0 {
+		c.head[i] |= failedBit | fullBit
 		c.failedCount++
-		s.packRow()
-		s.storePower()
-		if x := c.reg.place; x != nil {
+		c.storePower(i)
+		if x := c.place; x != nil {
 			x.capacityChanged(i)
 		}
 	}
@@ -245,17 +282,42 @@ func (c *Cluster) MarkFailed(i int) {
 
 // MarkRepaired brings server i back. Idempotent.
 func (c *Cluster) MarkRepaired(i int) {
-	s := c.servers[i]
-	if s.failed {
-		s.failed = false
+	if c.head[i]&failedBit != 0 {
+		c.head[i] = c.header(int(c.head[i]&busyMask), false)
 		c.failedCount--
-		s.packRow()
-		s.storePower()
-		if x := c.reg.place; x != nil {
+		c.storePower(i)
+		if x := c.place; x != nil {
 			x.capacityChanged(i)
 			x.placeGen++
 		}
 	}
+}
+
+// header is the header word of a server with busy busy cores, failed
+// or not: full<<31 | failed<<15 | busy, the full bit set while the
+// server is failed or has no free core.
+func (c *Cluster) header(busy int, failed bool) uint32 {
+	h := uint32(busy)
+	if failed {
+		h |= failedBit | fullBit
+	} else if busy >= c.cores {
+		h |= fullBit
+	}
+	return h
+}
+
+// storePower writes server id's draw into the power column after its
+// jobs or failed state changed: idle power plus the dynamic power of
+// its jobs, capped at the nameplate peak, and 0 while failed.
+func (c *Cluster) storePower(id int) {
+	p := 0.0
+	if c.head[id]&failedBit == 0 {
+		p = c.cfg.Server.IdlePowerW + c.dyn[id]
+		if p > c.cfg.Server.PeakPowerW {
+			p = c.cfg.Server.PeakPowerW
+		}
+	}
+	c.pow[id] = p
 }
 
 // PlacementIndex returns the cluster's placement index, or nil until
@@ -263,7 +325,7 @@ func (c *Cluster) MarkRepaired(i int) {
 // least indexCrossover servers builds it. Smaller clusters never get
 // one: below the crossover a slab scan is cheaper than keeping the
 // index current on every Place and Remove.
-func (c *Cluster) PlacementIndex() *PlacementIndex { return c.reg.place }
+func (c *Cluster) PlacementIndex() *PlacementIndex { return c.place }
 
 // FailedServers returns how many servers are currently crashed.
 func (c *Cluster) FailedServers() int { return c.failedCount }
@@ -276,14 +338,14 @@ func (c *Cluster) FailedServers() int { return c.failedCount }
 // moves, MarkFailed, MarkRepaired and inlet changes do not move it:
 // none of them changes an air temperature or a melt report before the
 // next Step.
-func (c *Cluster) ReportEpoch() uint64 { return c.reg.reportEpoch }
+func (c *Cluster) ReportEpoch() uint64 { return c.reportEpoch }
 
 // ReportsChanged moves the report epoch. Code that changes a server's
 // reported melt fraction between Steps other than by SetReportFilter
 // calls it after the change and before the scheduler next runs: fault
 // injection after resetting a repaired server's estimator, and after
 // refreshing the state its report filters read.
-func (c *Cluster) ReportsChanged() { c.reg.reportEpoch++ }
+func (c *Cluster) ReportsChanged() { c.reportEpoch++ }
 
 // TotalCores returns the cluster-wide core count.
 func (c *Cluster) TotalCores() int {
@@ -293,8 +355,8 @@ func (c *Cluster) TotalCores() int {
 // BusyCores returns the cluster-wide occupied core count.
 func (c *Cluster) BusyCores() int {
 	var n int
-	for _, s := range c.servers {
-		n += s.busyCores
+	for _, h := range c.head {
+		n += int(h & busyMask)
 	}
 	return n
 }
@@ -303,7 +365,9 @@ func (c *Cluster) BusyCores() int {
 // c: w's per-core watts (Table I) times the server spec's PowerScale,
 // the value Server.Place adds to the server's dynamic power. It does
 // not intern w.
-func (c *Cluster) CorePowerW(w workload.Workload) float64 { return c.reg.corePowerW(w) }
+func (c *Cluster) CorePowerW(w workload.Workload) float64 {
+	return w.PerCorePowerW() * c.cfg.Server.PowerScale
+}
 
 // WorkloadIndex returns the registry index for w (assigning one if w
 // is new to the cluster). Schedulers resolve the index once per scan
@@ -311,7 +375,33 @@ func (c *Cluster) CorePowerW(w workload.Workload) float64 { return c.reg.corePow
 //
 //vmt:hotpath
 func (c *Cluster) WorkloadIndex(w workload.Workload) int {
-	return c.reg.intern(w) //vmtlint:allow hotpath interning miss is once per workload name; steady-state scans hit the memo
+	return c.intern(w) //vmtlint:allow hotpath interning miss is once per workload name; steady-state scans hit the memo
+}
+
+// intern returns w's registry index, interning w on first use: the
+// registry assigns the index, the job slab gains w's column with no
+// jobs on any server, and the placement index gains w's trees.
+func (c *Cluster) intern(w workload.Workload) int {
+	i, ok := c.reg.lookup(w)
+	if !ok {
+		i = c.reg.add(w, c.CorePowerW(w))
+		c.relayout()
+		if c.place != nil {
+			c.place.addWorkload()
+		}
+	}
+	return i
+}
+
+// relayout widens the job slab to one column per interned workload,
+// keeping every server's job counts.
+func (c *Cluster) relayout() {
+	stride := len(c.reg.list)
+	slab := make([]uint32, len(c.servers)*stride)
+	for id := range c.servers {
+		copy(slab[id*stride:], c.slab[id*(stride-1):(id+1)*(stride-1)])
+	}
+	c.slab = slab
 }
 
 // JobCount returns the cluster-wide job count for workload w.
@@ -364,9 +454,9 @@ type Sample struct {
 // Step advances every server by dt and returns the aggregate sample.
 //
 // Each server's draw, fixed for the whole step, is its entry in the
-// registry's power column, which job moves, crashes and repairs keep
-// current; the fleet kernel and the aggregation read that column
-// directly, so a Step streams dense columns and loads no *Server.
+// power column, which job moves, crashes and repairs keep current; the
+// fleet kernel and the aggregation read that column directly, so a
+// Step streams dense columns and loads no *Server.
 // The per-server physics is embarrassingly parallel (servers couple
 // only through the scheduler between steps), so it fans out across
 // PhysicsWorkers goroutines writing disjoint per-server slots; the
@@ -375,7 +465,7 @@ type Sample struct {
 // bit-identical for any worker count.
 func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	c.stepped = true
-	c.reg.reportEpoch++
+	c.reportEpoch++
 	if err := c.stepPhysics(dt); err != nil {
 		return Sample{}, err
 	}
@@ -388,7 +478,7 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	cpus := float64(c.cfg.Server.CPUs)
 	rCPU := c.cfg.Server.CPUThermalResistanceKPerW
 	limitC := c.cfg.Server.CPULimitC
-	pow := c.reg.pow
+	pow := c.pow
 	var sumAir, sumMelt float64
 	for i := range c.servers {
 		air := v.AirTempC[i]
@@ -492,7 +582,7 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 func (c *Cluster) stepBlocks(lo, hi int, dt time.Duration) (int, error) {
 	for b := lo; b < hi; b += physBlock {
 		e := min(b+physBlock, hi)
-		if idx, err := c.fleet.StepRange(b, e, c.reg.pow, dt); err != nil {
+		if idx, err := c.fleet.StepRange(b, e, c.pow, dt); err != nil {
 			return idx, err
 		}
 		if c.ests != nil {
@@ -510,9 +600,6 @@ func (c *Cluster) stepBlocks(lo, hi int, dt time.Duration) (int, error) {
 //vmt:hotpath
 func (c *Cluster) updateEstimators(lo, hi int, dt time.Duration) {
 	v := c.fleet.View()
-	// Walk the dense estimator column directly (servers[i].est aliases
-	// ests[i]) so the pass streams contiguous estimator state alongside
-	// the air-temperature slice.
 	for i := lo; i < hi; i++ {
 		c.ests[i].Update(v.AirTempC[i], dt)
 	}

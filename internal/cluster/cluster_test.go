@@ -287,6 +287,23 @@ func TestStepAllocFree(t *testing.T) {
 	}
 }
 
+// New's allocations do not grow with the cluster: a server is a handle
+// in one slab and its state lives in columns, so New(PaperCluster(n))
+// allocates as many times at 10,000 servers as at 100.
+func TestNewAllocationsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		cfg := PaperCluster(n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(10_000); small != large {
+		t.Fatalf("New allocates %v times at 100 servers and %v at 10,000, want equal", small, large)
+	}
+}
+
 func TestInletVariationDeterministic(t *testing.T) {
 	cfg := PaperCluster(50)
 	cfg.InletStdevC = 2

@@ -6,36 +6,40 @@ import (
 	"math/bits"
 )
 
-// Place keys. Every (server, workload) pair has one 32-bit key in the
-// registry's key slab, kept current by Server.Place/Remove and
-// Cluster.MarkFailed/MarkRepaired, the only mutators of its fields:
+// Place keys. Every (server, workload) pair has one 32-bit place key,
+// the OR of two words that Server.Place/Remove and
+// Cluster.MarkFailed/MarkRepaired keep current: the pair's word of the
+// job slab, jobs<<16, and the server's header word,
+// full<<31 | failed<<15 | busy. So the key is
 //
-//	full<<31 | jobs<<16 | busy
+//	full<<31 | jobs<<16 | failed<<15 | busy
 //
 // jobs is the server's job count of the workload, busy its busy cores,
-// and full is set while the server is failed or has no free core.
-// ServerSpec.Validate caps a server at 32,767 cores, so jobs fits its
-// 15 bits and busy its 16 exactly. Comparing keys compares (full, jobs,
-// busy) lexicographically, which is the placement order: every server
-// with a free core before every full one, then the fewest jobs of the
-// workload, then the fewest busy cores. A key at or above fullBit is
-// never an answer. The jobs field is always exact; full and busy, the
-// row's header, are written only from the cluster's first group query
-// on (packKeys), as nothing reads them before it.
+// failed is set while the server is failed, and full while it is
+// failed or has no free core. ServerSpec.Validate caps a server at
+// 32,767 cores, so jobs and busy fit their 15 bits exactly. Comparing
+// keys compares (full, jobs, busy) lexicographically — failed matters
+// only in keys already at or above fullBit — which is the placement
+// order: every server with a free core before every full one, then the
+// fewest jobs of the workload, then the fewest busy cores. A key at or
+// above fullBit is never an answer. The key is built where it is read
+// (leastIn, PlacementIndex.key), so a move writes one slab word and one
+// header word.
 const (
 	fullBit   = 1 << 31
+	failedBit = 1 << 15
+	busyMask  = failedBit - 1
 	jobsShift = 16
 	jobsOne   = 1 << jobsShift
-	jobsMask  = 0x7fff << jobsShift
 )
 
-// evictKey orders the eviction choice by key: the most jobs of the
-// workload is the least key, and no job at all is fullBit, so a
-// server without the workload is never an answer. It ignores the full
-// bit: a job may be evicted from a full or failed server.
+// evictKey orders the eviction choice by the job-slab word j: the most
+// jobs of the workload is the least key, and no job at all is fullBit,
+// so a server without the workload is never an answer. It reads no
+// header: a job may be evicted from a full or failed server.
 //
 //vmt:hotpath
-func evictKey(k uint32) uint32 { return fullBit - k&jobsMask }
+func evictKey(j uint32) uint32 { return fullBit - j }
 
 // indexCrossover is the smallest cluster that gets a placement index.
 // Every Place and Remove must then update the trees of all workloads,
@@ -58,19 +62,17 @@ const none = math.MaxUint32
 //
 // Unfiltered queries go to the placement index, which the first one
 // builds on a cluster of at least indexCrossover servers (buildIndex);
-// the rest are a rotating first-minimum scan of the key slab.
+// the rest are a rotating first-minimum scan of the job slab and the
+// header column.
 //
 //vmt:hotpath
 func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Server {
-	if !c.reg.packed {
-		c.packKeys()
+	if mask == nil && (c.place != nil || c.buildIndex()) {
+		return c.place.first(2*w, lo, hi, from)
 	}
-	if mask == nil && (c.reg.place != nil || c.buildIndex()) {
-		return c.reg.place.first(2*w, lo, hi, from)
-	}
-	keys, stride := c.reg.keys, len(c.reg.list)
-	best, at := leastIn(keys, stride, w, from, hi, mask, want, fullBit, -1)
-	_, at = leastIn(keys, stride, w, lo, from, mask, want, best, at)
+	slab, stride := c.slab, len(c.reg.list)
+	best, at := leastIn(slab, c.head, stride, w, from, hi, mask, want, fullBit, -1)
+	_, at = leastIn(slab, c.head, stride, w, lo, from, mask, want, best, at)
 	if at < 0 {
 		return nil
 	}
@@ -86,33 +88,16 @@ func (c *Cluster) LeastBusy(w, lo, hi, from int, mask []uint8, want uint8) *Serv
 //
 //vmt:hotpath
 func (c *Cluster) MostBusyWith(w, lo, hi, from int, mask []uint8, want uint8) *Server {
-	if !c.reg.packed {
-		c.packKeys()
+	if mask == nil && (c.place != nil || c.buildIndex()) {
+		return c.place.first(2*w+1, lo, hi, from)
 	}
-	if mask == nil && (c.reg.place != nil || c.buildIndex()) {
-		return c.reg.place.first(2*w+1, lo, hi, from)
-	}
-	keys, stride := c.reg.keys, len(c.reg.list)
-	best, at := mostIn(keys, stride, w, from, hi, mask, want, fullBit, -1)
-	_, at = mostIn(keys, stride, w, lo, from, mask, want, best, at)
+	slab, stride := c.slab, len(c.reg.list)
+	best, at := mostIn(slab, stride, w, from, hi, mask, want, fullBit, -1)
+	_, at = mostIn(slab, stride, w, lo, from, mask, want, best, at)
 	if at < 0 {
 		return nil
 	}
 	return c.servers[at]
-}
-
-// packKeys packs every row's header, which job moves, crashes and
-// repairs keep current from then on. LeastBusy and MostBusyWith call
-// it on the cluster's first group query, before they scan the slab or
-// build the index: until a query reads the headers, nothing writes
-// them, so round robin and coolest-first never pay for them.
-//
-//vmt:hotpath
-func (c *Cluster) packKeys() {
-	c.reg.packed = true
-	for _, s := range c.servers {
-		s.packRow()
-	}
 }
 
 // buildIndex gives the cluster its placement index, built over the
@@ -129,49 +114,51 @@ func (c *Cluster) buildIndex() bool {
 	if len(c.servers) < indexCrossover {
 		return false
 	}
-	c.reg.place = newPlacementIndex(c) //vmtlint:allow hotpath built once per cluster, on its first unfiltered query
+	c.place = newPlacementIndex(c) //vmtlint:allow hotpath built once per cluster, on its first unfiltered query
 	return true
 }
 
-// leastIn scans column w of the key slab over servers [a,b) and returns
-// the least key below best with its server, the first one on ties, or
-// best and at unchanged. A non-nil mask skips the servers whose byte
-// has no bit of want.
+// leastIn scans the place keys of workload w, column w of the job
+// slab ORed with the header column, over servers [a,b) and returns the
+// least key below best with its server, the first one on ties, or best
+// and at unchanged. A non-nil mask skips the servers whose byte has no
+// bit of want.
 //
 //vmt:hotpath
-func leastIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best uint32, at int) (uint32, int) {
+func leastIn(slab, head []uint32, stride, w, a, b int, mask []uint8, want uint8, best uint32, at int) (uint32, int) {
 	p := a*stride + w
 	if mask == nil {
 		for i := a; i < b; i, p = i+1, p+stride {
-			if k := keys[p]; k < best {
+			if k := slab[p] | head[i]; k < best {
 				best, at = k, i
 			}
 		}
 		return best, at
 	}
 	for i := a; i < b; i, p = i+1, p+stride {
-		if k := keys[p]; k < best && mask[i]&want != 0 {
+		if k := slab[p] | head[i]; k < best && mask[i]&want != 0 {
 			best, at = k, i
 		}
 	}
 	return best, at
 }
 
-// mostIn is leastIn over the eviction keys.
+// mostIn is leastIn over the eviction keys, which read the job slab
+// alone.
 //
 //vmt:hotpath
-func mostIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best uint32, at int) (uint32, int) {
+func mostIn(slab []uint32, stride, w, a, b int, mask []uint8, want uint8, best uint32, at int) (uint32, int) {
 	p := a*stride + w
 	if mask == nil {
 		for i := a; i < b; i, p = i+1, p+stride {
-			if k := evictKey(keys[p]); k < best {
+			if k := evictKey(slab[p]); k < best {
 				best, at = k, i
 			}
 		}
 		return best, at
 	}
 	for i := a; i < b; i, p = i+1, p+stride {
-		if k := evictKey(keys[p]); k < best && mask[i]&want != 0 {
+		if k := evictKey(slab[p]); k < best && mask[i]&want != 0 {
 			best, at = k, i
 		}
 	}
@@ -188,17 +175,16 @@ func mostIn(keys []uint32, stride, w, a, b int, mask []uint8, want uint8, best u
 // tree (first). Queries write the memo, so like the registry the index
 // is used by the scheduler band alone.
 type PlacementIndex struct {
-	servers []*Server
-	// reg holds the key slab the leaves read.
-	reg *registry
+	// c holds the job slab and header column the leaves read.
+	c *Cluster
 	// size is the leaf count: the server count rounded up to a power of
 	// two. Leaves past the last server hold none.
 	size int
 	// trees[2w] is workload w's place tree and trees[2w+1] its evict
 	// tree. Node p (1 ≤ p < size) holds the least key below it, with
 	// children 2p and 2p+1; node size+i is server i. The leaf level is
-	// not stored — a leaf's key is read from the slab — so a tree costs
-	// one key per server.
+	// not stored — a leaf's key is read from the job slab and the header
+	// column — so a tree costs one key per server.
 	trees [][]uint32
 	// memo[2t] and memo[2t+1] are tree t's two most recently recorded
 	// answers, the later first.
@@ -229,9 +215,8 @@ const probeBound = 16
 // newPlacementIndex builds an index over the cluster's current state.
 func newPlacementIndex(c *Cluster) *PlacementIndex {
 	x := &PlacementIndex{
-		servers: c.servers,
-		reg:     c.reg,
-		size:    1 << bits.Len(uint(len(c.servers)-1)),
+		c:    c,
+		size: 1 << bits.Len(uint(len(c.servers)-1)),
 	}
 	for range c.reg.list {
 		x.addWorkload()
@@ -263,11 +248,12 @@ func (x *PlacementIndex) build(t int, tree []uint32) {
 	}
 }
 
-// Verify rebuilds every tree from the key slab and reports the first
-// node that differs from the incrementally maintained one.
+// Verify rebuilds every tree from the job slab and the header column
+// and reports the first node that differs from the incrementally
+// maintained one.
 func (x *PlacementIndex) Verify() error {
-	if len(x.trees) != 2*len(x.reg.list) {
-		return fmt.Errorf("cluster: placement index has %d trees for %d workloads", len(x.trees), len(x.reg.list))
+	if n := len(x.c.reg.list); len(x.trees) != 2*n {
+		return fmt.Errorf("cluster: placement index has %d trees for %d workloads", len(x.trees), n)
 	}
 	want := make([]uint32, x.size)
 	for t, tree := range x.trees {
@@ -290,12 +276,15 @@ func (x *PlacementIndex) Verify() error {
 //
 //vmt:hotpath
 func (x *PlacementIndex) key(t, i int) uint32 {
-	if i >= len(x.servers) {
+	c := x.c
+	if i >= len(c.head) {
 		return none
 	}
-	k := x.reg.keys[i*len(x.reg.list)+t>>1]
+	k := c.slab[i*len(c.reg.list)+t>>1]
 	if t&1 == 1 {
 		k = evictKey(k)
+	} else {
+		k |= c.head[i]
 	}
 	if k >= fullBit {
 		return none
@@ -380,7 +369,7 @@ func (x *PlacementIndex) first(t, lo, hi, from int) *Server {
 			break
 		}
 		r.from, r.at = from, at
-		return x.servers[at]
+		return x.c.servers[at]
 	}
 	best, p := x.minIn(t, from, hi)
 	if v, q := x.minIn(t, lo, from); v < best {
@@ -404,7 +393,7 @@ func (x *PlacementIndex) first(t, lo, hi, from int) *Server {
 		}
 	}
 	m[0].at = p - x.size
-	return x.servers[p-x.size]
+	return x.c.servers[p-x.size]
 }
 
 // probe returns the first server at or after from, cyclically in

@@ -45,59 +45,68 @@ func scanMost(c *Cluster, w, lo, hi, from int, mask []uint8, want uint8) *Server
 	return best
 }
 
-// checkKeys fails t unless every word of c's key slab packs the fields
-// it stands for: jobs (from the model, keyed by server and workload),
-// busy cores, and the full bit while the server is failed or has no
-// free core. It also checks that each server's row aliases the
-// registry's slab.
-func checkKeys(t *testing.T, c *Cluster, jobs map[[2]int]int, when string) {
+// checkKeys fails t unless c's columns hold exactly what the model
+// says: every job-slab word jobs<<16, with jobs keyed by server and
+// workload, and every header full<<31 | failed<<15 | busy, with busy
+// the server's jobs summed over its workloads, failed from failed, and
+// full set while the server is failed or busy on every core.
+func checkKeys(t *testing.T, c *Cluster, jobs map[[2]int]int, failed map[int]bool, when string) {
 	t.Helper()
 	stride := len(c.reg.list)
-	if len(c.reg.keys) != len(c.servers)*stride {
-		t.Fatalf("%s: key slab has %d words for %d servers × %d workloads", when, len(c.reg.keys), len(c.servers), stride)
+	if len(c.slab) != len(c.servers)*stride || len(c.head) != len(c.servers) {
+		t.Fatalf("%s: job slab has %d words and header column %d for %d servers × %d workloads",
+			when, len(c.slab), len(c.head), len(c.servers), stride)
 	}
-	for id, s := range c.servers {
-		if len(s.keys) != stride || stride > 0 && &s.keys[0] != &c.reg.keys[id*stride] {
-			t.Fatalf("%s: server %d's key row is not its row of the slab", when, id)
-		}
+	for id := range c.servers {
+		busy := 0
 		for wi := 0; wi < stride; wi++ {
-			want := uint32(jobs[[2]int{id, wi}])<<16 | uint32(s.BusyCores())
-			if s.Failed() || s.BusyCores() == s.Cores() {
-				want |= 1 << 31
+			n := jobs[[2]int{id, wi}]
+			busy += n
+			if got := c.slab[id*stride+wi]; got != uint32(n)<<16 {
+				t.Fatalf("%s: server %d workload %d slab word %#08x, want %d jobs and nothing else",
+					when, id, wi, got, n)
 			}
-			if got := c.reg.keys[id*stride+wi]; got != want {
-				t.Fatalf("%s: server %d workload %d key %#08x, want %#08x (jobs %d, busy %d, failed %v)",
-					when, id, wi, got, want, jobs[[2]int{id, wi}], s.BusyCores(), s.Failed())
-			}
+		}
+		want := uint32(busy)
+		if failed[id] {
+			want |= 1<<31 | 1<<15
+		}
+		if busy == c.cfg.Server.Cores() {
+			want |= 1 << 31
+		}
+		if got := c.head[id]; got != want {
+			t.Fatalf("%s: server %d header %#08x, want %#08x (busy %d, failed %v)",
+				when, id, got, want, busy, failed[id])
 		}
 	}
 }
 
-// refPowerW is the draw PowerW computed from s's fields before the
+// refPowerW is the draw PowerW computed from s's state before the
 // power column held it: idle power plus the dynamic power of its jobs,
 // capped at the nameplate peak, and 0 while failed.
 func refPowerW(s *Server) float64 {
-	if s.failed {
+	if s.Failed() {
 		return 0
 	}
-	p := s.spec.IdlePowerW + s.DynamicPowerW()
-	if p > s.spec.PeakPowerW {
-		p = s.spec.PeakPowerW
+	spec := s.c.Config().Server
+	p := spec.IdlePowerW + s.DynamicPowerW()
+	if p > spec.PeakPowerW {
+		p = spec.PeakPowerW
 	}
 	return p
 }
 
 // checkPower fails t unless every entry of c's power column bit-equals
-// refPowerW over its server's fields.
+// refPowerW over its server's state.
 func checkPower(t *testing.T, c *Cluster, when string) {
 	t.Helper()
-	if len(c.reg.pow) != len(c.servers) {
-		t.Fatalf("%s: power column has %d entries for %d servers", when, len(c.reg.pow), len(c.servers))
+	if len(c.pow) != len(c.servers) {
+		t.Fatalf("%s: power column has %d entries for %d servers", when, len(c.pow), len(c.servers))
 	}
 	for id, s := range c.servers {
-		if got, want := c.reg.pow[id], refPowerW(s); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: server %d power column %v, its fields give %v (failed %v, busy %d)",
-				when, id, got, want, s.failed, s.busyCores)
+		if got, want := c.pow[id], refPowerW(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: server %d power column %v, its state gives %v (failed %v, busy %d)",
+				when, id, got, want, s.Failed(), s.BusyCores())
 		}
 	}
 }
@@ -106,13 +115,12 @@ func checkPower(t *testing.T, c *Cluster, when string) {
 // query over every range and rotation start, masked and unmasked,
 // matches the independent scans after each random Place, Remove,
 // crash or repair on tiny three-core servers, answered both by the
-// placement index (unmasked) and by the key-slab scan; the trees match
-// a rebuild; and after every mutator, interning's relayouts included,
-// each key-slab word packs the server's state and each power-column
-// entry equals the draw its server's fields give. The index is built
-// before any workload is interned, so each workload's trees are added
-// to a live index; an empty query first packs the slab's headers, as
-// any cluster's first group query does.
+// placement index (unmasked) and by the slab scan; the trees match a
+// rebuild; and after every mutator, interning's relayouts included,
+// each job-slab word and header holds the model's state and each
+// power-column entry equals the draw its server's state gives. The
+// index is built before any workload is interned, so each workload's
+// trees are added to a live index.
 func TestPlacementIndexSmallClusters(t *testing.T) {
 	mix := []workload.Workload{workload.WebSearch, workload.VirusScan, workload.VideoEncoding}
 	for _, n := range []int{1, 2, 3, 5, 8, 9} {
@@ -122,10 +130,10 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.LeastBusy(0, 0, 0, 0, nil, 0)
-		c.reg.place = newPlacementIndex(c)
-		x := c.reg.place
+		c.place = newPlacementIndex(c)
+		x := c.place
 		want := make(map[[2]int]int) // (server, workload) → jobs
+		failed := make(map[int]bool)
 		mask := make([]uint8, n)
 		rng := stats.NewRNG(uint64(n))
 		for step := 0; step < 200; step++ {
@@ -145,16 +153,17 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 					want[[2]int{id, c.WorkloadIndex(w)}]--
 				}
 			default:
-				if s.Failed() {
+				if failed[id] {
 					op = "MarkRepaired"
 					c.MarkRepaired(id)
 				} else {
 					op = "MarkFailed"
 					c.MarkFailed(id)
 				}
+				failed[id] = !failed[id]
 			}
 			when := fmt.Sprintf("n=%d step %d after %s on server %d", n, step, op, id)
-			checkKeys(t, c, want, when)
+			checkKeys(t, c, want, failed, when)
 			checkPower(t, c, when)
 			if err := x.Verify(); err != nil {
 				t.Fatalf("n=%d step %d: %v", n, step, err)
@@ -176,7 +185,7 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 							// The unmasked query once from the index and
 							// once from the slab.
 							for _, idx := range []*PlacementIndex{x, nil} {
-								c.reg.place = idx
+								c.place = idx
 								if got, want := c.LeastBusy(wi, lo, hi, from, nil, 0), scanLeast(c, wi, lo, hi, from, nil, 0); got != want {
 									t.Fatalf("%s, index %v: LeastBusy %v, scan %v", q, idx != nil, got, want)
 								}
@@ -184,7 +193,7 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 									t.Fatalf("%s, index %v: MostBusyWith %v, scan %v", q, idx != nil, got, want)
 								}
 							}
-							c.reg.place = x
+							c.place = x
 							for want := uint8(1); want <= 2; want++ {
 								if got, ref := c.LeastBusy(wi, lo, hi, from, mask, want), scanLeast(c, wi, lo, hi, from, mask, want); got != ref {
 									t.Fatalf("%s, mask %v bit %d: LeastBusy %v, scan %v", q, mask, want, got, ref)
@@ -201,13 +210,13 @@ func TestPlacementIndexSmallClusters(t *testing.T) {
 	}
 }
 
-// Until its first group query a cluster leaves the slab's headers
-// alone, round robin's case: through seeded Place, Remove, crash and
-// repair, and the relayouts of interning, every word holds its jobs
-// field, exact, and nothing else. The first query, a masked scan or an
-// unmasked one that builds the index, packs every word to
-// full<<31 | jobs<<16 | busy, and later moves keep them packed.
-func TestPlacementIndexPacksOnFirstQuery(t *testing.T) {
+// A cluster's columns are exact whether or not it has been queried:
+// through seeded Place, Remove, crash and repair, and the relayouts of
+// interning, on a cluster no group query has touched (round robin's
+// case), every job-slab word and header holds the model's state; the
+// first query, a masked scan or an unmasked one that builds the index,
+// leaves them so, and later moves keep them so.
+func TestPlacementIndexColumnsExactAroundFirstQuery(t *testing.T) {
 	mix := []workload.Workload{workload.WebSearch, workload.VirusScan, workload.VideoEncoding}
 	for _, q := range []struct {
 		n    int
@@ -220,6 +229,7 @@ func TestPlacementIndexPacksOnFirstQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make(map[[2]int]int) // (server, workload) → jobs
+		failed := make(map[int]bool)
 		rng := stats.NewRNG(uint64(q.n))
 		churn := func(steps int, when string) {
 			for step := 0; step < steps; step++ {
@@ -236,35 +246,28 @@ func TestPlacementIndexPacksOnFirstQuery(t *testing.T) {
 						want[[2]int{id, c.WorkloadIndex(w)}]--
 					}
 				default:
-					if s.Failed() {
+					if failed[id] {
 						c.MarkRepaired(id)
 					} else {
 						c.MarkFailed(id)
 					}
+					failed[id] = !failed[id]
 				}
 				checkPower(t, c, fmt.Sprintf("n=%d %s step %d", q.n, when, step))
 			}
 		}
 		churn(20*q.n, "unqueried")
-		stride := len(c.reg.list)
-		for id := range c.servers {
-			for wi := 0; wi < stride; wi++ {
-				if got, jobs := c.reg.keys[id*stride+wi], want[[2]int{id, wi}]; got != uint32(jobs)<<16 {
-					t.Fatalf("n=%d unqueried: server %d workload %d key %#08x, want %d jobs and no header",
-						q.n, id, wi, got, jobs)
-				}
-			}
-		}
-		if c.reg.packed || c.PlacementIndex() != nil {
-			t.Fatalf("n=%d: packed %v, index %v before any query", q.n, c.reg.packed, c.PlacementIndex() != nil)
+		checkKeys(t, c, want, failed, fmt.Sprintf("n=%d unqueried", q.n))
+		if c.PlacementIndex() != nil {
+			t.Fatalf("n=%d: index before any query", q.n)
 		}
 		c.LeastBusy(0, 0, q.n, 0, q.mask, 1)
-		checkKeys(t, c, want, fmt.Sprintf("n=%d first query", q.n))
+		checkKeys(t, c, want, failed, fmt.Sprintf("n=%d first query", q.n))
 		if (c.PlacementIndex() != nil) != (q.mask == nil) {
 			t.Fatalf("n=%d: first query (mask %v) left index %v", q.n, q.mask != nil, c.PlacementIndex() != nil)
 		}
 		churn(2*q.n, "queried")
-		checkKeys(t, c, want, fmt.Sprintf("n=%d after churn", q.n))
+		checkKeys(t, c, want, failed, fmt.Sprintf("n=%d after churn", q.n))
 		if x := c.PlacementIndex(); x != nil {
 			if err := x.Verify(); err != nil {
 				t.Fatalf("n=%d: %v", q.n, err)

@@ -13,56 +13,19 @@ import (
 	"vmt/internal/workload"
 )
 
-// Server is one simulated machine: job bookkeeping plus a view onto
-// its slot in the cluster's struct-of-arrays thermal store. Jobs are
-// single-core tasks tagged with their workload; per Section IV-B they
-// are assigned separate physical cores and never share SMT contexts.
+// Server is one simulated machine: a handle on slot id of its
+// cluster's per-server columns. Jobs are single-core tasks tagged with
+// their workload; per Section IV-B they are assigned separate physical
+// cores and never share SMT contexts.
 //
-// The thermal state itself lives in the cluster-owned thermal.Fleet —
-// parallel slices indexed by server ID, advanced by one cache-friendly
-// loop per Step — and the thermal accessors here delegate to that
-// store, so the public Server API is unchanged from the per-Node
-// layout it replaces.
+// The handle is immutable and holds no state of its own: busy cores,
+// failure, jobs, draw, reports and the thermal state all live in dense
+// columns indexed by server ID (Cluster, thermal.Fleet), which a Step
+// or a group query streams without loading a Server, and the accessors
+// here read those columns.
 type Server struct {
-	id    int
-	spec  thermal.ServerSpec
-	fleet *thermal.Fleet
-	est   *pcm.Estimator
-
-	// cores caches spec.Cores(): the scheduler scan loops read
-	// FreeCores for every server they visit, and the spec is immutable
-	// after construction.
-	cores int
-
-	// reg is the cluster-wide workload interner; keys[i] is the place
-	// key (index.go) of the workload with registry index i, and keys is
-	// the server's row of the registry's key slab.
-	reg       *registry
-	keys      []uint32
-	busyCores int
-	// dynamicPowerW tracks the summed per-core power of placed jobs
-	// incrementally, the input storePower derives the server's entry in
-	// the power column from. Summing counts on demand would be slow, and
-	// map-based summation would add floats in randomized iteration
-	// order, breaking determinism.
-	dynamicPowerW float64
-
-	// failed marks a crashed server (fault injection): it draws no
-	// power and offers no capacity until repaired, but its physics
-	// keeps stepping so the wax refreezes realistically.
-	failed bool
-
-	// filter interposes on the server's *reported* telemetry
-	// (utilization, melt fraction) without touching the authoritative
-	// bookkeeping — the seam Byzantine fault injection uses to make a
-	// server lie to the scheduler while physics and placement stay
-	// truthful.
-	filter ReportFilter
-
-	// quarantined marks a server whose reports the defense layer has
-	// flagged as implausible: schedulers should ignore its telemetry
-	// and fall back to trust-free placement for it.
-	quarantined bool
+	c  *Cluster
+	id int
 }
 
 // ReportFilter rewrites a server's reported telemetry before the
@@ -82,31 +45,16 @@ type ReportFilter interface {
 	FilterMeltFrac(estFrac float64) float64
 }
 
-// newServer wires server id into its thermal slot in the cluster's
-// fleet store. Its estimator stays nil until Cluster.EnableEstimates.
-func newServer(id int, spec thermal.ServerSpec, mat pcm.Material, inletC float64, reg *registry, fleet *thermal.Fleet) (*Server, error) {
-	if err := fleet.Init(id, spec, mat, inletC); err != nil {
-		return nil, err
-	}
-	return &Server{
-		id:    id,
-		spec:  spec,
-		fleet: fleet,
-		cores: spec.Cores(),
-		reg:   reg,
-	}, nil
-}
-
 // ID returns the server's index within its cluster.
 func (s *Server) ID() int { return s.id }
 
 // Cores returns the server's total core count.
-func (s *Server) Cores() int { return s.cores }
+func (s *Server) Cores() int { return s.c.cores }
 
 // BusyCores returns the number of occupied cores.
 //
 //vmt:hotpath
-func (s *Server) BusyCores() int { return s.busyCores }
+func (s *Server) BusyCores() int { return int(s.c.head[s.id] & busyMask) }
 
 // FreeCores returns the number of unoccupied cores. A failed server
 // has none, which keeps every scheduler scan loop from placing onto
@@ -114,25 +62,31 @@ func (s *Server) BusyCores() int { return s.busyCores }
 //
 //vmt:hotpath
 func (s *Server) FreeCores() int {
-	if s.failed {
+	h := s.c.head[s.id]
+	if h&failedBit != 0 {
 		return 0
 	}
-	return s.cores - s.busyCores
+	return s.c.cores - int(h&busyMask)
 }
 
 // Failed reports whether the server is currently crashed.
 //
 //vmt:hotpath
-func (s *Server) Failed() bool { return s.failed }
+func (s *Server) Failed() bool { return s.c.head[s.id]&failedBit != 0 }
 
 // Estimator exposes the server's melt-fraction estimator so fault
 // injection can interpose a sensor and reset it on repair. It is nil
 // until Cluster.EnableEstimates.
-func (s *Server) Estimator() *pcm.Estimator { return s.est }
+func (s *Server) Estimator() *pcm.Estimator {
+	if s.c.ests == nil {
+		return nil
+	}
+	return &s.c.ests[s.id]
+}
 
 // Jobs returns the job count for workload w.
 func (s *Server) Jobs(w workload.Workload) int {
-	i, ok := s.reg.lookup(w)
+	i, ok := s.c.reg.lookup(w)
 	if !ok {
 		return 0
 	}
@@ -145,19 +99,20 @@ func (s *Server) Jobs(w workload.Workload) int {
 //
 //vmt:hotpath
 func (s *Server) JobsAt(i int) int {
-	if i < 0 || i >= len(s.keys) {
+	stride := len(s.c.reg.list)
+	if i < 0 || i >= stride {
 		return 0
 	}
-	return int(s.keys[i] & jobsMask >> jobsShift)
+	return int(s.c.slab[s.id*stride+i] >> jobsShift)
 }
 
 // Workloads returns the workloads currently running on the server,
 // sorted by name for deterministic iteration.
 func (s *Server) Workloads() []workload.Workload {
 	var out []workload.Workload
-	for i, k := range s.keys {
-		if k&jobsMask != 0 {
-			out = append(out, s.reg.list[i])
+	for i, w := range s.c.reg.list {
+		if s.JobsAt(i) != 0 {
+			out = append(out, w)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -173,12 +128,12 @@ func (s *Server) LargestJob(class workload.Class) (workload.Workload, bool) {
 	var best workload.Workload
 	bestN := 0
 	found := false
-	for _, i := range s.reg.byName {
+	for _, i := range s.c.reg.byName {
 		n := s.JobsAt(i)
 		if n == 0 {
 			continue
 		}
-		w := s.reg.list[i]
+		w := s.c.reg.list[i]
 		if w.Class != class {
 			continue
 		}
@@ -191,11 +146,11 @@ func (s *Server) LargestJob(class workload.Class) (workload.Workload, bool) {
 
 // Utilization returns busy cores over total cores.
 func (s *Server) Utilization() float64 {
-	return float64(s.busyCores) / float64(s.cores)
+	return float64(s.BusyCores()) / float64(s.c.cores)
 }
 
 // Place assigns one job of workload w to a free core.
-func (s *Server) Place(w workload.Workload) error { return s.PlaceAt(s.reg.intern(w)) }
+func (s *Server) Place(w workload.Workload) error { return s.PlaceAt(s.c.intern(w)) }
 
 // PlaceAt assigns one job of the workload with registry index i (see
 // Cluster.WorkloadIndex) to a free core — the hash-free form of Place
@@ -204,13 +159,13 @@ func (s *Server) PlaceAt(i int) error {
 	if s.FreeCores() == 0 {
 		return fmt.Errorf("cluster: server %d full", s.id)
 	}
-	s.keys[i] += jobsOne
-	s.busyCores++
-	s.packRow()
-	s.dynamicPowerW += s.reg.coreW[i]
-	s.storePower()
-	if x := s.reg.place; x != nil {
-		x.jobsChanged(i, s.id)
+	c, id := s.c, s.id
+	c.slab[id*len(c.reg.list)+i] += jobsOne
+	c.head[id] = c.header(s.BusyCores()+1, false)
+	c.dyn[id] += c.reg.coreW[i]
+	c.storePower(id)
+	if x := c.place; x != nil {
+		x.jobsChanged(i, id)
 		x.evictGen++
 	}
 	return nil
@@ -218,7 +173,7 @@ func (s *Server) PlaceAt(i int) error {
 
 // Remove evicts one job of workload w.
 func (s *Server) Remove(w workload.Workload) error {
-	i, ok := s.reg.lookup(w)
+	i, ok := s.c.reg.lookup(w)
 	if !ok {
 		return fmt.Errorf("cluster: server %d has no %s job", s.id, w.Name)
 	}
@@ -229,84 +184,42 @@ func (s *Server) Remove(w workload.Workload) error {
 // Cluster.WorkloadIndex) — the hash-free form of Remove.
 func (s *Server) RemoveAt(i int) error {
 	if s.JobsAt(i) == 0 {
-		return fmt.Errorf("cluster: server %d has no %s job", s.id, s.reg.list[i].Name)
+		return fmt.Errorf("cluster: server %d has no %s job", s.id, s.c.reg.list[i].Name)
 	}
-	s.keys[i] -= jobsOne
-	s.busyCores--
-	s.packRow()
-	s.dynamicPowerW -= s.reg.coreW[i]
-	if s.busyCores == 0 {
-		s.dynamicPowerW = 0 // shed any accumulated rounding residue
+	c, id := s.c, s.id
+	busy := s.BusyCores() - 1
+	c.slab[id*len(c.reg.list)+i] -= jobsOne
+	c.head[id] = c.header(busy, s.Failed())
+	c.dyn[id] -= c.reg.coreW[i]
+	if busy == 0 {
+		c.dyn[id] = 0 // shed any accumulated rounding residue
 	}
-	s.storePower()
-	if x := s.reg.place; x != nil {
-		x.jobsChanged(i, s.id)
+	c.storePower(id)
+	if x := c.place; x != nil {
+		x.jobsChanged(i, id)
 		x.placeGen++
 	}
 	return nil
 }
 
-// header is the part of s's place keys that every workload shares:
-// the full bit while s is failed or has no free core, and its busy
-// cores.
-//
-//vmt:hotpath
-func (s *Server) header() uint32 {
-	h := uint32(s.busyCores)
-	if s.failed || s.busyCores >= s.cores {
-		h |= fullBit
-	}
-	return h
-}
-
-// packRow rewrites s's row of the key slab after its busy cores or
-// failed state changed, keeping each key's job count. Before the
-// cluster's first group query it does nothing: that query packs every
-// row (Cluster.packKeys).
-//
-//vmt:hotpath
-func (s *Server) packRow() {
-	if !s.reg.packed {
-		return
-	}
-	h := s.header()
-	for i, k := range s.keys {
-		s.keys[i] = k&jobsMask | h
-	}
-}
-
-// storePower writes s's draw into the registry's power column after
-// its jobs or failed state changed: idle power plus the dynamic power
-// of its jobs, capped at the nameplate peak, and 0 while failed.
-func (s *Server) storePower() {
-	p := 0.0
-	if !s.failed {
-		p = s.spec.IdlePowerW + s.dynamicPowerW
-		if p > s.spec.PeakPowerW {
-			p = s.spec.PeakPowerW
-		}
-	}
-	s.reg.pow[s.id] = p
-}
-
 // DynamicPowerW returns the summed per-core power of the jobs placed on
 // the server, before the idle floor, the peak cap and the zero draw of
 // a crash, which PowerW applies.
-func (s *Server) DynamicPowerW() float64 { return s.dynamicPowerW }
+func (s *Server) DynamicPowerW() float64 { return s.c.dyn[s.id] }
 
 // PowerW returns the server's current draw under the linear per-core
 // model: idle power plus each occupied core's workload-specific
 // dynamic power, capped at the nameplate peak, and 0 while failed.
-func (s *Server) PowerW() float64 { return s.reg.pow[s.id] }
+func (s *Server) PowerW() float64 { return s.c.pow[s.id] }
 
 // AirTempC returns the current air temperature at the wax.
-func (s *Server) AirTempC() float64 { return s.fleet.AirTempC(s.id) }
+func (s *Server) AirTempC() float64 { return s.c.fleet.AirTempC(s.id) }
 
 // WaxTempC returns the current wax temperature.
-func (s *Server) WaxTempC() float64 { return s.fleet.WaxTempC(s.id) }
+func (s *Server) WaxTempC() float64 { return s.c.fleet.WaxTempC(s.id) }
 
 // MeltFrac returns the ground-truth wax melt fraction.
-func (s *Server) MeltFrac() float64 { return s.fleet.MeltFrac(s.id) }
+func (s *Server) MeltFrac() float64 { return s.c.fleet.MeltFrac(s.id) }
 
 // ReportedMeltFrac returns the melt fraction from the server's
 // lookup-table estimator — the value the cluster scheduler actually
@@ -315,12 +228,12 @@ func (s *Server) MeltFrac() float64 { return s.fleet.MeltFrac(s.id) }
 // estimates: a reader that skipped Cluster.EnableEstimates is a bug,
 // and falling back to ground truth would hide it.
 func (s *Server) ReportedMeltFrac() float64 {
-	if s.est == nil {
+	if s.c.ests == nil {
 		panic(fmt.Sprintf("cluster: server %d: ReportedMeltFrac without estimates (Cluster.EnableEstimates was not called)", s.id))
 	}
-	f := s.est.MeltFrac()
-	if s.filter != nil {
-		return s.filter.FilterMeltFrac(f)
+	f := s.c.ests[s.id].MeltFrac()
+	if r := s.filter(); r != nil {
+		return r.FilterMeltFrac(f)
 	}
 	return f
 }
@@ -332,39 +245,51 @@ func (s *Server) ReportedMeltFrac() float64 {
 // cross-validates it against the power draw.
 func (s *Server) ReportedUtilization() float64 {
 	u := s.Utilization()
-	if s.filter != nil {
-		return s.filter.FilterUtilization(u)
+	if r := s.filter(); r != nil {
+		return r.FilterUtilization(u)
 	}
 	return u
+}
+
+// filter returns s's report filter, nil while none is installed.
+func (s *Server) filter() ReportFilter {
+	if s.c.filters == nil {
+		return nil
+	}
+	return s.c.filters[s.id]
 }
 
 // SetReportFilter installs (or, with nil, removes) a report filter,
 // moving the cluster's report epoch.
 func (s *Server) SetReportFilter(f ReportFilter) {
-	s.filter = f
-	s.reg.reportEpoch++
+	c := s.c
+	if c.filters == nil {
+		c.filters = make([]ReportFilter, len(c.servers))
+	}
+	c.filters[s.id] = f
+	c.reportEpoch++
 }
 
 // ReportsQuarantined reports whether the defense layer currently
 // distrusts this server's telemetry.
 //
 //vmt:hotpath
-func (s *Server) ReportsQuarantined() bool { return s.quarantined }
+func (s *Server) ReportsQuarantined() bool { return s.c.quarantined[s.id] }
 
 // SetReportsQuarantined flags or clears telemetry quarantine.
-func (s *Server) SetReportsQuarantined(q bool) { s.quarantined = q }
+func (s *Server) SetReportsQuarantined(q bool) { s.c.quarantined[s.id] = q }
 
 // InletTempC returns the server's inlet temperature.
-func (s *Server) InletTempC() float64 { return s.fleet.InletTempC(s.id) }
+func (s *Server) InletTempC() float64 { return s.c.fleet.InletTempC(s.id) }
 
 // SetInletTempC overrides the inlet temperature (inlet variation
 // studies).
-func (s *Server) SetInletTempC(c float64) { s.fleet.SetInletTempC(s.id, c) }
+func (s *Server) SetInletTempC(c float64) { s.c.fleet.SetInletTempC(s.id, c) }
 
 // Ledger returns the server's cumulative thermal energy accounting.
-func (s *Server) Ledger() thermal.EnergyLedger { return s.fleet.Ledger(s.id) }
+func (s *Server) Ledger() thermal.EnergyLedger { return s.c.fleet.Ledger(s.id) }
 
 // AirEnergyJ returns the energy held by the server's air node relative
 // to its inlet temperature — the remainder term in the conservation
 // balance.
-func (s *Server) AirEnergyJ() float64 { return s.fleet.AirEnergyJ(s.id) }
+func (s *Server) AirEnergyJ() float64 { return s.c.fleet.AirEnergyJ(s.id) }

@@ -101,7 +101,7 @@ func checkPower(t *testing.T, c *cluster.Cluster, format string, args ...any) {
 }
 
 // oracleQueries stands in for the cluster inside groups: every query
-// goes to the cluster (placement index or key-slab scan) and to the
+// goes to the cluster (placement index or slab scan) and to the
 // reference scan from the same rotation start, and the test fails
 // unless both return the same server.
 type oracleQueries struct {
@@ -177,7 +177,7 @@ func (frozenReports) FilterMeltFrac(float64) float64    { return 0 }
 var lateBatch = workload.Workload{Name: "LateBatch", CPUPowerW: 48, Class: workload.Hot}
 
 // The cluster's group queries make the same decisions as the
-// reference scan. At 8 and 100 servers (key-slab scans) and 613
+// reference scan. At 8 and 100 servers (slab scans) and 613
 // (placement index for unfiltered queries, built by the first one),
 // seeded churn drives VMT-TA and VMT-WA over one cluster that already
 // held jobs when its index was built: policy and direct placements
@@ -486,7 +486,7 @@ func powerRun(t *testing.T, n int, manager string) {
 // The group queries' boundary cases, each checked against the
 // reference scan for every workload, rotation start and filter: an
 // empty range, an all-full range, a one-server range, and from = hi−1,
-// on the placement index and on the key slab's masked scans.
+// on the placement index and on the masked slab scans.
 func TestPlacementIndexEdgeCases(t *testing.T) {
 	c, x := newIndexedCluster(t)
 	o := &oracleQueries{t: t, c: c}

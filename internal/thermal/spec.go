@@ -92,8 +92,7 @@ func PaperServer() ServerSpec {
 }
 
 // MaxCores is the most cores a server may have: the cluster's place
-// keys hold its busy cores and per-workload job counts in 16 and 15
-// bits.
+// keys hold its busy cores and per-workload job counts in 15 bits each.
 const MaxCores = 1<<15 - 1
 
 // Cores returns the total core count (32 for the paper server).

@@ -58,17 +58,17 @@ go_test_named '-short -count=1' 'TestGolden|Property|BitIdentical' \
 echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
 go_test_named -count=1 'TestFleetOracle|TestFleetStepRangeFirstError' ./internal/thermal/
 
-echo "== placement index, key slab and power column vs references, wax-state mask vs live predicates"
+echo "== placement index, job slab, headers and power column vs references, wax-state mask vs live predicates"
 # Every VMT placement and eviction query, masked or not, is answered by
-# the cluster (placement index or key-slab scan) and by a linear scan
-# over the servers from the same rotation start, under seeded churn,
+# the cluster (placement index or slab scan) and by a linear scan over
+# the servers from the same rotation start, under seeded churn,
 # crashes, retunes, migrations, Byzantine reports and a workload
 # interned mid-run, at 8, 100 and 613 servers; every tree node must
-# match a rebuild, and every key-slab word the server fields it packs,
-# once the cluster's first query has packed them (until then only the
-# jobs fields are kept). After every place, remove, crash, repair and
-# evacuation by either manager, every server's entry in the power
-# column must bit-equal the draw its fields give. Servers are capped at
+# match a rebuild, and every job-slab word and header word the jobs,
+# busy cores and failure a model of the churn gives, whether or not the
+# cluster has been queried. After every place, remove, crash, repair
+# and evacuation by either manager, every server's entry in the power
+# column must bit-equal the draw its state gives. Servers are capped at
 # the 32,767 cores the keys hold exactly. Runs of follow-up queries of
 # one workload over one range, the load manager's pattern and the case
 # the index answers from its memo of recent answers, are checked the
@@ -213,15 +213,16 @@ mutation_check maskmut internal/fault/injector.go \
     "TestWaxMaskWindowByzantineRefresh did not catch a dropped post-refresh report-epoch bump" \
     go test -count=1 -run '^TestWaxMaskWindowByzantineRefresh$' ./internal/core/
 
-echo "== key-slab self-check (a crash that leaves its place keys alone is caught)"
-# Delete the row rewrite from Cluster.MarkFailed, so a crashed server's
-# place keys keep offering its free cores, and demand that the
-# decision-level test fail by name.
+echo "== place-key self-check (a crash that leaves its place keys alone is caught)"
+# Drop the full bit from Cluster.MarkFailed's header write, so a
+# crashed server's place keys keep offering its free cores while the
+# server reports none, and demand that the decision-level test fail by
+# name.
 mutation_check keymut internal/cluster/cluster.go \
     '/^func \(c \*Cluster\) MarkFailed\(/ { inside = 1 }
-    inside && !done && /^\t\ts\.packRow\(\)$/ { done = 1; next }
+    inside && !done && sub(/^\t\tc\.head\[i\] \|= failedBit \| fullBit$/, "\t\tc.head[i] |= failedBit") { done = 1 }
     /^}/ { inside = 0 } { print }' \
-    "row rewrite in Cluster.MarkFailed" \
+    "full bit in Cluster.MarkFailed's header write" \
     '--- FAIL: TestPlacementIndexMatchesScan' \
     "TestPlacementIndexMatchesScan did not catch a crash that left its place keys unchanged" \
     go test -count=1 -run '^TestPlacementIndexMatchesScan$' ./internal/core/
@@ -232,7 +233,7 @@ echo "== power-column self-check (a repair that leaves its draw at zero is caugh
 # job move, and demand that the power-column test fail by name.
 mutation_check powmut internal/cluster/cluster.go \
     '/^func \(c \*Cluster\) MarkRepaired\(/ { inside = 1 }
-    inside && !done && /^\t\ts\.storePower\(\)$/ { done = 1; next }
+    inside && !done && /^\t\tc\.storePower\(i\)$/ { done = 1; next }
     /^}/ { inside = 0 } { print }' \
     "power-column write in Cluster.MarkRepaired" \
     '--- FAIL: TestPowerColumnMatchesFields' \

@@ -70,7 +70,9 @@ type stage func(now time.Duration)
 // Observation is a read-only snapshot of a session between steps —
 // the observe half of the step/observe seam. Aggregates mirror the
 // sample the last completed tick recorded; before the first step they
-// are zero and Servers is empty (no physics has run yet).
+// are zero (no physics has run yet). Servers always holds every
+// server's current state: before the first step, each server's air and
+// wax at its drawn inlet temperature and every core free.
 type Observation struct {
 	// Tick is the number of completed steps; SimTime = Tick × Step.
 	Tick    int64         `json:"tick"`
@@ -649,7 +651,7 @@ func (s *Session) Observe() Observation {
 		BusyCores:            s.cl.BusyCores(),
 		PlacementsOverridden: s.override.Overridden(),
 		Rejected:             s.override.Rejected(),
-		Servers:              make([]ServerObservation, len(last.AirTempC)),
+		Servers:              make([]ServerObservation, s.cl.Len()),
 	}
 	obs.FreeCores = s.cl.TotalCores() - obs.BusyCores
 	if s.hasGroups {
@@ -663,8 +665,8 @@ func (s *Session) Observe() Observation {
 		srv := s.cl.Server(i)
 		so := ServerObservation{
 			ID:        i,
-			AirTempC:  last.AirTempC[i],
-			MeltFrac:  last.MeltFrac[i],
+			AirTempC:  srv.AirTempC(),
+			MeltFrac:  srv.MeltFrac(),
 			FreeCores: srv.FreeCores(),
 			BusyCores: srv.BusyCores(),
 			Crashed:   srv.Failed(),

@@ -58,9 +58,15 @@ func TestSessionObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Before the first step every server is observed, idle at its inlet.
 	obs := s.Observe()
-	if obs.Tick != 0 || obs.Done || len(obs.Servers) != 0 {
+	if obs.Tick != 0 || obs.Done || len(obs.Servers) != 6 || obs.BusyCores != 0 {
 		t.Fatalf("pre-step observation: %+v", obs)
+	}
+	for i, so := range obs.Servers {
+		if so.ID != i || so.BusyCores != 0 || so.FreeCores != 32 || so.Crashed || so.AirTempC != 22 || so.MeltFrac != 0 {
+			t.Fatalf("pre-step server %d: %+v, want idle with all 32 cores free at the 22 °C inlet", i, so)
+		}
 	}
 	if err := s.Step(3); err != nil {
 		t.Fatal(err)
@@ -85,6 +91,13 @@ func TestSessionObserve(t *testing.T) {
 	for i, so := range obs.Servers {
 		if so.ID != i {
 			t.Fatalf("server %d has ID %d", i, so.ID)
+		}
+		// Air and melt move only in a step, so the cluster's values are
+		// the last tick's sample.
+		if math.Float64bits(so.AirTempC) != math.Float64bits(s.lastSample.AirTempC[i]) ||
+			math.Float64bits(so.MeltFrac) != math.Float64bits(s.lastSample.MeltFrac[i]) {
+			t.Fatalf("server %d observed at %v °C, melt %v; the last sample has %v °C, melt %v",
+				i, so.AirTempC, so.MeltFrac, s.lastSample.AirTempC[i], s.lastSample.MeltFrac[i])
 		}
 		if so.Group == "hot" {
 			hot++
