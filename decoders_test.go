@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"go/token"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	"vmt/internal/experiment"
 	"vmt/internal/fault"
@@ -38,10 +40,46 @@ func parserOf[T any](parse func([]byte) (T, error)) func(io.Reader) error {
 	}
 }
 
+// firstMember returns the first key of the JSON object obj and that
+// key's value as written.
+func firstMember(t *testing.T, obj string) (string, string) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(obj))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%q does not open an object: %v %v", obj, tok, err)
+	}
+	tok, err := dec.Token()
+	key, ok := tok.(string)
+	if err != nil || !ok {
+		t.Fatalf("%q has no first key: %v %v", obj, tok, err)
+	}
+	var val json.RawMessage
+	if err := dec.Decode(&val); err != nil {
+		t.Fatal(err)
+	}
+	return key, string(val)
+}
+
+// swapCase swaps the case of every letter of s, which must have one.
+func swapCase(t *testing.T, s string) string {
+	t.Helper()
+	out := strings.Map(func(r rune) rune {
+		if unicode.IsUpper(r) {
+			return unicode.ToLower(r)
+		}
+		return unicode.ToUpper(r)
+	}, s)
+	if out == s {
+		t.Fatalf("key %q has no letter to swap the case of", s)
+	}
+	return out
+}
+
 // Every exported reader of outside input decodes through one policy
 // (internal/jsonio): it accepts its own writer's output, and it rejects
 // a } right after the (last) value, a second value after it on the
-// same line, and an unknown object key.
+// same line, an unknown object key, a key that names a field only when
+// case is ignored, and a key repeated in one object.
 func TestReadersRejectTrailingDataAndUnknownKeys(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -105,14 +143,9 @@ func TestReadersRejectTrailingDataAndUnknownKeys(t *testing.T) {
 			return log.Err()
 		}, readerOf(telemetry.ReadFleetLog)},
 		{"thermal.ReadFleetState", true, func(w io.Writer) error {
-			fl, err := thermal.NewFleet(2)
+			fl, err := thermal.NewFleet(thermal.PaperServer(), pcm.CommercialParaffin(), []float64{22, 22})
 			if err != nil {
 				return err
-			}
-			for i := 0; i < 2; i++ {
-				if err := fl.Init(i, thermal.PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-					return err
-				}
 			}
 			if _, err := fl.StepRange(0, 2, []float64{450, 100}, time.Minute); err != nil {
 				return err
@@ -142,10 +175,17 @@ func TestReadersRejectTrailingDataAndUnknownKeys(t *testing.T) {
 			}
 			head := body[:len(body)-len(last)]
 			brace := strings.IndexByte(last, '{') + 1
+			// The last object's first key, quoted, and its value.
+			key, val := firstMember(t, last[brace-1:])
+			miscased := strconv.Quote(swapCase(t, key))
 			for _, v := range []struct{ name, input, want string }{
 				{"trailing brace", body + "}\n", "after the JSON value"},
 				{"second value", body + " " + last + "\n", "after the JSON value"},
 				{"unknown key", head + last[:brace] + `"zz_unknown":1,` + last[brace:] + "\n", `unknown field "zz_unknown"`},
+				{"miscased key", head + last[:brace] + strings.Replace(last[brace:], strconv.Quote(key), miscased, 1) + "\n",
+					"unknown field " + miscased},
+				{"duplicated key", head + last[:brace] + strconv.Quote(key) + ":" + val + "," + last[brace:] + "\n",
+					"duplicate key " + strconv.Quote(key)},
 			} {
 				if err := c.read(strings.NewReader(v.input)); err == nil || !strings.Contains(err.Error(), v.want) {
 					t.Errorf("%s: got error %v, want one containing %q", v.name, err, v.want)

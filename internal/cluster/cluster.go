@@ -181,7 +181,14 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	n := cfg.NumServers
-	fleet, err := thermal.NewFleet(n)
+	inlets := make([]float64, n)
+	for i := range inlets {
+		inlets[i] = cfg.InletTempC
+		if cfg.InletStdevC > 0 {
+			inlets[i] = rng.Normal(cfg.InletTempC, cfg.InletStdevC)
+		}
+	}
+	fleet, err := thermal.NewFleet(cfg.Server, cfg.Material, inlets)
 	if err != nil {
 		return nil, err
 	}
@@ -204,13 +211,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	handles := make([]Server, n)
 	for i := range handles {
-		inlet := cfg.InletTempC
-		if cfg.InletStdevC > 0 {
-			inlet = rng.Normal(cfg.InletTempC, cfg.InletStdevC)
-		}
-		if err := fleet.Init(i, cfg.Server, cfg.Material, inlet); err != nil {
-			return nil, err
-		}
 		handles[i] = Server{c: c, id: i}
 		c.servers[i] = &handles[i]
 		c.storePower(i)

@@ -343,7 +343,7 @@ func (wa *WaxAware) swapOne() bool {
 			continue // a source is melted and at or above the PMT
 		}
 		src := wa.g.c.Server(i)
-		hot, ok := wa.largestJob(src, workload.Hot)
+		hot, ok := src.LargestJob(workload.Hot)
 		if !ok {
 			continue
 		}
@@ -356,7 +356,7 @@ func (wa *WaxAware) swapOne() bool {
 				continue
 			}
 			e := wa.g.c.Server(j)
-			cold, ok := wa.largestJob(e, workload.Cold)
+			cold, ok := e.LargestJob(workload.Cold)
 			if !ok {
 				continue
 			}
@@ -383,7 +383,7 @@ func (wa *WaxAware) shedOneHot() bool {
 		}
 		src := wa.g.c.Server(i)
 		keep := wa.keepWarmPowerW(src)
-		w, ok := wa.largestJob(src, workload.Hot)
+		w, ok := src.LargestJob(workload.Hot)
 		if !ok {
 			continue
 		}
@@ -412,7 +412,7 @@ func (wa *WaxAware) clearOneCold() bool {
 			continue
 		}
 		e := wa.g.c.Server(i)
-		w, ok := wa.largestJob(e, workload.Cold)
+		w, ok := e.LargestJob(workload.Cold)
 		if !ok {
 			continue // already converted to hot load; fill the next one
 		}
@@ -432,13 +432,6 @@ func (wa *WaxAware) clearOneCold() bool {
 		return e.Remove(w) == nil && dst.Place(w) == nil
 	}
 	return false
-}
-
-// largestJob returns the workload of the given class with the most
-// jobs on s (name-ordered ties, via the cluster's allocation-free
-// scan).
-func (wa *WaxAware) largestJob(s *cluster.Server, class workload.Class) (workload.Workload, bool) {
-	return s.LargestJob(class)
 }
 
 // Place implements sched.Scheduler using the Section III-B cascade.

@@ -182,22 +182,18 @@ func TestRebalanceNoopWhenUnmelted(t *testing.T) {
 
 func TestLargestJob(t *testing.T) {
 	c := newCluster(t, 1)
-	wa, err := NewWaxAware(c, Config{GV: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := c.Server(0)
-	if _, ok := wa.largestJob(s, workload.Hot); ok {
+	if _, ok := s.LargestJob(workload.Hot); ok {
 		t.Fatal("empty server should have no largest job")
 	}
 	fillServer(t, c, 0, workload.WebSearch, 3)
 	fillServer(t, c, 0, workload.Clustering, 5)
 	fillServer(t, c, 0, workload.DataCaching, 7)
-	w, ok := wa.largestJob(s, workload.Hot)
+	w, ok := s.LargestJob(workload.Hot)
 	if !ok || w.Name != "Clustering" {
 		t.Fatalf("largest hot job = %v, want Clustering", w.Name)
 	}
-	cw, ok := wa.largestJob(s, workload.Cold)
+	cw, ok := s.LargestJob(workload.Cold)
 	if !ok || cw.Name != "DataCaching" {
 		t.Fatalf("largest cold job = %v, want DataCaching", cw.Name)
 	}

@@ -2,6 +2,7 @@ package jsonio
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,11 +32,62 @@ func TestDecode(t *testing.T) {
 		{`{"x":1} 2`, "data after the JSON value at offset 7"},
 		{`{"x":1,"z":2}`, `unknown field "z"`},
 		{`{"x":1,"y":{"z":2}}`, `unknown field "z"`},
+		{`{"X":5}`, `unknown field "X"`},
+		{`{"x":1,"y":{"X":2}}`, `unknown field "X"`},
+		{`{"x":2,"x":1}`, `duplicate key "x"`},
+		{`{"\u0078":1}`, ""},
+		{`{"x":2,"\u0078":1}`, `duplicate key "x"`},
+		{`{"x":1,"y":{"x":2,"y":null,"x":3}}`, `duplicate key "x"`},
 		{`{"x":1`, "unexpected EOF"},
 		{``, "EOF"},
 	} {
 		var p point
 		err := Decode(strings.NewReader(c.in), &p)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("Decode(%q) = %v, want success", c.in, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("Decode(%q) = %v, want an error containing %q", c.in, err, c.err)
+		}
+	}
+}
+
+// Object keys must be a destination's exact JSON names: a tag renames
+// a field, "-" drops it, an untagged embedded struct's fields are
+// promoted, the shallower of two same-named fields wins, and a type
+// that decodes itself takes whatever keys its own decoding takes,
+// repeats aside. A repeated key is an error in any object, a map's
+// included.
+func TestDecodeKeyNames(t *testing.T) {
+	type inner struct {
+		A int `json:"a"`
+		B int // untagged: named B
+		X int `json:"x"` // shadowed by outer.X
+	}
+	type outer struct {
+		inner
+		X    int             `json:"x"`
+		Skip int             `json:"-"`
+		M    map[string]any  `json:"m"`
+		Raw  json.RawMessage `json:"raw"`
+		P    []*point        `json:"p"`
+	}
+	for _, c := range []struct {
+		in, err string // err "" means accepted
+	}{
+		{`{"a":1,"B":2,"x":3,"m":{"k":{"K":1}},"raw":{"any":1},"p":[{"x":1},null]}`, ""},
+		{`{"A":1}`, `unknown field "A"`},
+		{`{"b":1}`, `unknown field "b"`},
+		{`{"Skip":1}`, `unknown field "Skip"`},
+		{`{"-":1}`, `unknown field "-"`},
+		{`{"inner":{}}`, `unknown field "inner"`},
+		{`{"p":[{"x":1},{"X":1}]}`, `unknown field "X"`},
+		{`{"m":{"k":1,"k":2}}`, `duplicate key "k"`},
+		{`{"m":{"k":[{"j":1,"j":1}]}}`, `duplicate key "j"`},
+		{`{"raw":{"k":1,"k":2}}`, `duplicate key "k"`},
+	} {
+		var o outer
+		err := Decode(strings.NewReader(c.in), &o)
 		switch {
 		case c.err == "" && err != nil:
 			t.Errorf("Decode(%q) = %v, want success", c.in, err)

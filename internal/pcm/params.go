@@ -4,8 +4,8 @@ import "fmt"
 
 // CurveParams is the exported view of the precomputed enthalpy-curve
 // segment parameters for one (material, volume) pair — the flat scalar
-// form the struct-of-arrays fleet store (internal/thermal.Fleet)
-// copies into its per-server parameter slices. The fields mirror the
+// form the struct-of-arrays fleet store (internal/thermal.Fleet) and
+// the scalar thermal.Node each keep one copy of. The fields mirror the
 // internal curve exactly, so a consumer that replays the curve's
 // segment arithmetic (same expressions, same order) reproduces Pack
 // projections bit for bit.

@@ -309,7 +309,7 @@ func (m *StreamManager) arrivals(now, dt time.Duration) error {
 		// of mean duration D, arrivals must come at rate N·u·share/D.
 		targetBusy := u * e.Share * float64(m.c.TotalCores())
 		lambda := targetBusy / mean.Seconds() * dt.Seconds()
-		n := m.poisson(lambda)
+		n := m.rng.Poisson(lambda)
 		for i := 0; i < n; i++ {
 			m.arrived++
 			m.taskArrivals.Inc()
@@ -329,13 +329,6 @@ func (m *StreamManager) arrivals(now, dt time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// poisson draws a Poisson deviate with the given mean. It delegates to
-// the shared stats implementation, which consumes the identical RNG
-// call sequence the in-package version did.
-func (m *StreamManager) poisson(lambda float64) int {
-	return m.rng.Poisson(lambda)
 }
 
 // Evacuate moves every job off a crashed server through the normal

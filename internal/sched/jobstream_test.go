@@ -184,14 +184,14 @@ func TestPoissonMoments(t *testing.T) {
 		const n = 20000
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += float64(lm.poisson(lambda))
+			sum += float64(lm.rng.Poisson(lambda))
 		}
 		mean := sum / n
 		if math.Abs(mean-lambda) > lambda*0.05+0.05 {
 			t.Fatalf("poisson(%v) mean = %v", lambda, mean)
 		}
 	}
-	if lm.poisson(0) != 0 || lm.poisson(-1) != 0 {
+	if lm.rng.Poisson(0) != 0 || lm.rng.Poisson(-1) != 0 {
 		t.Fatal("non-positive lambda should give zero")
 	}
 }

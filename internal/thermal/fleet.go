@@ -3,20 +3,23 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"vmt/internal/pcm"
 )
 
 // Fleet is the struct-of-arrays thermal state for a whole fleet of
-// servers: every per-server scalar the integration kernel touches —
-// temperature, enthalpy, inlet, conductances, enthalpy-curve segment
-// parameters, energy ledgers, step-transition memos — lives in a flat
-// parallel slice indexed by server ID. One StepRange over a contiguous
-// ID range walks those slices in order, so the hot loop streams
-// through memory instead of chasing a *Server → *Node → *Pack pointer
-// chain per server, and disjoint ranges can be advanced concurrently
-// with no sharing at all.
+// servers that share one spec and one material: every per-server
+// scalar the integration kernel touches — temperature, enthalpy,
+// inlet, energy ledgers, step-transition memos — lives in a flat
+// parallel slice indexed by server ID, and the parameters the servers
+// share (conductances, heat capacity, substep, enthalpy-curve
+// segments) are stored once. One StepRange over a contiguous ID range
+// walks those slices in order, so the hot loop streams through memory
+// instead of chasing a *Server → *Node → *Pack pointer chain per
+// server, and disjoint ranges can be advanced concurrently with no
+// sharing at all.
 //
 // Fleet is the production implementation of the physics, and its one
 // integration kernel is stepLanes' lane body; the scalar Node is
@@ -34,35 +37,28 @@ import (
 type Fleet struct {
 	n int
 
+	// Construction inputs and the parameters derived from them once,
+	// the way Node caches them at construction.
+	spec    ServerSpec
+	mat     pcm.Material
+	curve   pcm.CurveParams // enthalpy-curve segment parameters
+	kAir    float64         // AirConductanceWPerK
+	hWax    float64         // WaxConductanceWPerK
+	cAir    float64         // air heat capacity (J/K)
+	invCAir float64         // 1/cAir
+	subStep time.Duration
+	subSec  float64 // subStep in seconds
+
 	// Integrated state. waxTC and meltFrac are cached projections of
-	// waxHJ through the per-server curve segments, refreshed on every
-	// state change — except that initialization pins waxTC verbatim to
-	// the inlet temperature, exactly as Pack.Reset does, so initial
-	// states match the scalar path bit for bit.
+	// waxHJ through the curve segments, refreshed on every state
+	// change — except that construction pins waxTC verbatim to the
+	// inlet temperature, exactly as Pack.Reset does, so initial states
+	// match the scalar path bit for bit.
 	airC     []float64
 	waxHJ    []float64
 	waxTC    []float64
 	meltFrac []float64
 	inletC   []float64
-
-	// Per-server spec parameters (hoisted once at Init, the way Node
-	// caches them at construction). Indexed per server so heterogeneous
-	// fleets are just different values in the slices.
-	kAir    []float64 // AirConductanceWPerK
-	hWax    []float64 // WaxConductanceWPerK
-	cAir    []float64 // air heat capacity (J/K)
-	invCAir []float64 // 1/cAir
-	subStep []time.Duration
-	subSec  []float64 // subStep in seconds, precomputed
-
-	// Per-server enthalpy-curve segment parameters (see pcm.CurveParams).
-	meltC     []float64
-	hMeltLo   []float64
-	hMeltHi   []float64
-	invCapSol []float64
-	invCapLiq []float64
-	capSol    []float64
-	latentJ   []float64
 
 	// Cumulative energy ledgers (conservation tests, cooling metrics).
 	inputJ  []float64
@@ -95,11 +91,6 @@ type Fleet struct {
 	// the byte shows a record: where no server settles, the memo check
 	// streams one byte per server.
 	memoState []uint8
-
-	// Construction records, kept for snapshots and accessors.
-	specs []ServerSpec
-	mats  []pcm.Material
-	init  []bool
 }
 
 // memoSlot is one recorded step transition of one server. Whether it
@@ -141,32 +132,40 @@ const (
 	memoValid = memoValid0 | memoValid1
 )
 
-// NewFleet allocates a store for n servers. Every server must be
-// initialized with Init before the fleet can step.
-func NewFleet(n int) (*Fleet, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("thermal: need a positive fleet size, got %d", n)
+// NewFleet builds a fleet of len(inlets) servers of one spec and one
+// material, server i at thermal equilibrium with inlets[i]: air node
+// and wax both start at the inlet (fully solid wax below the melting
+// point), exactly as NewNode does. The fleet keeps its own copy of
+// inlets.
+func NewFleet(spec ServerSpec, mat pcm.Material, inlets []float64) (*Fleet, error) {
+	n := len(inlets)
+	if n == 0 {
+		return nil, fmt.Errorf("thermal: a fleet needs at least one server")
 	}
-	return &Fleet{
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	cp, err := pcm.CurveParamsFor(mat, spec.WaxVolumeL)
+	if err != nil {
+		return nil, err
+	}
+	cAir := spec.AirHeatCapacityJPerK()
+	f := &Fleet{
 		n:         n,
-		airC:      make([]float64, n),
+		spec:      spec,
+		mat:       mat,
+		curve:     cp,
+		kAir:      spec.AirConductanceWPerK,
+		hWax:      spec.WaxConductanceWPerK,
+		cAir:      cAir,
+		invCAir:   1 / cAir,
+		subStep:   spec.SubStep,
+		subSec:    spec.SubStep.Seconds(),
+		airC:      slices.Clone(inlets),
 		waxHJ:     make([]float64, n),
-		waxTC:     make([]float64, n),
+		waxTC:     slices.Clone(inlets),
 		meltFrac:  make([]float64, n),
-		inletC:    make([]float64, n),
-		kAir:      make([]float64, n),
-		hWax:      make([]float64, n),
-		cAir:      make([]float64, n),
-		invCAir:   make([]float64, n),
-		subStep:   make([]time.Duration, n),
-		subSec:    make([]float64, n),
-		meltC:     make([]float64, n),
-		hMeltLo:   make([]float64, n),
-		hMeltHi:   make([]float64, n),
-		invCapSol: make([]float64, n),
-		invCapLiq: make([]float64, n),
-		capSol:    make([]float64, n),
-		latentJ:   make([]float64, n),
+		inletC:    slices.Clone(inlets),
 		inputJ:    make([]float64, n),
 		ejectJ:    make([]float64, n),
 		storedJ:   make([]float64, n),
@@ -175,81 +174,22 @@ func NewFleet(n int) (*Fleet, error) {
 		settled:   make([]bool, n),
 		memo:      make([]memoPair, n),
 		memoState: make([]uint8, n),
-		specs:     make([]ServerSpec, n),
-		mats:      make([]pcm.Material, n),
-		init:      make([]bool, n),
-	}, nil
-}
-
-// Init configures server i at thermal equilibrium with its inlet air:
-// air node and wax both start at inletC (fully solid wax below the
-// melting point), exactly as NewNode does. Materials and specs may
-// differ per server — heterogeneity is just different parameter values
-// in the slices.
-func (f *Fleet) Init(i int, spec ServerSpec, mat pcm.Material, inletC float64) error {
-	if i < 0 || i >= f.n {
-		return fmt.Errorf("thermal: fleet index %d out of range [0,%d)", i, f.n)
 	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	cp, err := pcm.CurveParamsFor(mat, spec.WaxVolumeL)
-	if err != nil {
-		return err
-	}
-	cAir := spec.AirHeatCapacityJPerK()
-	f.specs[i] = spec
-	f.mats[i] = mat
-	f.kAir[i] = spec.AirConductanceWPerK
-	f.hWax[i] = spec.WaxConductanceWPerK
-	f.cAir[i] = cAir
-	f.invCAir[i] = 1 / cAir
-	f.subStep[i] = spec.SubStep
-	f.subSec[i] = spec.SubStep.Seconds()
-	f.meltC[i] = cp.MeltC
-	f.hMeltLo[i] = cp.HMeltLoJ
-	f.hMeltHi[i] = cp.HMeltHiJ
-	f.invCapSol[i] = cp.InvCapSolidJPerK
-	f.invCapLiq[i] = cp.InvCapLiquidJPerK
-	f.capSol[i] = cp.CapSolidJPerK
-	f.latentJ[i] = cp.LatentJ
-	f.inletC[i] = inletC
-	f.airC[i] = inletC
 	// Pack.Reset semantics: the enthalpy is the curve inversion at the
 	// inlet, the cached temperature is the inlet verbatim (not the
 	// round-tripped projection), and the melt fraction snaps to the
 	// phase boundary.
-	f.waxHJ[i] = cp.EnthalpyAt(inletC)
-	f.waxTC[i] = inletC
-	if inletC > mat.MeltTempC {
-		f.meltFrac[i] = 1
-	} else {
-		f.meltFrac[i] = 0
+	for i, inletC := range inlets {
+		f.waxHJ[i] = cp.EnthalpyAt(inletC)
+		if inletC > mat.MeltTempC {
+			f.meltFrac[i] = 1
+		}
 	}
-	f.inputJ[i] = 0
-	f.ejectJ[i] = 0
-	f.storedJ[i] = 0
-	f.coolingW[i] = 0
-	f.waxFlowW[i] = 0
-	f.settled[i] = false
-	f.memo[i] = memoPair{}
-	f.memoState[i] = 0
-	f.init[i] = true
-	return nil
+	return f, nil
 }
 
 // Len returns the fleet size.
 func (f *Fleet) Len() int { return f.n }
-
-// Initialized reports whether every server has been configured.
-func (f *Fleet) Initialized() bool {
-	for _, ok := range f.init {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
 
 // vecLanes is the width of the lane list StepRange integrates at once:
 // small enough that the lanes' loop-carried state fits the register
@@ -261,13 +201,12 @@ const vecLanes = 8
 // power draw power[i]. Per-server outcomes land in the fleet's state
 // and output slices (see View).
 //
-// Each server is checked (initialized, non-negative power) and then
+// Each server's power is checked (non-negative) and then the server
 // either replays its step-transition memo on the spot or joins a lane
-// list of up to vecLanes servers that share one substep length.
-// stepLanes integrates the list when it fills, when the next server's
-// substep length differs, before an error return, and at the end of
-// the range. Servers never interact, so integrating a server after a
-// later server's replay changes no value.
+// list of up to vecLanes servers. stepLanes integrates the list when
+// it fills, before an error return, and at the end of the range.
+// Servers never interact, so integrating a server after a later
+// server's replay changes no value.
 //
 // On error it reports the offending server index: every server before
 // it has committed its step, and it and every later server are
@@ -293,12 +232,7 @@ func (f *Fleet) StepRange(lo, hi int, power []float64, dt time.Duration) (int, e
 	sec := dt.Seconds()
 	var lanes [vecLanes]int
 	w := 0
-	var sub time.Duration
 	for i := lo; i < hi; i++ {
-		if !f.init[i] {
-			f.stepLanes(lanes[:w], power, sec, dt)
-			return i, fmt.Errorf("thermal: fleet server %d not initialized", i) //vmtlint:allow hotpath error path, off the steady-state path
-		}
 		powerW := power[i]
 		if powerW < 0 {
 			f.stepLanes(lanes[:w], power, sec, dt)
@@ -335,11 +269,6 @@ func (f *Fleet) StepRange(lo, hi int, power []float64, dt time.Duration) (int, e
 			}
 		}
 
-		if w > 0 && f.subStep[i] != sub {
-			f.stepLanes(lanes[:w], power, sec, dt)
-			w = 0
-		}
-		sub = f.subStep[i]
 		lanes[w] = i
 		w++
 		if w == vecLanes {
@@ -352,10 +281,10 @@ func (f *Fleet) StepRange(lo, hi int, power []float64, dt time.Duration) (int, e
 }
 
 // stepLanes integrates the servers listed in lanes (at most vecLanes,
-// sharing one substep length, already checked by StepRange, none
-// replaying a memo) substep-major: substep k runs for every lane
-// before substep k+1 runs for any. Every statement in the lane body is
-// the corresponding Node.Step statement on lane slots — expression for
+// already checked by StepRange, none replaying a memo) substep-major:
+// substep k runs for every lane before substep k+1 runs for any. Every
+// statement in the lane body is the corresponding Node.Step statement
+// on lane slots and the fleet's parameters — expression for
 // expression, in the same order — and lanes never mix, so each lane's
 // result is bit-identical to the scalar oracle's; the kernelparity
 // analyzer verifies the marked regions against it. The schedule lets
@@ -376,12 +305,9 @@ func (f *Fleet) stepLanes(lanes []int, power []float64, sec float64, dt time.Dur
 	// the substep loops (-gcflags=-d=ssa/check_bce reports none there).
 	lanes = lanes[:len(lanes):vecLanes]
 	var (
-		airV, waxHV, waxTV                [vecLanes]float64
-		air0V, waxH0V                     [vecLanes]float64
-		powV, inletV, kAirV, hWaxV        [vecLanes]float64
-		invCAirV                          [vecLanes]float64
-		mCV, hLoV, hHiV, invSolV, invLiqV [vecLanes]float64
-		ejV, stV                          [vecLanes]float64
+		airV, waxHV, waxTV     [vecLanes]float64
+		air0V, waxH0V          [vecLanes]float64
+		powV, inletV, ejV, stV [vecLanes]float64
 	)
 	for j, i := range lanes {
 		airV[j] = f.airC[i]
@@ -391,33 +317,30 @@ func (f *Fleet) stepLanes(lanes []int, power []float64, sec float64, dt time.Dur
 		waxH0V[j] = waxHV[j]
 		powV[j] = power[i]
 		inletV[j] = f.inletC[i]
-		kAirV[j] = f.kAir[i]
-		hWaxV[j] = f.hWax[i]
-		invCAirV[j] = f.invCAir[i]
-		mCV[j] = f.meltC[i]
-		hLoV[j] = f.hMeltLo[i]
-		hHiV[j] = f.hMeltHi[i]
-		invSolV[j] = f.invCapSol[i]
-		invLiqV[j] = f.invCapLiq[i]
 	}
-	sub := f.subStep[lanes[0]]
-	subSec := f.subSec[lanes[0]]
+	// The fleet's parameters, bound once per list under the names
+	// Node.Step hoists them to. The kernel regions below cannot see
+	// these bindings, so only the differential oracle checks them.
+	kAir, hWax, invCAir := f.kAir, f.hWax, f.invCAir
+	sub, subSec := f.subStep, f.subSec
+	mC, hLo, hHi := f.curve.MeltC, f.curve.HMeltLoJ, f.curve.HMeltHiJ
+	invSol, invLiq := f.curve.InvCapSolidJPerK, f.curve.InvCapLiquidJPerK
 	nFull := int(dt / sub)
 	partial := dt - time.Duration(nFull)*sub
 	for k := 0; k < nFull; k++ {
 		for j := range lanes {
 			//vmt:kernel substep mirror begin
-			toRoom := kAirV[j] * (airV[j] - inletV[j])
-			toWax := hWaxV[j] * (airV[j] - waxTV[j])
-			airV[j] += subSec * (powV[j] - toRoom - toWax) * invCAirV[j]
+			toRoom := kAir * (airV[j] - inletV[j])
+			toWax := hWax * (airV[j] - waxTV[j])
+			airV[j] += subSec * (powV[j] - toRoom - toWax) * invCAir
 			waxHV[j] += toWax * subSec
 			switch {
-			case waxHV[j] < hLoV[j]:
-				waxTV[j] = waxHV[j] * invSolV[j]
-			case waxHV[j] >= hHiV[j]:
-				waxTV[j] = mCV[j] + (waxHV[j]-hHiV[j])*invLiqV[j]
+			case waxHV[j] < hLo:
+				waxTV[j] = waxHV[j] * invSol
+			case waxHV[j] >= hHi:
+				waxTV[j] = mC + (waxHV[j]-hHi)*invLiq
 			default:
-				waxTV[j] = mCV[j]
+				waxTV[j] = mC
 			}
 			ejV[j] += toRoom * subSec
 			stV[j] += toWax * subSec
@@ -428,9 +351,9 @@ func (f *Fleet) stepLanes(lanes []int, power []float64, sec float64, dt time.Dur
 		psec := partial.Seconds()
 		for j := range lanes {
 			//vmt:kernel substep-tail mirror begin
-			toRoom := kAirV[j] * (airV[j] - inletV[j])
-			toWax := hWaxV[j] * (airV[j] - waxTV[j])
-			airV[j] += psec * (powV[j] - toRoom - toWax) * invCAirV[j]
+			toRoom := kAir * (airV[j] - inletV[j])
+			toWax := hWax * (airV[j] - waxTV[j])
+			airV[j] += psec * (powV[j] - toRoom - toWax) * invCAir
 			waxHV[j] += toWax * psec
 			ejV[j] += toRoom * psec
 			stV[j] += toWax * psec
@@ -473,17 +396,18 @@ func (f *Fleet) stepLanes(lanes []int, power []float64, sec float64, dt time.Dur
 //
 //vmt:hotpath
 func (f *Fleet) commitWax(i int, h float64) {
+	cp := &f.curve
 	f.waxHJ[i] = h
 	switch {
-	case h < f.hMeltLo[i]:
-		f.waxTC[i] = h * f.invCapSol[i]
+	case h < cp.HMeltLoJ:
+		f.waxTC[i] = h * cp.InvCapSolidJPerK
 		f.meltFrac[i] = 0
-	case h >= f.hMeltHi[i]:
-		f.waxTC[i] = f.meltC[i] + (h-f.hMeltHi[i])*f.invCapLiq[i]
+	case h >= cp.HMeltHiJ:
+		f.waxTC[i] = cp.MeltC + (h-cp.HMeltHiJ)*cp.InvCapLiquidJPerK
 		f.meltFrac[i] = 1
 	default:
-		f.waxTC[i] = f.meltC[i]
-		f.meltFrac[i] = (h - f.hMeltLo[i]) / f.latentJ[i]
+		f.waxTC[i] = cp.MeltC
+		f.meltFrac[i] = (h - cp.HMeltLoJ) / cp.LatentJ
 	}
 }
 
@@ -534,7 +458,7 @@ func (f *Fleet) MeltFrac(i int) float64 { return f.meltFrac[i] }
 // EnthalpyJ returns server i's pack enthalpy relative to fully solid
 // wax at refTempC (Pack.EnthalpyJ semantics).
 func (f *Fleet) EnthalpyJ(i int, refTempC float64) float64 {
-	return f.waxHJ[i] - f.capSol[i]*refTempC
+	return f.waxHJ[i] - f.curve.CapSolidJPerK*refTempC
 }
 
 // InletTempC returns server i's configured inlet temperature.
@@ -569,11 +493,11 @@ func (f *Fleet) Ledger(i int) EnergyLedger {
 // to its inlet temperature — the remainder term in the conservation
 // balance.
 func (f *Fleet) AirEnergyJ(i int) float64 {
-	return f.cAir[i] * (f.airC[i] - f.inletC[i])
+	return f.cAir * (f.airC[i] - f.inletC[i])
 }
 
-// Spec returns server i's specification.
-func (f *Fleet) Spec(i int) ServerSpec { return f.specs[i] }
+// Spec returns the servers' specification.
+func (f *Fleet) Spec() ServerSpec { return f.spec }
 
-// Material returns server i's PCM material.
-func (f *Fleet) Material(i int) pcm.Material { return f.mats[i] }
+// Material returns the servers' PCM material.
+func (f *Fleet) Material() pcm.Material { return f.mat }

@@ -10,95 +10,77 @@ import (
 
 func newTestFleet(t *testing.T, n int) *Fleet {
 	t.Helper()
-	f, err := NewFleet(n)
+	inlets := make([]float64, n)
+	for i := range inlets {
+		inlets[i] = 22
+	}
+	f, err := NewFleet(PaperServer(), pcm.CommercialParaffin(), inlets)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := f.Init(i, PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return f
 }
 
 func TestNewFleetRejectsBadSize(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		if _, err := NewFleet(n); err == nil {
-			t.Errorf("NewFleet(%d) should fail", n)
+	for _, inlets := range [][]float64{nil, {}} {
+		if _, err := NewFleet(PaperServer(), pcm.CommercialParaffin(), inlets); err == nil {
+			t.Errorf("NewFleet with %d inlets should fail", len(inlets))
 		}
 	}
 }
 
-func TestFleetInitValidates(t *testing.T) {
-	f, err := NewFleet(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Init(-1, PaperServer(), pcm.CommercialParaffin(), 22); err == nil {
-		t.Error("negative index should fail")
-	}
-	if err := f.Init(2, PaperServer(), pcm.CommercialParaffin(), 22); err == nil {
-		t.Error("out-of-range index should fail")
-	}
+func TestNewFleetValidates(t *testing.T) {
+	inlets := []float64{22, 22}
 	bad := PaperServer()
 	bad.SubStep = 0
-	if err := f.Init(0, bad, pcm.CommercialParaffin(), 22); err == nil {
+	if _, err := NewFleet(bad, pcm.CommercialParaffin(), inlets); err == nil {
 		t.Error("invalid spec should fail")
 	}
 	badMat := pcm.CommercialParaffin()
 	badMat.LatentHeatJPerKg = 0
-	if err := f.Init(0, PaperServer(), badMat, 22); err == nil {
+	if _, err := NewFleet(PaperServer(), badMat, inlets); err == nil {
 		t.Error("invalid material should fail")
 	}
-	if f.Initialized() {
-		t.Error("fleet should not report initialized")
-	}
-	if err := f.Init(0, PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-		t.Fatal(err)
-	}
-	if f.Initialized() {
-		t.Error("fleet with one uninitialized server should not report initialized")
-	}
-	if err := f.Init(1, PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Initialized() {
-		t.Error("fully configured fleet should report initialized")
+	if _, err := NewFleet(PaperServer(), pcm.CommercialParaffin(), inlets); err != nil {
+		t.Errorf("valid spec and material: %v", err)
 	}
 }
 
 func TestFleetInitMatchesNode(t *testing.T) {
-	// Initial state must match NewNode bit for bit — including the
-	// Pack.Reset quirk of pinning the cached wax temperature verbatim.
-	for _, inlet := range []float64{22, 25.3, 40.1} {
-		f, err := NewFleet(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Init(0, PaperServer(), pcm.CommercialParaffin(), inlet); err != nil {
-			t.Fatal(err)
-		}
+	// Every server's initial state must match NewNode at its inlet bit
+	// for bit — including the Pack.Reset quirk of pinning the cached wax
+	// temperature verbatim.
+	inlets := []float64{22, 25.3, 40.1}
+	f, err := NewFleet(PaperServer(), pcm.CommercialParaffin(), inlets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, inlet := range inlets {
 		node, err := NewNode(PaperServer(), pcm.CommercialParaffin(), inlet)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h, wt := node.Pack().IntegratorState()
-		if math.Float64bits(f.waxHJ[0]) != math.Float64bits(h) {
-			t.Errorf("inlet %v: enthalpy %v != node %v", inlet, f.waxHJ[0], h)
+		if math.Float64bits(f.waxHJ[i]) != math.Float64bits(h) {
+			t.Errorf("inlet %v: enthalpy %v != node %v", inlet, f.waxHJ[i], h)
 		}
-		if math.Float64bits(f.WaxTempC(0)) != math.Float64bits(wt) {
-			t.Errorf("inlet %v: wax temp %v != node %v", inlet, f.WaxTempC(0), wt)
+		if math.Float64bits(f.WaxTempC(i)) != math.Float64bits(wt) {
+			t.Errorf("inlet %v: wax temp %v != node %v", inlet, f.WaxTempC(i), wt)
 		}
-		if f.MeltFrac(0) != node.MeltFrac() {
-			t.Errorf("inlet %v: melt %v != node %v", inlet, f.MeltFrac(0), node.MeltFrac())
+		if f.MeltFrac(i) != node.MeltFrac() {
+			t.Errorf("inlet %v: melt %v != node %v", inlet, f.MeltFrac(i), node.MeltFrac())
 		}
-		if f.AirTempC(0) != inlet || f.InletTempC(0) != inlet {
+		if f.AirTempC(i) != inlet || f.InletTempC(i) != inlet {
 			t.Errorf("inlet %v: air/inlet not pinned", inlet)
 		}
-		if math.Float64bits(f.EnthalpyJ(0, 22)) != math.Float64bits(node.Pack().EnthalpyJ(22)) {
+		if math.Float64bits(f.EnthalpyJ(i, 22)) != math.Float64bits(node.Pack().EnthalpyJ(22)) {
 			t.Errorf("inlet %v: EnthalpyJ mismatch", inlet)
 		}
+	}
+	// The fleet holds its own inlets: the caller's slice is not aliased.
+	inlets[0] = 30
+	if f.InletTempC(0) != 22 {
+		t.Error("NewFleet aliased the caller's inlet slice")
 	}
 }
 
@@ -131,23 +113,6 @@ func TestFleetStepRejectsBadInput(t *testing.T) {
 	}
 	if idx != 2 {
 		t.Errorf("error index = %d, want 2 (the offending server)", idx)
-	}
-}
-
-func TestFleetStepRequiresInit(t *testing.T) {
-	f, err := NewFleet(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Init(0, PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := f.StepRange(0, 3, make([]float64, 3), time.Minute)
-	if err == nil {
-		t.Fatal("stepping an uninitialized server should fail")
-	}
-	if idx != 1 {
-		t.Errorf("error index = %d, want 1 (first uninitialized)", idx)
 	}
 }
 
@@ -204,23 +169,14 @@ func TestFleetSetInletInvalidatesMemo(t *testing.T) {
 }
 
 func TestFleetSpecMaterialAccessors(t *testing.T) {
-	f, err := NewFleet(2)
+	s := PaperServer()
+	s.WaxVolumeL = 2.5
+	f, err := NewFleet(s, pcm.Inert(), []float64{22, 22})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := PaperServer()
-	s.WaxVolumeL = 2.5
-	if err := f.Init(0, s, pcm.Inert(), 22); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Init(1, PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-		t.Fatal(err)
-	}
-	if f.Spec(0).WaxVolumeL != 2.5 || f.Material(0).Name != pcm.Inert().Name {
-		t.Error("server 0 spec/material not retained")
-	}
-	if f.Material(1).Name != pcm.CommercialParaffin().Name {
-		t.Error("server 1 material not retained")
+	if f.Spec().WaxVolumeL != 2.5 || f.Material().Name != pcm.Inert().Name {
+		t.Error("spec/material not retained")
 	}
 	if f.Len() != 2 {
 		t.Errorf("Len = %d, want 2", f.Len())

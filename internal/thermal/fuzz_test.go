@@ -19,14 +19,9 @@ import (
 func FuzzReadFleetState(f *testing.F) {
 	// Seed with real writer output from a stepped fleet plus edge
 	// shapes; the committed corpus under testdata/fuzz mirrors these.
-	fl, err := NewFleet(2)
+	fl, err := NewFleet(PaperServer(), pcm.CommercialParaffin(), []float64{22, 22})
 	if err != nil {
 		f.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := fl.Init(i, PaperServer(), pcm.CommercialParaffin(), 22); err != nil {
-			f.Fatal(err)
-		}
 	}
 	if _, err := fl.StepRange(0, 2, []float64{450, 100}, time.Minute); err != nil {
 		f.Fatal(err)

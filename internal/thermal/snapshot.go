@@ -16,9 +16,9 @@ import (
 // followed by one line per server in strictly increasing ID order —
 // the same stream shape the telemetry fleet log uses, so the tooling
 // that replays those logs can replay these. Snapshots carry the
-// integrated state and ledgers only; spec and material parameters are
-// construction-time inputs and must already be loaded (via Init) on
-// the fleet a snapshot is restored into.
+// integrated state and ledgers only; the spec and material are
+// construction inputs of the fleet (NewFleet), so a snapshot restores
+// into a fleet built with the ones it was captured from.
 //
 // Floats round-trip exactly: encoding/json emits the shortest
 // representation that parses back to the identical float64, so a
@@ -39,7 +39,7 @@ type ServerRecord struct {
 	ID int `json:"id"`
 	// AirC is the air-node temperature; WaxHJ the pack enthalpy with
 	// WaxTC and Melt its cached projections — carried verbatim rather
-	// than recomputed on restore, because immediately after Init the
+	// than recomputed on restore, because immediately after NewFleet the
 	// cached temperature is the inlet pinned exactly (Pack.Reset
 	// semantics), not the round-tripped projection of the enthalpy.
 	AirC   float64 `json:"air_c"`
@@ -79,20 +79,17 @@ func (f *Fleet) CaptureState() *FleetState {
 	return st
 }
 
-// RestoreState loads a captured state into the fleet. The fleet must
-// be fully initialized and the same size as the snapshot. Step memos
-// and settled flags are cleared — the restored pre-state may not match
-// whatever transition a slot recorded — and the per-step outputs reset
-// to zero until the next step.
+// RestoreState loads a captured state into the fleet, which must be
+// the same size as the snapshot. Step memos and settled flags are
+// cleared — the restored pre-state may not match whatever transition a
+// slot recorded — and the per-step outputs reset to zero until the
+// next step.
 func (f *Fleet) RestoreState(st *FleetState) error {
 	if err := st.Validate(); err != nil {
 		return err
 	}
 	if st.N != f.n {
 		return fmt.Errorf("thermal: snapshot holds %d servers, fleet has %d", st.N, f.n)
-	}
-	if !f.Initialized() {
-		return fmt.Errorf("thermal: cannot restore into an uninitialized fleet")
 	}
 	for i, r := range st.Records {
 		f.airC[i] = r.AirC

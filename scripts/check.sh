@@ -186,6 +186,20 @@ mutation_check kernelmut internal/thermal/fleet.go \
     "kernelparity did not pinpoint the mutated line $mutline" \
     "$tmp/vmtlint" ./internal/thermal/
 
+echo "== parameter-binding self-check (a swapped fleet parameter is caught)"
+# Bind stepLanes's kAir to the fleet's wax conductance and hWax to its
+# air conductance, and demand the differential oracle fail by name.
+# The bindings sit outside the //vmt:kernel regions, so kernelparity
+# cannot see them; only the oracle can.
+mutation_check parammut internal/thermal/fleet.go \
+    '/^func \(f \*Fleet\) stepLanes\(/ { inside = 1 }
+    inside && !done && sub(/:= f\.kAir, f\.hWax,/, ":= f.hWax, f.kAir,") { done = 1 }
+    /^}/ { inside = 0 } { print }' \
+    "kAir and hWax bindings in stepLanes" \
+    '--- FAIL: TestFleetOracleBitIdentical' \
+    "TestFleetOracleBitIdentical did not catch stepLanes binding kAir and hWax to each other's fleet fields" \
+    go test -count=1 -run '^TestFleetOracleBitIdentical$' ./internal/thermal/
+
 echo "== outcome-comparison self-check (a worker-dependent drift is caught)"
 # Nudge MaxCPUTempC, a series the bit-identity tests once skipped, only
 # when physics runs on more than one worker, and demand the
